@@ -37,16 +37,34 @@ class Config:
     top_k: int = 5
 
 
+# accepted JSON types per Config field; a bool is never a number
+_CONFIG_TYPES = {
+    "tagger": (str,),
+    "synonym_path": (str, type(None)),
+    "bm25_k1": (int, float),
+    "bm25_b": (int, float),
+    "gst_min_tile": (int,),
+    "top_k": (int,),
+}
+
+
 def load_config(args) -> Config:
     config = Config()
     path = os.environ.get(CONFIG_ENV)
     if path:
         with open(path, encoding="utf-8") as handle:
-            for key, value in json.load(handle).items():
-                if hasattr(config, key):
-                    setattr(config, key, value)
-    for key in ("tagger", "synonym_path", "bm25_k1", "bm25_b", "gst_min_tile",
-                "top_k"):
+            values = json.load(handle)
+        if not isinstance(values, dict):
+            raise ValueError(f"{path}: top level must be a JSON object")
+        for key, value in values.items():
+            if key not in _CONFIG_TYPES:
+                continue
+            if isinstance(value, bool) \
+                    or not isinstance(value, _CONFIG_TYPES[key]):
+                raise ValueError(f"{path}: {key} has the wrong type "
+                                 f"({type(value).__name__})")
+            setattr(config, key, value)
+    for key in _CONFIG_TYPES:
         value = getattr(args, key, None)
         if value is not None:
             setattr(config, key, value)

@@ -14,6 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .lexicon import FUNCTION_LEMMAS
+from .subsume import reach
 
 BASELINE_METHODS = ("common_words", "jaccard", "tfidf_cosine", "unigram_lm",
                     "bm25", "gst", "lcs")
@@ -75,7 +76,11 @@ def space_closure(space) -> set[tuple[str, str, str]]:
     """(child, parent, dimension) triples in the closure of a built space."""
     out = set()
     for name, dim in space.dimensions.items():
-        out.update((c, p, name) for c, p in dim.closure_pairs())
+        parents: dict[str, list[str]] = {}
+        for child, parent in dim.edges:
+            parents.setdefault(child, []).append(parent)
+        for child in parents:
+            out.update((child, p, name) for p in reach(parents, (child,)))
     return out
 
 

@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 from . import subsume
 from .corpus import TaggedSentence
 from .subsume import (EQUAL, EdgeSet, MODIFIER, SUBCLASS, SYNTACTIC,
-                      SynonymTable, compare_elements, scan_syntactic_patterns)
+                      SynonymTable, compare_elements, reach,
+                      scan_syntactic_patterns)
 from .syntax import (Adverbial, Clause, NoFiniteVerb, Phrase, SentenceSyntax,
                      adverbial_key, canonical_key, display,
                      parse_sentence_parts)
@@ -44,39 +45,11 @@ class Dimension:
     postings: dict[str, set[int]] = field(default_factory=dict)
     dropped_edges: list[tuple[str, str, str]] = field(default_factory=list)
 
-    def children_map(self) -> dict[str, set[str]]:
-        out: dict[str, set[str]] = {}
-        for child, parent in self.edges:
-            out.setdefault(parent, set()).add(child)
-        return out
-
     def descendants(self, keys: set[str]) -> set[str]:
-        children = self.children_map()
-        seen = set(keys)
-        frontier = list(keys)
-        while frontier:
-            for child in children.get(frontier.pop(), ()):
-                if child not in seen:
-                    seen.add(child)
-                    frontier.append(child)
-        return seen
-
-    def closure_pairs(self) -> set[tuple[str, str]]:
-        """Transitive closure of the stored (reduced) edges."""
-        parents: dict[str, set[str]] = {}
+        children: dict[str, list[str]] = {}
         for child, parent in self.edges:
-            parents.setdefault(child, set()).add(parent)
-        out: set[tuple[str, str]] = set()
-        for start in parents:
-            seen: set[str] = set()
-            frontier = [start]
-            while frontier:
-                for nxt in parents.get(frontier.pop(), ()):
-                    if nxt not in seen:
-                        seen.add(nxt)
-                        frontier.append(nxt)
-            out.update((start, p) for p in seen)
-        return out
+            children.setdefault(parent, []).append(child)
+        return set(keys) | reach(children, keys)
 
 
 @dataclass
@@ -177,7 +150,7 @@ def build_dimension(name: str, items: list[tuple[int, object]],
     # endpoints; repeated so edge chains attach
     kind = {"subject": "np", "object": "np", "action": "vp"}.get(name)
     if kind is not None:
-        pending = sorted(harvested.of_kind(kind),
+        pending = sorted((e for e in harvested if e.kind == kind),
                          key=lambda e: (e.child, e.parent))
         seen_entries: set[tuple] = set()
         changed = True
@@ -206,6 +179,7 @@ def build_dimension(name: str, items: list[tuple[int, object]],
                 changed = True
 
     # 2b. modifier-rule edges by pairwise comparison inside head buckets
+    edge_pairs = {(c, p) for c, p, _, _ in raw_edges}
     buckets: dict[tuple, list[str]] = {}
     for key in sorted(dim.nodes):
         buckets.setdefault(_bucket(name, dim.nodes[key].element), []).append(key)
@@ -216,10 +190,9 @@ def build_dimension(name: str, items: list[tuple[int, object]],
                     continue
                 rel = _relation(name, dim.nodes[child_key].element,
                                 dim.nodes[parent_key].element, harvested)
-                if rel == SUBCLASS:
-                    entry = (child_key, parent_key, MODIFIER, None)
-                    if (child_key, parent_key) not in {(c, p) for c, p, _, _ in raw_edges}:
-                        raw_edges.append(entry)
+                if rel == SUBCLASS and (child_key, parent_key) not in edge_pairs:
+                    raw_edges.append((child_key, parent_key, MODIFIER, None))
+                    edge_pairs.add((child_key, parent_key))
 
     # 3. break cycles: drop lowest-evidence, then latest-discovered
     kept = _break_cycles(raw_edges, dim.dropped_edges)
@@ -251,64 +224,55 @@ def _break_cycles(raw_edges, dropped_log) -> list:
 
 
 def _find_cycle(pairs: set[tuple[str, str]]):
-    """Return the edge set of one cycle, or None."""
+    """Return the edge set of one cycle, or None.
+
+    Depth-first in sorted order; the order decides which cycle is found
+    first, and so which edge `_break_cycles` drops.
+    """
     graph: dict[str, list[str]] = {}
     for child, parent in sorted(pairs):
         graph.setdefault(child, []).append(parent)
     WHITE, GREY, BLACK = 0, 1, 2
     color = {node: WHITE for node in
              set(graph) | {p for ps in graph.values() for p in ps}}
-    stack_path: list[str] = []
-
-    def visit(node):
-        color[node] = GREY
-        stack_path.append(node)
-        for nxt in graph.get(node, ()):
-            if color[nxt] == GREY:
-                start = stack_path.index(nxt)
-                cycle_nodes = stack_path[start:] + [nxt]
-                return {(cycle_nodes[k], cycle_nodes[k + 1])
-                        for k in range(len(cycle_nodes) - 1)}
-            if color[nxt] == WHITE:
-                found = visit(nxt)
-                if found:
-                    return found
-        stack_path.pop()
-        color[node] = BLACK
-        return None
-
-    for node in sorted(color):
-        if color[node] == WHITE:
-            found = visit(node)
-            if found:
-                return found
+    for root in sorted(color):
+        if color[root] != WHITE:
+            continue
+        color[root] = GREY
+        path = [root]
+        pending = [iter(graph.get(root, ()))]
+        while pending:
+            for nxt in pending[-1]:
+                if color[nxt] == GREY:
+                    cycle_nodes = path[path.index(nxt):] + [nxt]
+                    return set(zip(cycle_nodes, cycle_nodes[1:]))
+                if color[nxt] == WHITE:
+                    color[nxt] = GREY
+                    path.append(nxt)
+                    pending.append(iter(graph.get(nxt, ())))
+                    break
+            else:
+                pending.pop()
+                color[path.pop()] = BLACK
     return None
 
 
 def transitive_reduce(pairs: set[tuple[str, str]]) -> set[tuple[str, str]]:
-    """Unique minimal relation with the same transitive closure (DAG only)."""
-    if _find_cycle(set(pairs)) is not None:
-        raise CycleDetected("edge set contains a cycle")
+    """Unique minimal relation with the same transitive closure (DAG only).
+
+    An edge goes when another parent of its child already reaches its
+    parent; a child that reaches itself is on a cycle.
+    """
     parents: dict[str, set[str]] = {}
     for child, parent in pairs:
         parents.setdefault(child, set()).add(parent)
-
-    def reachable(start: str, target: str, skip: tuple[str, str]) -> bool:
-        seen = set()
-        frontier = [start]
-        while frontier:
-            node = frontier.pop()
-            for nxt in parents.get(node, ()):
-                if (node, nxt) == skip:
-                    continue
-                if nxt == target:
-                    return True
-                if nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
-        return False
-
-    return {(c, p) for c, p in pairs if not reachable(c, p, (c, p))}
+    reduced = set()
+    for child, direct in parents.items():
+        above = reach(parents, direct)
+        if child in above:
+            raise CycleDetected("edge set contains a cycle")
+        reduced.update((child, p) for p in direct if p not in above)
+    return reduced
 
 
 # ---------------------------------------------------------------------------
@@ -376,10 +340,7 @@ def search(space: ResourceSpace, dimension: str, query,
     """
     dim = space.dimensions[dimension]
     if query is None:
-        out: set[int] = set()
-        for postings in dim.postings.values():
-            out.update(postings)
-        return out
+        return _covered(dim)
     anchors = {
         key for key, node in dim.nodes.items()
         if _relation(dimension, node.element, query, space.edge_set, syn)
@@ -387,10 +348,15 @@ def search(space: ResourceSpace, dimension: str, query,
     }
     if not anchors:
         return set()
-    out = set()
+    out: set[int] = set()
     for key in dim.descendants(anchors):
         out.update(dim.postings.get(key, ()))
     return out
+
+
+def _covered(dim: Dimension) -> set[int]:
+    """Every sentence posted anywhere in the dimension."""
+    return set().union(*dim.postings.values())
 
 
 # ---------------------------------------------------------------------------
@@ -430,12 +396,8 @@ def coverage(space: ResourceSpace) -> CoverageReport:
         return CoverageReport(0, {n: 0 for n in DIMENSIONS},
                               {n: None for n in DIMENSIONS}, 0, None, 0, None,
                               empty=True)
-    per_dim: dict[str, set[int]] = {}
-    for name in DIMENSIONS:
-        covered: set[int] = set()
-        for postings in space.dimensions[name].postings.values():
-            covered.update(postings)
-        per_dim[name] = covered & ids
+    per_dim = {name: _covered(space.dimensions[name]) & ids
+               for name in DIMENSIONS}
     union = set().union(*per_dim.values()) if per_dim else set()
     intersection = per_dim["subject"] & per_dim["action"] & per_dim["object"]
     return CoverageReport(
@@ -502,12 +464,8 @@ def check_normal_forms(space: ResourceSpace) -> NFReport:
     second = first and not double_posted
 
     ids = set(space.records)
-    per_dim = {}
-    for name in _NF_DIMENSIONS:
-        covered: set[int] = set()
-        for postings in space.dimensions[name].postings.values():
-            covered.update(postings)
-        per_dim[name] = covered & ids
+    per_dim = {name: _covered(space.dimensions[name]) & ids
+               for name in _NF_DIMENSIONS}
     full = {name: per_dim[name] == ids and bool(ids) for name in _NF_DIMENSIONS}
     subspace = per_dim["subject"] & per_dim["action"] & per_dim["object"]
     third = second and all(full.values())

@@ -5,7 +5,9 @@ Two sources of evidence are combined:
 * the modifier rules — same head, and the more specific side carries a
   proper superset of the other side's modifiers (as lemma multisets);
 * harvested syntactic-pattern edges ("X is an Y", "Y such as X", ...),
-  consulted at every noun-phrase / verb-phrase comparison point.
+  consulted at every noun-phrase / verb-phrase comparison point.  Each
+  `EdgeSet` closes its edges once, on the first comparison after the last
+  `add`, and answers every later "is A below B" from that closure.
 
 Composite rules (verb phrases, prepositional phrases, clauses, sentences,
 questions) use a product order: every aligned pair must be the same or a
@@ -88,27 +90,38 @@ class EdgeSet:
         self.edges: dict[tuple[str, str], SubclassEdge] = {}
         self.elements: dict[str, Element] = {}
         self.dropped: list[tuple[str, str]] = []
-        self._by_kind: dict[str, list[SubclassEdge]] = {"np": [], "vp": []}
+        self._above: dict[str, set[str]] | None = None
 
     def add(self, edge: SubclassEdge, child_elem: Element, parent_elem: Element):
         if edge.child == edge.parent:
             return
+        self._above = None
         reverse = (edge.parent, edge.child)
         if reverse in self.edges:
             del self.edges[reverse]
-            self._by_kind = {k: [e for e in v if (e.child, e.parent) != reverse]
-                             for k, v in self._by_kind.items()}
             self.dropped.append((edge.child, edge.parent))
             return
         if (edge.child, edge.parent) in self.edges:
             return
         self.edges[(edge.child, edge.parent)] = edge
-        self._by_kind[edge.kind].append(edge)
         self.elements.setdefault(edge.child, child_elem)
         self.elements.setdefault(edge.parent, parent_elem)
 
-    def of_kind(self, kind: str) -> list[SubclassEdge]:
-        return list(self._by_kind.get(kind, ()))
+    def parents_of(self, element: Element, key: str) -> set[str]:
+        """Keys one harvested edge above `element` (whose key is `key`):
+        edges from the key itself, and np edges from any phrase the element
+        is modifier-below."""
+        return {e.parent for e in self.edges.values()
+                if e.child == key or e.kind == "np"
+                and _modifier_below(element, self.elements[e.child])}
+
+    def above(self, key: str) -> set[str]:
+        """Keys reached from `key` in one or more harvested steps.  The
+        closure is computed once and replaced whole, never mutated."""
+        if self._above is None:
+            steps = {k: self.parents_of(e, k) for k, e in self.elements.items()}
+            self._above = {k: reach(steps, (k,)) for k in steps}
+        return self._above.get(key, set())
 
     def __len__(self) -> int:
         return len(self.edges)
@@ -116,6 +129,18 @@ class EdgeSet:
     def __iter__(self):
         return iter(self.edges.values())
 
+
+def reach(successors: dict, starts) -> set:
+    """Nodes reached from `starts` in one or more steps; `successors` maps a
+    node to the nodes one step on.  A start is included only on a cycle."""
+    seen = set()
+    frontier = list(starts)
+    while frontier:
+        for nxt in successors.get(frontier.pop(), ()):
+            if nxt not in seen:
+                seen.add(nxt)
+                frontier.append(nxt)
+    return seen
 
 
 # ---------------------------------------------------------------------------
@@ -169,27 +194,12 @@ def _np_reaches(child: Phrase, parent: Phrase, edges: EdgeSet) -> bool:
         return False
     if edges is None or not len(edges):
         return False
-    seen = set()
-    frontier = [child]
-    while frontier:
-        current = frontier.pop()
-        ckey = canonical_key(current)
-        if ckey in seen:
-            continue
-        seen.add(ckey)
-        for edge in edges.of_kind("np"):
-            edge_child = edges.elements[edge.child]
-            if not isinstance(edge_child, Phrase):
-                continue
-            if edge.child == ckey or _modifier_below(current, edge_child):
-                target = edges.elements[edge.parent]
-                if not isinstance(target, Phrase):
-                    continue
-                if edge.parent == canonical_key(parent) \
-                        or _modifier_below(target, parent):
-                    return True
-                frontier.append(target)
-    return False
+    first = edges.parents_of(child, canonical_key(child))
+    reached = first.union(*(edges.above(key) for key in first))
+    parent_key = canonical_key(parent)
+    return any(key == parent_key
+               or _modifier_below(edges.elements[key], parent)
+               for key in reached)
 
 
 def _modifier_below(child: Phrase, parent: Phrase) -> bool:
@@ -228,25 +238,11 @@ def _action_relation(a1: Phrase, a2: Phrase, edges: EdgeSet,
     # harvested verb-phrase edges ("to sprint is to run")
     if edges is not None:
         k1, k2 = canonical_key(a1), canonical_key(a2)
-        if _vp_edge_reaches(k1, k2, edges):
+        if k2 in edges.above(k1):
             return SUBCLASS
-        if _vp_edge_reaches(k2, k1, edges):
+        if k1 in edges.above(k2):
             return SUPERCLASS
     return UNRELATED
-
-
-def _vp_edge_reaches(child_key: str, parent_key: str, edges: EdgeSet) -> bool:
-    seen = set()
-    frontier = [child_key]
-    while frontier:
-        key = frontier.pop()
-        if key in seen:
-            continue
-        seen.add(key)
-        if key == parent_key:
-            return True
-        frontier.extend(e.parent for e in edges.of_kind("vp") if e.child == key)
-    return child_key != parent_key and parent_key in seen
 
 
 def verb_phrase_subclass(v1, v2, edges: EdgeSet | None = None,
@@ -302,19 +298,9 @@ def clause_subclass(c1: Clause, c2: Clause, edges: EdgeSet | None = None,
         raise KindMismatch("clause_subclass expects clauses")
     if c1.lead != c2.lead:
         return False
-    relations = [
-        _optional_relation(c1.subject, c2.subject, edges, syn),
-        _optional_relation(c1.action, c2.action, edges, syn),
-        _optional_relation(c1.object, c2.object, edges, syn),
-    ]
-    adv = _adverbial_pairs(c1.adverbials, c2.adverbials, edges, syn)
-    if adv is None:
-        return False
-    pair_relations, extra = adv
-    relations.extend(pair_relations)
-    if any(r not in (EQUAL, SUBCLASS) for r in relations):
-        return False
-    return SUBCLASS in relations or extra > 0
+    return _tuple_subclass((c1.subject, c2.subject), (c1.action, c2.action),
+                           (c1.object, c2.object), c1.adverbials,
+                           c2.adverbials, edges, syn, object_as_group=False)
 
 
 # ---------------------------------------------------------------------------

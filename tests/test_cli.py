@@ -180,6 +180,21 @@ class TestConfig:
                            SHORT_QUESTION)
         assert code == 0
 
+    @pytest.mark.parametrize("content", [
+        "[1]",
+        '{"top_k": "5"}',
+        '{"bm25_k1": true}',
+        '{"synonym_path": 3}',
+    ])
+    def test_bad_config_is_a_usage_error(self, capsys, monkeypatch, tmp_path,
+                                         content):
+        config = tmp_path / "config.json"
+        config.write_text(content)
+        monkeypatch.setenv("SYNTAXSPACE_CONFIG", str(config))
+        code, _, err = run(capsys, "stats", tmp_path / "space.snap")
+        assert code == 1
+        assert err.startswith("config error: ")
+
 
 class TestSyntheticPipeline:
     def test_eval_relations_on_synthetic_corpus(self, tmp_path, capsys):

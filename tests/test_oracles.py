@@ -1,0 +1,193 @@
+"""The closed-edge relation and the iterative cycle search against the
+original graph walks, kept here as reference implementations.
+
+`np_reaches`, `vp_edge_reaches` and `find_cycle` are the walks the package
+used before harvested edges were closed once per `EdgeSet`; they are copied
+unchanged except that `edges.of_kind(kind)` (no longer part of `EdgeSet`)
+reads `[e for e in edges if e.kind == kind]`.
+"""
+
+from itertools import combinations
+
+from hypothesis import given, settings, strategies as st
+
+from syntaxspace.space import _find_cycle
+from syntaxspace.subsume import (EQUAL, RELATED, SUBCLASS, SUPERCLASS,
+                                 SYNTACTIC, UNRELATED, KindMismatch,
+                                 SubclassEdge, _modifier_below, _multiset,
+                                 _proper_superset, element_subclass,
+                                 harvest_edges, phrase_subclass)
+from syntaxspace.syntax import NOUN, Phrase, canonical_key
+
+from conftest import np, vp
+
+
+# ---------------------------------------------------------------------------
+# Reference implementations
+# ---------------------------------------------------------------------------
+
+
+def np_reaches(child: Phrase, parent: Phrase, edges) -> bool:
+    """child == parent excluded; True when child is below parent through
+    any mix of modifier steps and harvested np edges."""
+    try:
+        if phrase_subclass(child, parent):
+            return True
+    except KindMismatch:
+        return False
+    if edges is None or not len(edges):
+        return False
+    seen = set()
+    frontier = [child]
+    while frontier:
+        current = frontier.pop()
+        ckey = canonical_key(current)
+        if ckey in seen:
+            continue
+        seen.add(ckey)
+        for edge in [e for e in edges if e.kind == "np"]:
+            edge_child = edges.elements[edge.child]
+            if not isinstance(edge_child, Phrase):
+                continue
+            if edge.child == ckey or _modifier_below(current, edge_child):
+                target = edges.elements[edge.parent]
+                if not isinstance(target, Phrase):
+                    continue
+                if edge.parent == canonical_key(parent) \
+                        or _modifier_below(target, parent):
+                    return True
+                frontier.append(target)
+    return False
+
+
+def vp_edge_reaches(child_key: str, parent_key: str, edges) -> bool:
+    seen = set()
+    frontier = [child_key]
+    while frontier:
+        key = frontier.pop()
+        if key in seen:
+            continue
+        seen.add(key)
+        if key == parent_key:
+            return True
+        frontier.extend(e.parent for e in [e for e in edges if e.kind == "vp"]
+                        if e.child == key)
+    return child_key != parent_key and parent_key in seen
+
+
+def find_cycle(pairs: set[tuple[str, str]]):
+    """Return the edge set of one cycle, or None."""
+    graph: dict[str, list[str]] = {}
+    for child, parent in sorted(pairs):
+        graph.setdefault(child, []).append(parent)
+    WHITE, GREY, BLACK = 0, 1, 2
+    color = {node: WHITE for node in
+             set(graph) | {p for ps in graph.values() for p in ps}}
+    stack_path: list[str] = []
+
+    def visit(node):
+        color[node] = GREY
+        stack_path.append(node)
+        for nxt in graph.get(node, ()):
+            if color[nxt] == GREY:
+                start = stack_path.index(nxt)
+                cycle_nodes = stack_path[start:] + [nxt]
+                return {(cycle_nodes[k], cycle_nodes[k + 1])
+                        for k in range(len(cycle_nodes) - 1)}
+            if color[nxt] == WHITE:
+                found = visit(nxt)
+                if found:
+                    return found
+        stack_path.pop()
+        color[node] = BLACK
+        return None
+
+    for node in sorted(color):
+        if color[node] == WHITE:
+            found = visit(node)
+            if found:
+                return found
+    return None
+
+
+def oracle_relation(e1: Phrase, e2: Phrase, edges) -> str:
+    """`element_subclass` for noun and verb phrases (no synonyms), over the
+    reference walks."""
+    if e1.kind == NOUN:
+        if canonical_key(e1) == canonical_key(e2):
+            return EQUAL
+        if np_reaches(e1, e2, edges):
+            return SUBCLASS
+        if np_reaches(e2, e1, edges):
+            return SUPERCLASS
+        return RELATED if e1.head == e2.head else UNRELATED
+    if e1.head == e2.head:
+        m1, m2 = _multiset(e1), _multiset(e2)
+        if m1 == m2:
+            return EQUAL
+        if _proper_superset(m1, m2):
+            return SUBCLASS
+        if _proper_superset(m2, m1):
+            return SUPERCLASS
+        return RELATED
+    k1, k2 = canonical_key(e1), canonical_key(e2)
+    if vp_edge_reaches(k1, k2, edges):
+        return SUBCLASS
+    if vp_edge_reaches(k2, k1, edges):
+        return SUPERCLASS
+    return UNRELATED
+
+
+# ---------------------------------------------------------------------------
+# Properties
+# ---------------------------------------------------------------------------
+
+_NP_MODS = ("neural", "fast", "deep")
+NOUNS = [np(head, *mods) for head in ("model", "system", "method")
+         for size in range(3) for mods in combinations(_NP_MODS, size)]
+VERBS = [vp(head, *mods) for head in ("run", "sprint", "jog", "move")
+         for mods in ((), ("quickly",))]
+
+
+def _pairs(pool):
+    index = st.integers(0, len(pool) - 1)
+    return st.lists(st.tuples(index, index), max_size=12)
+
+
+@st.composite
+def harvested(draw):
+    """Random np and vp edges, plus a chain in each pool that may close
+    into a cycle; repeated and reversed pairs exercise conflict drops."""
+    triples = []
+    for kind, pool in (("np", NOUNS), ("vp", VERBS)):
+        pairs = draw(_pairs(pool))
+        chain = draw(st.lists(st.integers(0, len(pool) - 1), max_size=6,
+                              unique=True))
+        pairs += list(zip(chain, chain[1:]))
+        if len(chain) > 2 and draw(st.booleans()):
+            pairs.append((chain[-1], chain[0]))
+        for sid, (i, j) in enumerate(pairs):
+            child, parent = pool[i], pool[j]
+            edge = SubclassEdge(canonical_key(child), canonical_key(parent),
+                                kind, SYNTACTIC, sid)
+            triples.append((edge, child, parent))
+    return harvest_edges(triples)
+
+
+@settings(max_examples=60, deadline=None)
+@given(harvested())
+def test_element_subclass_matches_reference_walks(edges):
+    for pool in (NOUNS, VERBS):
+        for e1 in pool:
+            for e2 in pool:
+                assert element_subclass(e1, e2, edges) \
+                    == oracle_relation(e1, e2, edges), (e1, e2)
+
+
+_NODE = st.integers(0, 59).map(lambda i: f"n{i:02d}")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sets(st.tuples(_NODE, _NODE), max_size=90))
+def test_find_cycle_matches_recursive_search(pairs):
+    assert _find_cycle(pairs) == find_cycle(pairs)

@@ -5,10 +5,10 @@ import pytest
 from syntaxspace import corpus
 from syntaxspace.corpus import tag
 from syntaxspace.space import (ClassNode, CycleDetected, Dimension,
-                               build_dimension, build_space,
+                               _break_cycles, build_dimension, build_space,
                                check_normal_forms, coverage, search,
                                serialize_space, space_stats, transitive_reduce)
-from syntaxspace.subsume import EdgeSet
+from syntaxspace.subsume import MODIFIER, SYNTACTIC, EdgeSet
 from syntaxspace.syntax import canonical_key
 
 from conftest import SHORT_INPUT, np, tag_corpus, vp
@@ -91,6 +91,33 @@ class TestTransitiveReduce:
             # minimality: removing any edge changes the closure
             for edge in reduced:
                 assert _closure(reduced - {edge}) != _closure(edges)
+
+
+DEEP = [f"n{i:05d}" for i in range(5001)]
+DEEP_CHAIN = list(zip(DEEP, DEEP[1:]))
+
+
+class TestDeepGraphs:
+    """A long "X is a Y" chain must not hit the recursion limit."""
+
+    def test_reduce_drops_every_shortcut(self):
+        shortcuts = set(zip(DEEP, DEEP[2:]))
+        assert transitive_reduce(set(DEEP_CHAIN) | shortcuts) \
+            == set(DEEP_CHAIN)
+
+    def test_closing_edge_is_a_cycle(self):
+        with pytest.raises(CycleDetected):
+            transitive_reduce(set(DEEP_CHAIN) | {(DEEP[-1], DEEP[0])})
+
+    def test_break_cycles_drops_weakest_latest_edge(self):
+        weak = {10, 4000}
+        raw = [(c, p, MODIFIER if i in weak else SYNTACTIC, None)
+               for i, (c, p) in enumerate(DEEP_CHAIN)]
+        raw.append((DEEP[-1], DEEP[0], SYNTACTIC, None))
+        dropped = []
+        kept = _break_cycles(raw, dropped)
+        assert dropped == [(*DEEP_CHAIN[4000], MODIFIER)]
+        assert kept == raw[:4000] + raw[4001:]
 
 
 def _closure(edges):
