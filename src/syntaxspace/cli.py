@@ -26,10 +26,12 @@ DATA_ERROR = 2
 
 CONFIG_ENV = "SYNTAXSPACE_CONFIG"
 
+TAGGERS = ("builtin", "pretagged")
+
 
 @dataclass
 class Config:
-    tagger: str = "builtin"  # builtin | pretagged
+    tagger: str = "builtin"  # one of TAGGERS
     synonym_path: str | None = None
     bm25_k1: float = 1.2
     bm25_b: float = 0.75
@@ -70,6 +72,9 @@ def load_config(args) -> Config:
             setattr(config, key, value)
     if config.top_k < 1:
         raise ValueError("top_k must be >= 1")
+    if config.tagger not in TAGGERS:
+        raise ValueError(f"tagger must be one of {', '.join(TAGGERS)}, "
+                         f"not {config.tagger!r}")
     return config
 
 
@@ -178,7 +183,7 @@ def cmd_dump_edges(args, config: Config) -> int:
 def cmd_dump_parse(args, config: Config) -> int:
     corpus_text = _read(args.corpus)
     if corpus_text.lstrip().startswith("#space"):
-        corpus_text = corpus_section(corpus_text)
+        corpus_text = _snapshot_corpus(args.corpus, corpus_text)
     for sentence in parse_pretagged(corpus_text):
         print(f"# sentence {sentence.sentence_id}: {sentence.surface_text()}")
         try:
@@ -257,9 +262,15 @@ def _write(path: str, text: str):
         handle.write(text)
 
 
+def _snapshot_corpus(path: str, snapshot: str) -> str:
+    try:
+        return corpus_section(snapshot)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def _load_space(path: str, config: Config) -> ResourceSpace:
-    snapshot = _read(path)
-    corpus_text = corpus_section(snapshot)
+    corpus_text = _snapshot_corpus(path, _read(path))
     sentences = parse_pretagged(corpus_text)
     return build_space(sentences, _load_synonyms(config))
 
@@ -268,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="syntaxspace",
         description="Syntax-dimension extraction and question answering")
-    parser.add_argument("--tagger", choices=("builtin", "pretagged"))
+    parser.add_argument("--tagger", choices=TAGGERS)
     parser.add_argument("--synonyms", dest="synonym_path")
     parser.add_argument("--bm25-k1", dest="bm25_k1", type=float)
     parser.add_argument("--bm25-b", dest="bm25_b", type=float)

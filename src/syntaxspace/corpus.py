@@ -14,7 +14,8 @@ active-voice token streams.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
+import string
+from dataclasses import dataclass, replace
 
 from . import lexicon as lx
 
@@ -74,9 +75,11 @@ class TaggedSentence:
 
 # Abbreviations that do not end a sentence even when followed by a capital.
 _ABBREVIATIONS = frozenset(
-    ["e.g", "i.e", "fig", "figs", "et al", "al", "etc", "cf", "vs", "dr",
-     "mr", "mrs", "ms", "prof", "no", "eq", "sec", "ref", "refs", "approx"]
+    ["fig", "figs", "al", "etc", "cf", "vs", "dr", "mr", "mrs", "ms",
+     "prof", "no", "eq", "sec", "ref", "refs", "approx"]
 )
+
+_WORD_CHARS = string.ascii_letters + "."
 
 _BOUNDARY = re.compile(r"([.!?])(\s+)(?=[\"'(\[]?[A-Z0-9])")
 
@@ -107,20 +110,19 @@ def split_sentences(raw: str) -> list[str]:
 
 
 def _inside_abbreviation(text: str, dot: int) -> bool:
-    before = text[:dot]
-    word = re.search(r"[A-Za-z.]+$", before)
+    # `text` has single spaces, so the word before the dot starts after the
+    # last space; looking no further back keeps splitting linear.
+    word = text[text.rfind(" ", 0, dot) + 1:dot]
+    word = word[len(word.rstrip(_WORD_CHARS)):]
     if not word:
         return False
-    token = word.group(0).lower().rstrip(".")
+    token = word.lower().rstrip(".")
     if token in _ABBREVIATIONS:
         return True
-    if f"{token}".replace(".", "") in ("eg", "ie"):
+    if token.replace(".", "") in ("eg", "ie"):  # also "e.g", "e..g"
         return True
     # Single capital initial, e.g. "J." in "J. Smith".
-    if len(token) == 1 and word.group(0)[0].isupper():
-        return True
-    # "et al." — lone "al" already covered; also catch "et al" kept together.
-    return before.lower().endswith("et al")
+    return len(token) == 1 and word[0].isupper()
 
 
 # ---------------------------------------------------------------------------
@@ -146,47 +148,27 @@ def tokenize(sentence: str) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class TagLexicon:
-    """Lookup tables for the rule tagger; immutable after construction."""
-
-    verbs: frozenset = lx.VERBS
-    nouns: frozenset = lx.NOUNS
-    adjectives: frozenset = lx.ADJECTIVES
-    adverbs: frozenset = lx.ADVERBS
-    extra: dict = field(default_factory=dict)  # surface -> (lemma, pos)
-
-    def lookup(self, word: str):
-        return self.extra.get(word)
-
-
-DEFAULT_LEXICON = TagLexicon()
-
 _PUNCT_TAGS = {
     ".": ".", "?": ".", "!": ".", ",": ",", ";": ":", ":": ":",
     "(": "(", ")": ")", "[": "(", "]": ")", '"': "''", "“": "``", "”": "''",
 }
 
 
-def tag(sentence: str, sentence_id: int = 0, doc_id: str = "",
-        lexicon: TagLexicon = DEFAULT_LEXICON) -> TaggedSentence:
+def tag(sentence: str, sentence_id: int = 0,
+        doc_id: str = "") -> TaggedSentence:
     """Tag one raw sentence.  Never fails; unknown words get heuristic tags."""
-    words = tokenize(sentence)
     tokens: list[Token] = []
-    for i, word in enumerate(words):
-        lemma, pos = _tag_word(word, i, words, lexicon)
+    for i, word in enumerate(tokenize(sentence)):
+        lemma, pos = _tag_word(word, i)
         tokens.append(Token(word, lemma, pos, i))
     tokens = _contextual_fixups(tokens)
     return TaggedSentence(sentence_id, doc_id, tokens, ACTIVE, sentence)
 
 
-def _tag_word(word: str, i: int, words: list[str], lexicon: TagLexicon):
+def _tag_word(word: str, i: int):
     if word in _PUNCT_TAGS:
         return word, _PUNCT_TAGS[word]
     lower = word.lower()
-    custom = lexicon.lookup(lower) or lexicon.lookup(word)
-    if custom:
-        return custom
 
     # Closed classes first; these lists come straight from the grammars.
     if lower in lx.MODAL_VERBS:
@@ -223,7 +205,7 @@ def _tag_word(word: str, i: int, words: list[str], lexicon: TagLexicon):
         return lower, "CD"
 
     # Open classes through the lexicon with inflection analysis.
-    reading = _open_class_reading(lower, lexicon)
+    reading = _open_class_reading(lower)
     if reading:
         return reading
 
@@ -231,9 +213,9 @@ def _tag_word(word: str, i: int, words: list[str], lexicon: TagLexicon):
     if word[0].isupper() and i > 0:
         return lower, "NNP"
     if lower.endswith("ing"):
-        return _strip_with(lower, lx.verb_lemma_candidates, lexicon.verbs), "VBG"
+        return _strip_with(lower, lx.verb_lemma_candidates, lx.VERBS), "VBG"
     if lower.endswith("ed"):
-        return _strip_with(lower, lx.verb_lemma_candidates, lexicon.verbs), "VBN"
+        return _strip_with(lower, lx.verb_lemma_candidates, lx.VERBS), "VBN"
     if lower.endswith("ly"):
         return lower, "RB"
     if lower.endswith(("tion", "ment", "ness", "ity", "ism", "ance", "ence")):
@@ -257,25 +239,23 @@ def _aux_tag(lower: str) -> str:
     }[lower]
 
 
-def _open_class_reading(lower: str, lexicon: TagLexicon):
+def _open_class_reading(lower: str):
     """Best reading from the open-class lexicon, or None."""
-    if lower in lexicon.adverbs:
+    if lower in lx.ADVERBS:
         return lower, "RB"
-    if lower in lexicon.adjectives:
+    if lower in lx.ADJECTIVES:
         return lower, "JJ"
-    if lower in lexicon.nouns and lower in lexicon.verbs:
+    if lower in lx.NOUNS:
         return lower, "NN"  # noun/verb ambiguity resolved contextually later
-    if lower in lexicon.nouns:
-        return lower, "NN"
-    if lower in lexicon.verbs:
+    if lower in lx.VERBS:
         return lower, "VB"
     for cand in lx.noun_lemma_candidates(lower):
-        if cand != lower and cand in lexicon.nouns:
+        if cand != lower and cand in lx.NOUNS:
             return cand, "NNS"
     for cand in lx.verb_lemma_candidates(lower):
         if cand == lower:
             continue
-        if cand in lexicon.verbs:
+        if cand in lx.VERBS:
             return cand, _verb_inflection_tag(lower, cand)
     return None
 
@@ -453,7 +433,7 @@ def normalize_voice(sentence: TaggedSentence) -> TaggedSentence:
     elif agentless:
         voice = PASSIVE_AGENTLESS
     else:
-        voice = sentence.voice if sentence.voice != ACTIVE else ACTIVE
+        voice = sentence.voice
     return TaggedSentence(sentence.sentence_id, sentence.doc_id, tokens, voice,
                           sentence.raw)
 
@@ -490,32 +470,27 @@ def _find_passive_window(tokens: list[Token]):
         while m < len(tokens) and tokens[m].pos == "RB":
             m += 1
         post_adv_end = m
+        agent_start = agent_end = None
         if m < len(tokens) and tokens[m].lemma == "by" and tokens[m].pos == "IN":
-            agent_start = m + 1
-            agent_end = agent_start
-            while agent_end < len(tokens) and (
-                tokens[agent_end].pos in _NP_TAGS
-                or tokens[agent_end].lemma in ("of", "in", "that")
-                and tokens[agent_end].pos in ("IN", "DT")
+            start = end = m + 1
+            while end < len(tokens) and (
+                tokens[end].pos in _NP_TAGS
+                or tokens[end].lemma in ("of", "in", "that")
+                and tokens[end].pos in ("IN", "DT")
             ):
-                agent_end += 1
-            while agent_end > agent_start and tokens[agent_end - 1].lemma in ("of", "in", "that"):
-                agent_end -= 1
-            if agent_end > agent_start and any(
+                end += 1
+            while end > start and tokens[end - 1].lemma in ("of", "in", "that"):
+                end -= 1
+            if end > start and any(
                 tokens[t].pos in NOUN_TAGS or tokens[t].pos == "PRP"
-                for t in range(agent_start, agent_end)
+                for t in range(start, end)
             ):
-                return {
-                    "np_start": np_start, "np_end": np_end,
-                    "chain_start": chain_start, "be_index": i,
-                    "participle": participle, "post_adv_end": post_adv_end,
-                    "agent_start": agent_start, "agent_end": agent_end,
-                }
+                agent_start, agent_end = start, end
         return {
             "np_start": np_start, "np_end": np_end, "chain_start": chain_start,
             "be_index": i, "participle": participle,
-            "post_adv_end": post_adv_end, "agent_start": None,
-            "agent_end": None,
+            "post_adv_end": post_adv_end, "agent_start": agent_start,
+            "agent_end": agent_end,
         }
     return None
 
@@ -569,12 +544,12 @@ def _reinflect(participle: Token, kept: list[Token], be_tok: Token,
 # ---------------------------------------------------------------------------
 
 
-def ingest_text(raw: str, doc_id: str = "", lexicon: TagLexicon = DEFAULT_LEXICON,
+def ingest_text(raw: str, doc_id: str = "",
                 first_id: int = 1) -> list[TaggedSentence]:
     """Split and tag one document.
 
     The tagging is kept in source order; voice normalization runs when the
     space is built, so ranking baselines can still see the text as written.
     """
-    return [tag(sentence, first_id + offset, doc_id, lexicon)
+    return [tag(sentence, first_id + offset, doc_id)
             for offset, sentence in enumerate(split_sentences(raw))]

@@ -24,10 +24,6 @@ class UnknownMethod(ValueError):
     pass
 
 
-class EmptyGold(ValueError):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # Relation extraction metrics
 # ---------------------------------------------------------------------------

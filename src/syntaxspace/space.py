@@ -9,6 +9,7 @@ serves descendant-closed searches.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 from . import subsume
@@ -517,15 +518,23 @@ def serialize_space(space: ResourceSpace, corpus_text: str) -> str:
     return "\n".join(lines)
 
 
+_SNAPSHOT_HEAD = "#space v1\n[CORPUS]\n"
+_SNAPSHOT_TAIL = re.compile(r"\[UNCOVERED\]\n(?:[0-9]+(?:,[0-9]+)*)?\n")
+
+
 def corpus_section(snapshot_text: str) -> str:
-    """Extract the embedded tagged corpus from a space snapshot."""
-    lines = snapshot_text.splitlines()
-    try:
-        start = lines.index("[CORPUS]") + 1
-    except ValueError:
-        raise ValueError("snapshot has no [CORPUS] section")
+    """Extract the embedded tagged corpus from a space snapshot.
+
+    Raises ValueError unless the text starts and ends exactly as
+    `serialize_space` writes it, so a cut-off file is never read as a
+    smaller corpus.
+    """
+    tail = snapshot_text.rfind("\n[UNCOVERED]\n") + 1
+    if not (snapshot_text.startswith(_SNAPSHOT_HEAD) and tail
+            and _SNAPSHOT_TAIL.fullmatch(snapshot_text, tail)):
+        raise ValueError("not a complete #space v1 snapshot")
     out = []
-    for line in lines[start:]:
+    for line in snapshot_text.splitlines()[2:]:
         if line.startswith("[DIMENSION "):
             break
         out.append(line)

@@ -72,9 +72,6 @@ class SynonymTable:
     def related(self, a: str, b: str) -> bool:
         return b in self._map.get(a, ())
 
-    def expansions(self, lemma: str) -> set[str]:
-        return set(self._map.get(lemma, ()))
-
     def __len__(self) -> int:
         return len(self._map)
 

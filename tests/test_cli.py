@@ -149,6 +149,27 @@ class TestErrorHandling:
         code, _, err = run(capsys, "-k", "0", "stats", workspace / "x")
         assert code == 1
 
+    @pytest.mark.parametrize("damage", ["truncated", "wrong_version",
+                                        "trailing_garbage"])
+    @pytest.mark.parametrize("command", ["query", "stats", "dump-edges",
+                                         "dump-parse"])
+    def test_incomplete_snapshot_is_data_error(self, workspace, capsys,
+                                               damage, command):
+        _, space_snap = build_short(workspace, capsys)
+        text = space_snap.read_text()
+        damaged = workspace / "damaged.snap"
+        damaged.write_text({
+            "truncated": text[:text.index("[DIMENSION ") - 40],
+            "wrong_version": text.replace("#space v1", "#space v9", 1),
+            "trailing_garbage": text + "garbage\n",
+        }[damage])
+        args = [command, damaged] + ([SHORT_QUESTION] if command == "query"
+                                     else [])
+        code, out, err = run(capsys, *args)
+        assert code == 2
+        assert err == f"error: {damaged}: not a complete #space v1 snapshot\n"
+        assert out == ""
+
 
 class TestConfig:
     def test_env_config(self, workspace, capsys, monkeypatch, tmp_path):
@@ -185,6 +206,7 @@ class TestConfig:
         '{"top_k": "5"}',
         '{"bm25_k1": true}',
         '{"synonym_path": 3}',
+        '{"tagger": "xyz"}',
     ])
     def test_bad_config_is_a_usage_error(self, capsys, monkeypatch, tmp_path,
                                          content):

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from syntaxspace import corpus
@@ -29,6 +31,17 @@ class TestSplitSentences:
     def test_question_and_exclamation(self):
         out = split_sentences("Does it work? It works! Good.")
         assert out == ["Does it work?", "It works!", "Good."]
+
+    def test_long_document_splits_in_linear_time(self):
+        text = " ".join(f"Method {i} follows e.g. J. R. Smith et al. in "
+                        f"Fig. {i % 9 + 1}. It uses T. Lee's data."
+                        for i in range(1000))
+        start = time.perf_counter()
+        out = split_sentences(text)
+        elapsed = time.perf_counter() - start
+        assert len(out) == 2000
+        assert out[0] == "Method 0 follows e.g. J. R. Smith et al. in Fig. 1."
+        assert elapsed < 2.0
 
 
 class TestTagger:

@@ -1,16 +1,22 @@
-"""The closed-edge relation and the iterative cycle search against the
-original graph walks, kept here as reference implementations.
+"""The closed-edge relation, the iterative cycle search and the sentence
+splitter against their original implementations, kept here as references.
 
 `np_reaches`, `vp_edge_reaches` and `find_cycle` are the walks the package
 used before harvested edges were closed once per `EdgeSet`; they are copied
 unchanged except that `edges.of_kind(kind)` (no longer part of `EdgeSet`)
 reads `[e for e in edges if e.kind == kind]`.
+
+`split_sentences` and `_inside_abbreviation` are the splitter that scanned
+the whole text before each candidate dot, copied unchanged together with
+the abbreviation list and boundary pattern they read.
 """
 
+import re
 from itertools import combinations
 
 from hypothesis import given, settings, strategies as st
 
+from syntaxspace import corpus
 from syntaxspace.space import _find_cycle
 from syntaxspace.subsume import (EQUAL, RELATED, SUBCLASS, SUPERCLASS,
                                  SYNTACTIC, UNRELATED, KindMismatch,
@@ -110,6 +116,57 @@ def find_cycle(pairs: set[tuple[str, str]]):
     return None
 
 
+# Abbreviations that do not end a sentence even when followed by a capital.
+_ABBREVIATIONS = frozenset(
+    ["e.g", "i.e", "fig", "figs", "et al", "al", "etc", "cf", "vs", "dr",
+     "mr", "mrs", "ms", "prof", "no", "eq", "sec", "ref", "refs", "approx"]
+)
+
+_BOUNDARY = re.compile(r"([.!?])(\s+)(?=[\"'(\[]?[A-Z0-9])")
+
+
+def split_sentences(raw: str) -> list[str]:
+    """Split raw text into sentence strings.
+
+    Boundaries are {. ! ?} followed by whitespace and a capital or digit,
+    except after a known abbreviation or a single-initial ("J. Smith").
+    """
+    if not raw or not raw.strip():
+        return []
+    text = re.sub(r"\s+", " ", raw.strip())
+    sentences = []
+    start = 0
+    for match in _BOUNDARY.finditer(text):
+        end = match.end(1)
+        if match.group(1) == "." and _inside_abbreviation(text, match.start(1)):
+            continue
+        piece = text[start:end].strip()
+        if piece:
+            sentences.append(piece)
+        start = match.end()
+    tail = text[start:].strip()
+    if tail:
+        sentences.append(tail)
+    return sentences
+
+
+def _inside_abbreviation(text: str, dot: int) -> bool:
+    before = text[:dot]
+    word = re.search(r"[A-Za-z.]+$", before)
+    if not word:
+        return False
+    token = word.group(0).lower().rstrip(".")
+    if token in _ABBREVIATIONS:
+        return True
+    if f"{token}".replace(".", "") in ("eg", "ie"):
+        return True
+    # Single capital initial, e.g. "J." in "J. Smith".
+    if len(token) == 1 and word.group(0)[0].isupper():
+        return True
+    # "et al." — lone "al" already covered; also catch "et al" kept together.
+    return before.lower().endswith("et al")
+
+
 def oracle_relation(e1: Phrase, e2: Phrase, edges) -> str:
     """`element_subclass` for noun and verb phrases (no synonyms), over the
     reference walks."""
@@ -191,3 +248,39 @@ _NODE = st.integers(0, 59).map(lambda i: f"n{i:02d}")
 @given(st.sets(st.tuples(_NODE, _NODE), max_size=90))
 def test_find_cycle_matches_recursive_search(pairs):
     assert _find_cycle(pairs) == find_cycle(pairs)
+
+
+def _mixed_case(word):
+    flags = st.lists(st.booleans(), min_size=len(word), max_size=len(word))
+    return flags.map(lambda up: "".join(c.upper() if u else c
+                                        for c, u in zip(word, up)))
+
+
+_ABBREVIATION_WORDS = sorted(_ABBREVIATIONS | {"eg", "ie", "e..g"})
+_WORDS = st.one_of(
+    st.sampled_from(_ABBREVIATION_WORDS).flatmap(_mixed_case),
+    st.sampled_from(["et al", "J", "A", "x", "LexRank", "It", "works",
+                     "the", "St", "U.S", "a.b", "al-Khwarizmi"]),
+    st.from_regex(r"[0-9]{1,4}(\.[0-9]{1,2})?", fullmatch=True),
+)
+_PIECES = st.tuples(
+    st.sampled_from(["", "", '"', "'", "(", "["]),
+    _WORDS,
+    st.sampled_from(["", "", ".", ".", "..", "!", "?", ")", "].", '."',
+                     ".)", "?!"]),
+)
+_SPACES = st.text(alphabet=" \t\n", min_size=1, max_size=3)
+
+
+@st.composite
+def abbreviation_texts(draw):
+    parts = [draw(st.text(alphabet=" \t\n", max_size=2))]
+    for prefix, word, suffix in draw(st.lists(_PIECES, max_size=25)):
+        parts += [prefix, word, suffix, draw(_SPACES)]
+    return "".join(parts)
+
+
+@settings(max_examples=200, deadline=None)
+@given(abbreviation_texts())
+def test_split_sentences_matches_reference(text):
+    assert corpus.split_sentences(text) == split_sentences(text)
