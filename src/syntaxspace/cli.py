@@ -174,7 +174,7 @@ def cmd_dump_edges(args, config: Config) -> int:
     for name in space_mod.DIMENSIONS:
         dim = space.dimensions[name]
         for child, parent in sorted(dim.edges):
-            source, evidence = dim.edge_meta.get((child, parent), ("?", None))
+            source, evidence = dim.edge_meta[(child, parent)]
             ev = "" if evidence is None else evidence
             print(f"{child}\t{parent}\t{name}\t{source}\t{ev}")
     return 0

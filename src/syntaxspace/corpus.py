@@ -376,7 +376,7 @@ def parse_pretagged(text: str) -> list[TaggedSentence]:
         surface, lemma, pos = parts
         if pos not in TAGSET:
             raise MalformedLine(lineno, f"unknown tag {pos!r}")
-        if not lemma or any(ch.isspace() for ch in lemma):
+        if lemma.split() != [lemma]:
             raise MalformedLine(lineno, f"bad lemma {lemma!r}")
         current.append(Token(surface, lemma, pos, len(current)))
     flush()

@@ -22,7 +22,6 @@ MODAL_VERBS = frozenset(
 BE_FORMS = frozenset(["am", "is", "are", "was", "were", "be", "been", "being"])
 HAVE_FORMS = frozenset(["have", "has", "had"])
 DO_FORMS = frozenset(["do", "does", "did", "done"])
-AUXILIARY_VERBS = frozenset(BE_FORMS | HAVE_FORMS | {"do", "does", "did"})
 
 SUBORDINATE_CONJUNCTIONS = frozenset(
     [
@@ -116,7 +115,8 @@ MARKER_TABLES = (
 
 ALL_MARKERS = frozenset().union(*(table for _, table in MARKER_TABLES))
 
-# First tokens of any (possibly multi-word) marker, for quick scanning.
+# First tokens of any (possibly multi-word) marker: `match_marker` tries the
+# marker table only at a token that can start one.
 MARKER_FIRST_TOKENS = frozenset(m.split()[0] for m in ALL_MARKERS)
 
 TIME_NOUNS = frozenset(

@@ -18,8 +18,7 @@ from .subsume import (EQUAL, EdgeSet, MODIFIER, SUBCLASS, SYNTACTIC,
                       SynonymTable, compare_elements, reach,
                       scan_syntactic_patterns)
 from .syntax import (Adverbial, Clause, NoFiniteVerb, Phrase, SentenceSyntax,
-                     adverbial_key, canonical_key, display,
-                     parse_sentence_parts)
+                     canonical_key, display, parse_sentence_parts)
 
 DIMENSIONS = ("subject", "action", "object", "adverbial")
 
@@ -80,28 +79,10 @@ class ResourceSpace:
 # ---------------------------------------------------------------------------
 
 
-def _element_key(name: str, element) -> str:
-    if name == "adverbial":
-        return adverbial_key(element)
-    return canonical_key(element)
-
-
-def _element_display(name: str, element) -> str:
-    if name == "adverbial":
-        return display(element.content)
-    return display(element)
-
-
-def _relation(name: str, e1, e2, edges: EdgeSet, syn: SynonymTable | None = None) -> str:
-    if name == "adverbial":
-        return subsume.adverbial_relation(e1, e2, edges, syn)
-    return compare_elements(e1, e2, edges, syn)
-
-
-def _bucket(name: str, element) -> tuple:
+def _bucket(element) -> tuple:
     """Only same-bucket nodes can be related by the modifier rules."""
-    if name == "adverbial":
-        return ("adv", element.kind) + _bucket("", element.content)
+    if isinstance(element, Adverbial):
+        return ("adv", element.kind) + _bucket(element.content)
     if isinstance(element, Phrase):
         if element.kind == "prepositional":
             return ("pp", element.preposition(), element.head)
@@ -138,10 +119,9 @@ def build_dimension(name: str, items: list[tuple[int, object]],
 
     # 1. canonicalize and merge duplicates
     for sid, element in items:
-        key = _element_key(name, element)
+        key = canonical_key(element)
         if key not in dim.nodes:
-            dim.nodes[key] = ClassNode(key, _element_display(name, element),
-                                       element)
+            dim.nodes[key] = ClassNode(key, display(element), element)
         dim.postings.setdefault(key, set()).add(sid)
 
     raw_edges: list[tuple[str, str, str, int | None]] = []
@@ -183,14 +163,14 @@ def build_dimension(name: str, items: list[tuple[int, object]],
     edge_pairs = {(c, p) for c, p, _, _ in raw_edges}
     buckets: dict[tuple, list[str]] = {}
     for key in sorted(dim.nodes):
-        buckets.setdefault(_bucket(name, dim.nodes[key].element), []).append(key)
+        buckets.setdefault(_bucket(dim.nodes[key].element), []).append(key)
     for bucket_keys in buckets.values():
         for child_key in bucket_keys:
             for parent_key in bucket_keys:
                 if child_key == parent_key:
                     continue
-                rel = _relation(name, dim.nodes[child_key].element,
-                                dim.nodes[parent_key].element, harvested)
+                rel = compare_elements(dim.nodes[child_key].element,
+                                       dim.nodes[parent_key].element, harvested)
                 if rel == SUBCLASS and (child_key, parent_key) not in edge_pairs:
                     raw_edges.append((child_key, parent_key, MODIFIER, None))
                     edge_pairs.add((child_key, parent_key))
@@ -344,7 +324,7 @@ def search(space: ResourceSpace, dimension: str, query,
         return _covered(dim)
     anchors = {
         key for key, node in dim.nodes.items()
-        if _relation(dimension, node.element, query, space.edge_set, syn)
+        if compare_elements(node.element, query, space.edge_set, syn)
         in (EQUAL, SUBCLASS)
     }
     if not anchors:
@@ -502,7 +482,7 @@ def serialize_space(space: ResourceSpace, corpus_text: str) -> str:
             lines.append(f"{key}\t{dim.nodes[key].display}")
         lines.append("[EDGES]")
         for child, parent in sorted(dim.edges):
-            source, evidence = dim.edge_meta.get((child, parent), ("?", None))
+            source, evidence = dim.edge_meta[(child, parent)]
             lines.append(f"{child}\t{parent}\t{source}\t"
                          f"{'' if evidence is None else evidence}")
         lines.append("[POSTINGS]")

@@ -5,9 +5,9 @@ Two sources of evidence are combined:
 * the modifier rules — same head, and the more specific side carries a
   proper superset of the other side's modifiers (as lemma multisets);
 * harvested syntactic-pattern edges ("X is an Y", "Y such as X", ...),
-  consulted at every noun-phrase / verb-phrase comparison point.  Each
-  `EdgeSet` closes its edges once, on the first comparison after the last
-  `add`, and answers every later "is A below B" from that closure.
+  consulted at every noun-phrase / verb-phrase comparison point.  An
+  `EdgeSet` closes its edges once, when it is built, and answers every
+  "is A below B" with one `up()` lookup.
 
 Composite rules (verb phrases, prepositional phrases, clauses, sentences,
 questions) use a product order: every aligned pair must be the same or a
@@ -77,48 +77,56 @@ class SynonymTable:
 
 
 class EdgeSet:
-    """Harvested subclass edges with the representative element per key.
+    """Harvested subclass edges, the representative element per key, and
+    their closure, all built by the constructor and never changed after.
 
     Conflicting directions (both a<b and b<a harvested) are dropped and
     logged so that antisymmetry holds downstream.
     """
 
-    def __init__(self):
+    def __init__(self, triples=()):
         self.edges: dict[tuple[str, str], SubclassEdge] = {}
         self.elements: dict[str, Element] = {}
         self.dropped: list[tuple[str, str]] = []
-        self._above: dict[str, set[str]] | None = None
+        for edge, child, parent in triples:
+            pair, reverse = (edge.child, edge.parent), (edge.parent, edge.child)
+            if edge.child == edge.parent or pair in self.edges:
+                continue
+            if reverse in self.edges:
+                del self.edges[reverse]
+                self.dropped.append(pair)
+                continue
+            self.edges[pair] = edge
+            self.elements.setdefault(edge.child, child)
+            self.elements.setdefault(edge.parent, parent)
+        self._parents: dict[str, set[str]] = {}
+        self._np_children: dict[str, set[str]] = {}  # head -> child keys
+        for edge in self.edges.values():
+            self._parents.setdefault(edge.child, set()).add(edge.parent)
+            if edge.kind == "np":
+                head = self.elements[edge.child].head
+                self._np_children.setdefault(head, set()).add(edge.child)
+        steps = {k: self._step(e, k) for k, e in self.elements.items()}
+        self._closure = {k: frozenset(reach(steps, (k,))) for k in steps}
 
-    def add(self, edge: SubclassEdge, child_elem: Element, parent_elem: Element):
-        if edge.child == edge.parent:
-            return
-        self._above = None
-        reverse = (edge.parent, edge.child)
-        if reverse in self.edges:
-            del self.edges[reverse]
-            self.dropped.append((edge.child, edge.parent))
-            return
-        if (edge.child, edge.parent) in self.edges:
-            return
-        self.edges[(edge.child, edge.parent)] = edge
-        self.elements.setdefault(edge.child, child_elem)
-        self.elements.setdefault(edge.parent, parent_elem)
-
-    def parents_of(self, element: Element, key: str) -> set[str]:
+    def _step(self, element: Phrase, key: str) -> set[str]:
         """Keys one harvested edge above `element` (whose key is `key`):
         edges from the key itself, and np edges from any phrase the element
-        is modifier-below."""
-        return {e.parent for e in self.edges.values()
-                if e.child == key or e.kind == "np"
-                and _modifier_below(element, self.elements[e.child])}
+        is modifier-below.  The modifier rule needs equal heads, so only
+        np children with the element's head are tried."""
+        out = set(self._parents.get(key, ()))
+        for child in self._np_children.get(element.head, ()):
+            if _modifier_below(element, self.elements[child]):
+                out |= self._parents[child]
+        return out
 
-    def above(self, key: str) -> set[str]:
-        """Keys reached from `key` in one or more harvested steps.  The
-        closure is computed once and replaced whole, never mutated."""
-        if self._above is None:
-            steps = {k: self.parents_of(e, k) for k, e in self.elements.items()}
-            self._above = {k: reach(steps, (k,)) for k in steps}
-        return self._above.get(key, set())
+    def up(self, element: Phrase) -> frozenset[str]:
+        """Keys reached from `element` in one or more harvested steps."""
+        key = canonical_key(element)
+        if key in self._closure:
+            return self._closure[key]
+        first = self._step(element, key)
+        return frozenset(first).union(*(self._closure[k] for k in first))
 
     def __len__(self) -> int:
         return len(self.edges)
@@ -189,14 +197,11 @@ def _np_reaches(child: Phrase, parent: Phrase, edges: EdgeSet) -> bool:
             return True
     except KindMismatch:
         return False
-    if edges is None or not len(edges):
+    if not edges:
         return False
-    first = edges.parents_of(child, canonical_key(child))
-    reached = first.union(*(edges.above(key) for key in first))
     parent_key = canonical_key(parent)
-    return any(key == parent_key
-               or _modifier_below(edges.elements[key], parent)
-               for key in reached)
+    return any(k == parent_key or _modifier_below(edges.elements[k], parent)
+               for k in edges.up(child))
 
 
 def _modifier_below(child: Phrase, parent: Phrase) -> bool:
@@ -233,11 +238,10 @@ def _action_relation(a1: Phrase, a2: Phrase, edges: EdgeSet,
             return SUPERCLASS
         return RELATED
     # harvested verb-phrase edges ("to sprint is to run")
-    if edges is not None:
-        k1, k2 = canonical_key(a1), canonical_key(a2)
-        if k2 in edges.above(k1):
+    if edges:
+        if canonical_key(a2) in edges.up(a1):
             return SUBCLASS
-        if k1 in edges.above(k2):
+        if canonical_key(a1) in edges.up(a2):
             return SUPERCLASS
     return UNRELATED
 
@@ -303,12 +307,6 @@ def clause_subclass(c1: Clause, c2: Clause, edges: EdgeSet | None = None,
 # ---------------------------------------------------------------------------
 # Sentences and questions
 # ---------------------------------------------------------------------------
-
-
-def adverbial_relation(a1: Adverbial, a2: Adverbial, edges=None, syn=None) -> str:
-    if a1.kind != a2.kind:
-        return UNRELATED
-    return compare_elements(a1.content, a2.content, edges, syn)
 
 
 def _adverbial_pairs(advs1, advs2, edges, syn):
@@ -412,7 +410,9 @@ def object_group_relation(g1: ObjectGroup | None, g2: ObjectGroup | None,
 def element_subclass(e1: Element, e2: Element, edges: EdgeSet | None = None,
                      syn: SynonymTable | None = None) -> str:
     """Relation of two same-kind elements: Equal / Subclass / Superclass /
-    Related / Unrelated.  Raises KindMismatch across lexical categories."""
+    Related / Unrelated.  Raises KindMismatch across lexical categories.
+    Adverbials of different kinds are Unrelated; otherwise their contents
+    decide."""
     if isinstance(e1, Phrase) and isinstance(e2, Phrase):
         if e1.kind != e2.kind:
             raise KindMismatch(f"{e1.kind} vs {e2.kind}")
@@ -448,6 +448,10 @@ def element_subclass(e1: Element, e2: Element, edges: EdgeSet | None = None,
         if clause_subclass(e2, e1, edges, syn):
             return SUPERCLASS
         return UNRELATED
+    if isinstance(e1, Adverbial) and isinstance(e2, Adverbial):
+        if e1.kind != e2.kind:
+            return UNRELATED
+        return element_subclass(e1.content, e2.content, edges, syn)
     raise KindMismatch(f"{type(e1).__name__} vs {type(e2).__name__}")
 
 
@@ -623,9 +627,7 @@ def _scan_infinitive_pattern(parsed, sid):
     return [(edge, subj.action, obj.action)]
 
 
-def harvest_edges(pairs) -> EdgeSet:
-    """Merge per-sentence scan results into one conflict-free edge set."""
-    edges = EdgeSet()
-    for edge, child, parent in pairs:
-        edges.add(edge, child, parent)
-    return edges
+def harvest_edges(triples) -> EdgeSet:
+    """Merge per-sentence scan results into one closed, conflict-free edge
+    set."""
+    return EdgeSet(triples)

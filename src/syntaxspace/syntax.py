@@ -134,7 +134,7 @@ _KIND_TAG = {NOUN: "np", VERB: "vp", ADJECTIVE: "adjp", ADVERB: "advp",
              PRONOUN: "prn"}
 
 
-def canonical_key(element: Element | None) -> str:
+def canonical_key(element: Element | Adverbial | None) -> str:
     """Deterministic key: same language representation -> same key.
 
     Modifier order is ignored (multisets); spans never participate.
@@ -147,7 +147,9 @@ def canonical_key(element: Element | None) -> str:
             return f"pp({element.preposition()}|np({element.head}|{inner}))"
         mods = " ".join(sorted(element.modifiers()))
         return f"{_KIND_TAG[element.kind]}({element.head}|{mods})"
-    advs = ";".join(adverbial_key(a) for a in element.adverbials)
+    if isinstance(element, Adverbial):
+        return f"adv({element.kind}|{canonical_key(element.content)})"
+    advs = ";".join(canonical_key(a) for a in element.adverbials)
     return "cl({lead}|{subj}|{act}|{obj}|{advs})".format(
         lead=element.lead or "-",
         subj=canonical_key(element.subject),
@@ -157,20 +159,19 @@ def canonical_key(element: Element | None) -> str:
     )
 
 
-def adverbial_key(adv: Adverbial) -> str:
-    return f"adv({adv.kind}|{canonical_key(adv.content)})"
-
-
-def display(element: Element | None) -> str:
-    """Readable lemma-order rendering of an element."""
+def display(element: Element | Adverbial | None) -> str:
+    """Readable lemma-order rendering of an element (an adverbial shows its
+    content)."""
     if element is None:
         return ""
     if isinstance(element, Phrase):
         return " ".join(element.pre + (element.head,) + element.post)
+    if isinstance(element, Adverbial):
+        return display(element.content)
     parts = [element.lead] if element.lead else []
     parts.extend(display(x) for x in
                  (element.subject, element.action, element.object) if x)
-    parts.extend(display(a.content) for a in element.adverbials)
+    parts.extend(display(a) for a in element.adverbials)
     return " ".join(p for p in parts if p)
 
 
@@ -234,7 +235,7 @@ def _finite_verb_start(tokens, i) -> bool:
 
 def match_marker(tokens, i) -> tuple[str, int] | None:
     """Longest marker (possibly multi-word) starting at position i."""
-    if i >= len(tokens):
+    if i >= len(tokens) or tokens[i].lemma not in lx.MARKER_FIRST_TOKENS:
         return None
     best = None
     for marker in lx.ALL_MARKERS:

@@ -16,7 +16,7 @@ from syntaxspace import lexicon as lx
 from syntaxspace.corpus import tag
 from syntaxspace.qa import QuestionSyntax
 from syntaxspace.syntax import (Adverbial, Clause, ObjectGroup, Phrase,
-                                adverbial_key, canonical_key)
+                                canonical_key)
 
 
 def np(head, *mods):
@@ -162,7 +162,7 @@ def _planned_adverbial_key(text):
     inner = np(noun_lemma, *noun_mods)
     clause = Clause(marker, None, vp(verb), inner, ())
     kind = "method" if marker == "by" else "purpose"
-    return adverbial_key(Adverbial(kind, clause, marker))
+    return canonical_key(Adverbial(kind, clause, marker))
 
 
 def _planned_gold(used, hearst_edges):

@@ -99,6 +99,13 @@ class TestPretagged:
             load_pretagged(path)
         assert err.value.line_number == 1
 
+    @pytest.mark.parametrize("lemma", ["", "two words", " "])
+    def test_bad_lemma_rejected(self, lemma):
+        with pytest.raises(MalformedLine) as err:
+            parse_pretagged(f"#doc d1\nword\tword\tNN\nword\t{lemma}\tNN\n")
+        assert err.value.line_number == 3
+        assert "bad lemma" in str(err.value)
+
     def test_round_trip(self):
         text = ("#doc d1\nThe\tthe\tDT\nresults\tresult\tNNS\nshow\tshow\tVBP\n"
                 "\n#doc d2\nIt\tit\tPRP\nworks\twork\tVBZ\n")

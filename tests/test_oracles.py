@@ -1,10 +1,13 @@
 """The closed-edge relation, the iterative cycle search and the sentence
 splitter against their original implementations, kept here as references.
 
-`np_reaches`, `vp_edge_reaches` and `find_cycle` are the walks the package
-used before harvested edges were closed once per `EdgeSet`; they are copied
-unchanged except that `edges.of_kind(kind)` (no longer part of `EdgeSet`)
-reads `[e for e in edges if e.kind == kind]`.
+`np_reaches` and `vp_edge_reaches` scan every harvested edge at every step,
+as the package did before an `EdgeSet` was closed when built; `find_cycle`
+is the recursive cycle search.  They are copied unchanged except that
+`edges.of_kind(kind)` (no longer part of `EdgeSet`) reads
+`[e for e in edges if e.kind == kind]`.  The noun pool shares the head
+"run" with the verb pool, so the closed relation's first step, which looks
+up np edges by head, is checked across kinds.
 
 `split_sentences` and `_inside_abbreviation` are the splitter that scanned
 the whole text before each candidate dot, copied unchanged together with
@@ -201,7 +204,8 @@ def oracle_relation(e1: Phrase, e2: Phrase, edges) -> str:
 
 _NP_MODS = ("neural", "fast", "deep")
 NOUNS = [np(head, *mods) for head in ("model", "system", "method")
-         for size in range(3) for mods in combinations(_NP_MODS, size)]
+         for size in range(3) for mods in combinations(_NP_MODS, size)] \
+    + [np("run"), np("run", "fast"), np("run", "fast", "deep")]
 VERBS = [vp(head, *mods) for head in ("run", "sprint", "jog", "move")
          for mods in ((), ("quickly",))]
 
