@@ -13,8 +13,8 @@ from .space import (ClassNode, CycleDetected, Dimension, ResourceSpace,
                     build_dimension, build_space, check_normal_forms,
                     coverage, search, serialize_space, transitive_reduce)
 from .subsume import (EdgeSet, KindMismatch, SubclassEdge, SynonymTable,
-                      clause_subclass, element_subclass, phrase_subclass,
-                      prep_phrase_subclass, question_subclass,
+                      at_or_below, clause_subclass, element_subclass,
+                      phrase_subclass, prep_phrase_subclass, question_subclass,
                       scan_syntactic_patterns, sentence_subclass,
                       verb_phrase_subclass)
 from .syntax import (Adverbial, Clause, Element, NoFiniteVerb, ObjectGroup,

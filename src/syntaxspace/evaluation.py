@@ -83,12 +83,15 @@ def space_closure(space) -> set[tuple[str, str, str]]:
 def load_gold_relations(path) -> set[tuple[str, str, str]]:
     out = set()
     with open(path, encoding="utf-8") as handle:
-        for line in handle:
+        for lineno, line in enumerate(handle, 1):
             line = line.rstrip("\n")
             if not line or line.startswith("#"):
                 continue
-            child, parent, dimension = line.split("\t")
-            out.add((child, parent, dimension))
+            fields = tuple(line.split("\t"))
+            if len(fields) != 3:
+                raise ValueError(f"{path}:{lineno}: expected child, parent "
+                                 f"and dimension, got {len(fields)} fields")
+            out.add(fields)
     return out
 
 
@@ -116,13 +119,17 @@ def load_gold_answers(path) -> dict[str, set[int]]:
     out: dict[str, set[int]] = {}
     current: str | None = None
     with open(path, encoding="utf-8") as handle:
-        for line in handle:
+        for lineno, line in enumerate(handle, 1):
             line = line.strip()
             if line.startswith("Q:"):
                 current = line[2:].strip()
                 out.setdefault(current, set())
             elif line.startswith("A:") and current is not None:
-                out[current].add(int(line[2:].strip()))
+                try:
+                    out[current].add(int(line[2:]))
+                except ValueError:
+                    raise ValueError(f"{path}:{lineno}: {line[2:].strip()!r} "
+                                     f"is not a sentence id") from None
     return out
 
 

@@ -17,7 +17,7 @@ from . import lexicon as lx
 from .corpus import TaggedSentence
 from .space import ResourceSpace, search
 from .subsume import (EQUAL, EdgeSet, SUBCLASS, SUPERCLASS, SynonymTable,
-                      compare_elements)
+                      at_or_below, compare_elements)
 from .syntax import (Adverbial, Element, NEGATIVE, ObjectGroup, Phrase,
                      SentenceSyntax, VERB, _Parser, _nominal_start,
                      _verb_group_start)
@@ -340,7 +340,7 @@ def match_answer(q: QuestionSyntax, s: SentenceSyntax,
                 ok = False
                 return
             if question_elem is not None:
-                rel = compare_elements(answer_elem, question_elem, edges, syn)
+                rel = at_or_below(answer_elem, question_elem, edges, syn)
                 if rel != SUBCLASS:
                     matched[name] = "mismatch"
                     ok = False
@@ -351,7 +351,7 @@ def match_answer(q: QuestionSyntax, s: SentenceSyntax,
             matched[name] = "missing"
             ok = False
             return
-        rel = compare_elements(answer_elem, question_elem, edges, syn)
+        rel = at_or_below(answer_elem, question_elem, edges, syn)
         if rel == EQUAL:
             matched[name] = _same_or_synonym(answer_elem, question_elem, syn)
         elif rel == SUBCLASS:
@@ -378,8 +378,8 @@ def match_answer(q: QuestionSyntax, s: SentenceSyntax,
         for pos, cand in enumerate(remaining):
             if cand.kind != q_adv.kind:
                 continue
-            rel = compare_elements(cand.content, q_adv.content, edges, syn)
-            if rel in (EQUAL, SUBCLASS):
+            rel = at_or_below(cand.content, q_adv.content, edges, syn)
+            if rel is not None:
                 hit = (pos, "same" if rel == EQUAL else "subclass")
                 if rel == EQUAL:
                     break

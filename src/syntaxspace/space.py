@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 
 from . import subsume
 from .corpus import TaggedSentence
-from .subsume import (EQUAL, EdgeSet, MODIFIER, SUBCLASS, SYNTACTIC,
-                      SynonymTable, compare_elements, reach,
+from .subsume import (EdgeSet, MODIFIER, SUBCLASS, SYNTACTIC, SynonymTable,
+                      at_or_below, compare_elements, reach,
                       scan_syntactic_patterns)
 from .syntax import (Adverbial, Clause, NoFiniteVerb, Phrase, SentenceSyntax,
                      canonical_key, display, parse_sentence_parts)
@@ -143,10 +143,8 @@ def build_dimension(name: str, items: list[tuple[int, object]],
                     continue
                 child_elem = harvested.elements[edge.child]
                 attaches = edge.child in dim.nodes or any(
-                    subsume.compare_elements(node.element, child_elem,
-                                             harvested) == SUBCLASS
-                    for node in dim.nodes.values()
-                )
+                    at_or_below(node.element, child_elem, harvested)
+                    == SUBCLASS for node in dim.nodes.values())
                 if not attaches:
                     continue
                 for endpoint in (edge.child, edge.parent):
@@ -169,8 +167,8 @@ def build_dimension(name: str, items: list[tuple[int, object]],
             for parent_key in bucket_keys:
                 if child_key == parent_key:
                     continue
-                rel = compare_elements(dim.nodes[child_key].element,
-                                       dim.nodes[parent_key].element, harvested)
+                rel = at_or_below(dim.nodes[child_key].element,
+                                  dim.nodes[parent_key].element, harvested)
                 if rel == SUBCLASS and (child_key, parent_key) not in edge_pairs:
                     raw_edges.append((child_key, parent_key, MODIFIER, None))
                     edge_pairs.add((child_key, parent_key))
@@ -322,11 +320,8 @@ def search(space: ResourceSpace, dimension: str, query,
     dim = space.dimensions[dimension]
     if query is None:
         return _covered(dim)
-    anchors = {
-        key for key, node in dim.nodes.items()
-        if compare_elements(node.element, query, space.edge_set, syn)
-        in (EQUAL, SUBCLASS)
-    }
+    anchors = {key for key, node in dim.nodes.items()
+               if at_or_below(node.element, query, space.edge_set, syn)}
     if not anchors:
         return set()
     out: set[int] = set()

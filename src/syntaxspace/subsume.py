@@ -61,12 +61,14 @@ class SynonymTable:
     def load(cls, path) -> "SynonymTable":
         pairs = []
         with open(path, encoding="utf-8") as handle:
-            for line in handle:
+            for lineno, line in enumerate(handle, 1):
                 line = line.strip()
                 if not line or line.startswith("#"):
                     continue
-                a, b = line.split("\t")[:2]
-                pairs.append((a, b))
+                fields = line.split("\t")
+                if len(fields) < 2:
+                    raise ValueError(f"{path}:{lineno}: expected two lemmas")
+                pairs.append((fields[0], fields[1]))
         return cls(pairs)
 
     def related(self, a: str, b: str) -> bool:
@@ -177,30 +179,19 @@ def phrase_subclass(p1: Phrase, p2: Phrase) -> bool:
     return _proper_superset(_multiset(p1), _multiset(p2))
 
 
-def _np_relation(p1: Phrase, p2: Phrase, edges: EdgeSet) -> str:
-    """Noun-phrase relation under the integrated approach (modifier rule
-    plus harvested edges, combined transitively)."""
-    if canonical_key(p1) == canonical_key(p2):
-        return EQUAL
-    if _np_reaches(p1, p2, edges):
-        return SUBCLASS
-    if _np_reaches(p2, p1, edges):
-        return SUPERCLASS
-    return RELATED if p1.head == p2.head else UNRELATED
-
-
 def _np_reaches(child: Phrase, parent: Phrase, edges: EdgeSet) -> bool:
-    """child == parent excluded; True when child is below parent through
-    any mix of modifier steps and harvested np edges."""
-    try:
-        if phrase_subclass(child, parent):
-            return True
-    except KindMismatch:
-        return False
+    """child == parent excluded; True when noun phrase child is below noun
+    phrase parent through any mix of modifier steps and harvested np
+    edges.  Only a reached phrase with the parent's head can be
+    modifier-below it."""
+    if phrase_subclass(child, parent):
+        return True
     if not edges:
         return False
     parent_key = canonical_key(parent)
-    return any(k == parent_key or _modifier_below(edges.elements[k], parent)
+    elements = edges.elements
+    return any(k == parent_key or (elements[k].head == parent.head
+                                   and _modifier_below(elements[k], parent))
                for k in edges.up(child))
 
 
@@ -226,24 +217,18 @@ def _as_action_np(v) -> tuple[Phrase, Element | None]:
     raise KindMismatch("not a verb phrase")
 
 
-def _action_relation(a1: Phrase, a2: Phrase, edges: EdgeSet,
-                     syn: SynonymTable) -> str:
+def _action_at_or_below(a1: Phrase, a2: Phrase, edges: EdgeSet,
+                        syn: SynonymTable) -> str | None:
+    """Same or synonym heads compare modifier multisets; other heads meet
+    only through harvested verb-phrase edges ("to sprint is to run")."""
     if a1.head == a2.head or (syn is not None and syn.related(a1.head, a2.head)):
         m1, m2 = _multiset(a1), _multiset(a2)
         if m1 == m2:
             return EQUAL
-        if _proper_superset(m1, m2):
-            return SUBCLASS
-        if _proper_superset(m2, m1):
-            return SUPERCLASS
-        return RELATED
-    # harvested verb-phrase edges ("to sprint is to run")
-    if edges:
-        if canonical_key(a2) in edges.up(a1):
-            return SUBCLASS
-        if canonical_key(a1) in edges.up(a2):
-            return SUPERCLASS
-    return UNRELATED
+        return SUBCLASS if _proper_superset(m1, m2) else None
+    if edges and canonical_key(a2) in edges.up(a1):
+        return SUBCLASS
+    return None
 
 
 def verb_phrase_subclass(v1, v2, edges: EdgeSet | None = None,
@@ -252,19 +237,18 @@ def verb_phrase_subclass(v1, v2, edges: EdgeSet | None = None,
     at least one strictly more specific."""
     a1, np1 = _as_action_np(v1)
     a2, np2 = _as_action_np(v2)
-    pairs = [_action_relation(a1, a2, edges, syn)]
-    pairs.append(_optional_relation(np1, np2, edges, syn))
-    if any(r not in (EQUAL, SUBCLASS) for r in pairs):
-        return False
-    return SUBCLASS in pairs
+    pairs = (_action_at_or_below(a1, a2, edges, syn),
+             _optional(at_or_below, np1, np2, edges, syn))
+    return None not in pairs and SUBCLASS in pairs
 
 
-def _optional_relation(e1, e2, edges, syn) -> str:
+def _optional(relation, e1, e2, edges, syn) -> str | None:
+    """`relation` of two optional slots: both empty Equal, one empty None."""
     if e1 is None and e2 is None:
         return EQUAL
     if e1 is None or e2 is None:
-        return UNRELATED
-    return compare_elements(e1, e2, edges, syn)
+        return None
+    return relation(e1, e2, edges, syn)
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +264,7 @@ def prep_phrase_subclass(q1: Phrase, q2: Phrase,
         raise KindMismatch("prep_phrase_subclass expects prepositional phrases")
     if q1.preposition() != q2.preposition():
         return False
-    return _np_relation(_inner_np(q1), _inner_np(q2), edges) == SUBCLASS
+    return at_or_below(_inner_np(q1), _inner_np(q2), edges) == SUBCLASS
 
 
 def _inner_np(pp: Phrase) -> Phrase:
@@ -325,8 +309,8 @@ def _adverbial_pairs(advs1, advs2, edges, syn):
         for idx, cand in enumerate(remaining):
             if cand.kind != target.kind:
                 continue
-            rel = compare_elements(cand.content, target.content, edges, syn)
-            if rel in (EQUAL, SUBCLASS):
+            rel = at_or_below(cand.content, target.content, edges, syn)
+            if rel is not None:
                 if best_idx is None or (best_rel == SUBCLASS and rel == EQUAL):
                     best_idx, best_rel = idx, rel
                 if rel == EQUAL:
@@ -341,14 +325,15 @@ def _adverbial_pairs(advs1, advs2, edges, syn):
 def _tuple_subclass(subj_pair, act_pair, obj_pair, advs1, advs2, edges, syn,
                     object_as_group: bool) -> bool:
     relations = [
-        _optional_relation(subj_pair[0], subj_pair[1], edges, syn),
-        _optional_relation(act_pair[0], act_pair[1], edges, syn),
+        _optional(at_or_below, subj_pair[0], subj_pair[1], edges, syn),
+        _optional(at_or_below, act_pair[0], act_pair[1], edges, syn),
     ]
     if object_as_group:
         relations.append(object_group_relation(obj_pair[0], obj_pair[1],
                                                edges, syn))
     else:
-        relations.append(_optional_relation(obj_pair[0], obj_pair[1], edges, syn))
+        relations.append(_optional(at_or_below, obj_pair[0], obj_pair[1],
+                                   edges, syn))
     adv = _adverbial_pairs(advs1, advs2, edges, syn)
     if adv is None:
         return False
@@ -389,9 +374,9 @@ def object_group_relation(g1: ObjectGroup | None, g2: ObjectGroup | None,
     if g1 is None or g2 is None:
         return UNRELATED
     relations = [
-        _optional_relation(g1.direct, g2.direct, edges, syn),
-        _optional_relation(g1.indirect, g2.indirect, edges, syn),
-        _optional_relation(g1.complement, g2.complement, edges, syn),
+        _optional(compare_elements, g1.direct, g2.direct, edges, syn),
+        _optional(compare_elements, g1.indirect, g2.indirect, edges, syn),
+        _optional(compare_elements, g1.complement, g2.complement, edges, syn),
     ]
     if any(r not in (EQUAL, SUBCLASS) for r in relations):
         if all(r in (EQUAL, SUPERCLASS) for r in relations):
@@ -407,52 +392,65 @@ def object_group_relation(g1: ObjectGroup | None, g2: ObjectGroup | None,
 # ---------------------------------------------------------------------------
 
 
+def at_or_below(e1, e2, edges: EdgeSet | None = None,
+                syn: SynonymTable | None = None) -> str | None:
+    """Equal when e1 is the same as e2, Subclass when e1 is strictly below
+    e2, otherwise None (also across kinds).  One direction only."""
+    if isinstance(e1, Phrase):
+        if not isinstance(e2, Phrase) or e1.kind != e2.kind:
+            return None
+        if e1.kind == VERB:
+            return _action_at_or_below(e1, e2, edges, syn)
+        if e1.kind == PRONOUN:
+            return EQUAL if e1.head == e2.head else None
+        # a phrase key embeds the head, so different heads are never equal
+        if e1.head == e2.head and canonical_key(e1) == canonical_key(e2):
+            return EQUAL
+        if e1.kind == NOUN:
+            below = _np_reaches(e1, e2, edges)
+        elif e1.kind == PREPOSITIONAL:
+            below = prep_phrase_subclass(e1, e2, edges)
+        else:  # adjective / adverb phrases: plain modifier rule
+            below = phrase_subclass(e1, e2)
+        return SUBCLASS if below else None
+    if isinstance(e1, Clause):
+        if not isinstance(e2, Clause):
+            return None
+        if canonical_key(e1) == canonical_key(e2):
+            return EQUAL
+        return SUBCLASS if clause_subclass(e1, e2, edges, syn) else None
+    if isinstance(e1, Adverbial) and isinstance(e2, Adverbial) \
+            and e1.kind == e2.kind:
+        return at_or_below(e1.content, e2.content, edges, syn)
+    return None
+
+
 def element_subclass(e1: Element, e2: Element, edges: EdgeSet | None = None,
                      syn: SynonymTable | None = None) -> str:
     """Relation of two same-kind elements: Equal / Subclass / Superclass /
-    Related / Unrelated.  Raises KindMismatch across lexical categories.
-    Adverbials of different kinds are Unrelated; otherwise their contents
-    decide."""
+    Related / Unrelated, from `at_or_below` asked both ways.  Raises
+    KindMismatch across lexical categories; adverbials of different kinds
+    are Unrelated, otherwise their contents decide."""
     if isinstance(e1, Phrase) and isinstance(e2, Phrase):
         if e1.kind != e2.kind:
             raise KindMismatch(f"{e1.kind} vs {e2.kind}")
-        if e1.kind == NOUN:
-            return _np_relation(e1, e2, edges)
-        if e1.kind == PRONOUN:
-            return EQUAL if e1.head == e2.head else UNRELATED
-        if e1.kind == PREPOSITIONAL:
-            if canonical_key(e1) == canonical_key(e2):
-                return EQUAL
-            if prep_phrase_subclass(e1, e2, edges):
-                return SUBCLASS
-            if prep_phrase_subclass(e2, e1, edges):
-                return SUPERCLASS
-            if e1.preposition() == e2.preposition() and e1.head == e2.head:
-                return RELATED
-            return UNRELATED
-        if e1.kind == VERB:
-            return _action_relation(e1, e2, edges, syn)
-        # adjective / adverb phrases: plain modifier rule
-        if canonical_key(e1) == canonical_key(e2):
-            return EQUAL
-        if phrase_subclass(e1, e2):
-            return SUBCLASS
-        if phrase_subclass(e2, e1):
-            return SUPERCLASS
-        return RELATED if e1.head == e2.head else UNRELATED
-    if isinstance(e1, Clause) and isinstance(e2, Clause):
-        if canonical_key(e1) == canonical_key(e2):
-            return EQUAL
-        if clause_subclass(e1, e2, edges, syn):
-            return SUBCLASS
-        if clause_subclass(e2, e1, edges, syn):
-            return SUPERCLASS
-        return UNRELATED
-    if isinstance(e1, Adverbial) and isinstance(e2, Adverbial):
+    elif isinstance(e1, Adverbial) and isinstance(e2, Adverbial):
         if e1.kind != e2.kind:
             return UNRELATED
         return element_subclass(e1.content, e2.content, edges, syn)
-    raise KindMismatch(f"{type(e1).__name__} vs {type(e2).__name__}")
+    elif not (isinstance(e1, Clause) and isinstance(e2, Clause)):
+        raise KindMismatch(f"{type(e1).__name__} vs {type(e2).__name__}")
+    relation = at_or_below(e1, e2, edges, syn)
+    if relation is not None:
+        return relation
+    if at_or_below(e2, e1, edges, syn) is not None:
+        return SUPERCLASS
+    if isinstance(e1, Phrase) and e1.kind != PRONOUN and (
+            (e1.head == e2.head and e1.preposition() == e2.preposition())
+            or (e1.kind == VERB and syn is not None
+                and syn.related(e1.head, e2.head))):
+        return RELATED
+    return UNRELATED
 
 
 def compare_elements(e1, e2, edges=None, syn=None) -> str:

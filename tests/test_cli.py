@@ -171,6 +171,32 @@ class TestErrorHandling:
         assert out == ""
 
 
+# a malformed line in each kind of side file: (text, bad line, argv)
+MALFORMED = {
+    "gold_relations": (
+        "np(lexrank|)\tnp(algorithm|unsupervised)\tsubject\nnp(lexrank|)\n",
+        2, lambda snap, bad: ["eval", "relations", snap, bad]),
+    "gold_answers": (
+        f"Q: {SHORT_QUESTION}\nA: 1\n\nA: first\n",
+        4, lambda snap, bad: ["eval", "qa", snap, bad]),
+    "synonyms": (
+        "# lemma pairs\nbuild\tconstruct\nmake\n",
+        3, lambda snap, bad: ["--synonyms", bad, "stats", snap]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(MALFORMED))
+def test_malformed_side_file_names_file_and_line(workspace, capsys, kind):
+    text, line, argv = MALFORMED[kind]
+    _, space_snap = build_short(workspace, capsys)
+    bad = workspace / f"{kind}.txt"
+    bad.write_text(text)
+    code, out, err = run(capsys, *argv(space_snap, bad))
+    assert code == 2
+    assert err.startswith(f"error: {bad}:{line}: ") and err.count("\n") == 1
+    assert out == ""
+
+
 class TestConfig:
     def test_env_config(self, workspace, capsys, monkeypatch, tmp_path):
         _, space_snap = build_short(workspace, capsys)

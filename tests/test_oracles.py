@@ -1,5 +1,6 @@
-"""The closed-edge relation, the iterative cycle search and the sentence
-splitter against their original implementations, kept here as references.
+"""The closed-edge relation, the iterative cycle search, the sentence
+splitter and the one-direction relation `at_or_below` against their
+original implementations, kept here as references.
 
 `np_reaches` and `vp_edge_reaches` scan every harvested edge at every step,
 as the package did before an `EdgeSet` was closed when built; `find_cycle`
@@ -23,12 +24,17 @@ from syntaxspace import corpus
 from syntaxspace.space import _find_cycle
 from syntaxspace.subsume import (EQUAL, RELATED, SUBCLASS, SUPERCLASS,
                                  SYNTACTIC, UNRELATED, KindMismatch,
-                                 SubclassEdge, _modifier_below, _multiset,
-                                 _proper_superset, element_subclass,
-                                 harvest_edges, phrase_subclass)
-from syntaxspace.syntax import NOUN, Phrase, canonical_key
+                                 SubclassEdge, SynonymTable, _as_action_np,
+                                 _inner_np, _modifier_below, _multiset,
+                                 _proper_superset, at_or_below,
+                                 clause_subclass, element_subclass,
+                                 harvest_edges, object_group_relation,
+                                 phrase_subclass, verb_phrase_subclass)
+from syntaxspace.syntax import (ADVERB, NOUN, PREPOSITIONAL, PRONOUN, VERB,
+                                Adverbial, Clause, ObjectGroup, Phrase,
+                                canonical_key)
 
-from conftest import np, vp
+from conftest import adjp, advp, np, pp, vp
 
 
 # ---------------------------------------------------------------------------
@@ -288,3 +294,281 @@ def abbreviation_texts(draw):
 @given(abbreviation_texts())
 def test_split_sentences_matches_reference(text):
     assert corpus.split_sentences(text) == split_sentences(text)
+
+
+# ---------------------------------------------------------------------------
+# The five-valued relation before `at_or_below`
+# ---------------------------------------------------------------------------
+#
+# `element_subclass`, `_np_relation`, `_action_relation`, `_np_reaches` and
+# the composite rules they call, as they were when every kind wrote out its
+# own five-valued comparison, walking both directions.  Their code is
+# copied unchanged, under `ref_` names and without docstrings, so that none
+# of them calls a function that `at_or_below` changed.
+
+
+def ref_np_relation(p1: Phrase, p2: Phrase, edges) -> str:
+    if canonical_key(p1) == canonical_key(p2):
+        return EQUAL
+    if ref_np_reaches(p1, p2, edges):
+        return SUBCLASS
+    if ref_np_reaches(p2, p1, edges):
+        return SUPERCLASS
+    return RELATED if p1.head == p2.head else UNRELATED
+
+
+def ref_np_reaches(child: Phrase, parent: Phrase, edges) -> bool:
+    try:
+        if phrase_subclass(child, parent):
+            return True
+    except KindMismatch:
+        return False
+    if not edges:
+        return False
+    parent_key = canonical_key(parent)
+    return any(k == parent_key or _modifier_below(edges.elements[k], parent)
+               for k in edges.up(child))
+
+
+def ref_action_relation(a1: Phrase, a2: Phrase, edges, syn) -> str:
+    if a1.head == a2.head or (syn is not None and syn.related(a1.head, a2.head)):
+        m1, m2 = _multiset(a1), _multiset(a2)
+        if m1 == m2:
+            return EQUAL
+        if _proper_superset(m1, m2):
+            return SUBCLASS
+        if _proper_superset(m2, m1):
+            return SUPERCLASS
+        return RELATED
+    if edges:
+        if canonical_key(a2) in edges.up(a1):
+            return SUBCLASS
+        if canonical_key(a1) in edges.up(a2):
+            return SUPERCLASS
+    return UNRELATED
+
+
+def ref_verb_phrase_subclass(v1, v2, edges=None, syn=None) -> bool:
+    a1, np1 = _as_action_np(v1)
+    a2, np2 = _as_action_np(v2)
+    pairs = [ref_action_relation(a1, a2, edges, syn)]
+    pairs.append(ref_optional_relation(np1, np2, edges, syn))
+    if any(r not in (EQUAL, SUBCLASS) for r in pairs):
+        return False
+    return SUBCLASS in pairs
+
+
+def ref_optional_relation(e1, e2, edges, syn) -> str:
+    if e1 is None and e2 is None:
+        return EQUAL
+    if e1 is None or e2 is None:
+        return UNRELATED
+    return ref_compare_elements(e1, e2, edges, syn)
+
+
+def ref_prep_phrase_subclass(q1: Phrase, q2: Phrase, edges=None) -> bool:
+    if not (isinstance(q1, Phrase) and isinstance(q2, Phrase)
+            and q1.kind == PREPOSITIONAL and q2.kind == PREPOSITIONAL):
+        raise KindMismatch("prep_phrase_subclass expects prepositional phrases")
+    if q1.preposition() != q2.preposition():
+        return False
+    return ref_np_relation(_inner_np(q1), _inner_np(q2), edges) == SUBCLASS
+
+
+def ref_clause_subclass(c1: Clause, c2: Clause, edges=None,
+                        syn=None) -> bool:
+    if not (isinstance(c1, Clause) and isinstance(c2, Clause)):
+        raise KindMismatch("clause_subclass expects clauses")
+    if c1.lead != c2.lead:
+        return False
+    return ref_tuple_subclass((c1.subject, c2.subject),
+                              (c1.action, c2.action), (c1.object, c2.object),
+                              c1.adverbials, c2.adverbials, edges, syn,
+                              object_as_group=False)
+
+
+def ref_adverbial_pairs(advs1, advs2, edges, syn):
+    if len(advs1) < len(advs2):
+        return None
+    remaining = list(advs1)
+    relations = []
+    for target in advs2:
+        best_idx = None
+        best_rel = None
+        for idx, cand in enumerate(remaining):
+            if cand.kind != target.kind:
+                continue
+            rel = ref_compare_elements(cand.content, target.content, edges,
+                                       syn)
+            if rel in (EQUAL, SUBCLASS):
+                if best_idx is None or (best_rel == SUBCLASS and rel == EQUAL):
+                    best_idx, best_rel = idx, rel
+                if rel == EQUAL:
+                    break
+        if best_idx is None:
+            return None
+        relations.append(best_rel)
+        remaining.pop(best_idx)
+    return relations, len(remaining)
+
+
+def ref_tuple_subclass(subj_pair, act_pair, obj_pair, advs1, advs2, edges,
+                       syn, object_as_group: bool) -> bool:
+    relations = [
+        ref_optional_relation(subj_pair[0], subj_pair[1], edges, syn),
+        ref_optional_relation(act_pair[0], act_pair[1], edges, syn),
+    ]
+    if object_as_group:
+        relations.append(ref_object_group_relation(obj_pair[0], obj_pair[1],
+                                                   edges, syn))
+    else:
+        relations.append(ref_optional_relation(obj_pair[0], obj_pair[1],
+                                               edges, syn))
+    adv = ref_adverbial_pairs(advs1, advs2, edges, syn)
+    if adv is None:
+        return False
+    pair_relations, extra = adv
+    relations.extend(pair_relations)
+    if any(r not in (EQUAL, SUBCLASS) for r in relations):
+        return False
+    return SUBCLASS in relations or extra > 0
+
+
+def ref_object_group_relation(g1, g2, edges=None, syn=None) -> str:
+    if g1 is None and g2 is None:
+        return EQUAL
+    if g1 is None or g2 is None:
+        return UNRELATED
+    relations = [
+        ref_optional_relation(g1.direct, g2.direct, edges, syn),
+        ref_optional_relation(g1.indirect, g2.indirect, edges, syn),
+        ref_optional_relation(g1.complement, g2.complement, edges, syn),
+    ]
+    if any(r not in (EQUAL, SUBCLASS) for r in relations):
+        if all(r in (EQUAL, SUPERCLASS) for r in relations):
+            return SUPERCLASS
+        return UNRELATED
+    if all(r == EQUAL for r in relations):
+        return EQUAL
+    return SUBCLASS
+
+
+def ref_element_subclass(e1, e2, edges=None, syn=None) -> str:
+    if isinstance(e1, Phrase) and isinstance(e2, Phrase):
+        if e1.kind != e2.kind:
+            raise KindMismatch(f"{e1.kind} vs {e2.kind}")
+        if e1.kind == NOUN:
+            return ref_np_relation(e1, e2, edges)
+        if e1.kind == PRONOUN:
+            return EQUAL if e1.head == e2.head else UNRELATED
+        if e1.kind == PREPOSITIONAL:
+            if canonical_key(e1) == canonical_key(e2):
+                return EQUAL
+            if ref_prep_phrase_subclass(e1, e2, edges):
+                return SUBCLASS
+            if ref_prep_phrase_subclass(e2, e1, edges):
+                return SUPERCLASS
+            if e1.preposition() == e2.preposition() and e1.head == e2.head:
+                return RELATED
+            return UNRELATED
+        if e1.kind == VERB:
+            return ref_action_relation(e1, e2, edges, syn)
+        if canonical_key(e1) == canonical_key(e2):
+            return EQUAL
+        if phrase_subclass(e1, e2):
+            return SUBCLASS
+        if phrase_subclass(e2, e1):
+            return SUPERCLASS
+        return RELATED if e1.head == e2.head else UNRELATED
+    if isinstance(e1, Clause) and isinstance(e2, Clause):
+        if canonical_key(e1) == canonical_key(e2):
+            return EQUAL
+        if ref_clause_subclass(e1, e2, edges, syn):
+            return SUBCLASS
+        if ref_clause_subclass(e2, e1, edges, syn):
+            return SUPERCLASS
+        return UNRELATED
+    if isinstance(e1, Adverbial) and isinstance(e2, Adverbial):
+        if e1.kind != e2.kind:
+            return UNRELATED
+        return ref_element_subclass(e1.content, e2.content, edges, syn)
+    raise KindMismatch(f"{type(e1).__name__} vs {type(e2).__name__}")
+
+
+def ref_compare_elements(e1, e2, edges=None, syn=None) -> str:
+    try:
+        return ref_element_subclass(e1, e2, edges, syn)
+    except KindMismatch:
+        return UNRELATED
+
+
+# Every kind, and phrases that differ only in their preposition, verbs whose
+# modifiers do not nest (so same-head and synonym verbs are Related), and
+# clauses and adverbials whose parts are drawn from the noun and verb pools
+# that the harvested edges range over.
+_REL_NOUNS = [np("model"), np("model", "neural"), np("model", "deep"),
+              np("system"), np("system", "neural"), np("method"),
+              np("run"), np("run", "fast")]
+_REL_VERBS = [vp(head, *mods) for head in ("run", "sprint", "jog", "move")
+              for mods in ((), ("quickly",), ("slowly",))]
+_PREPS = [pp(prep, head, *mods) for prep in ("in", "on")
+          for head, mods in (("model", ()), ("model", ("neural",)),
+                             ("model", ("deep",)), ("system", ()),
+                             ("run", ()))]
+_OTHERS = [Phrase(PRONOUN, "it"), Phrase(PRONOUN, "they"),
+           adjp("fast"), adjp("fast", "very"), adjp("fast", "really"),
+           adjp("deep"),
+           advp("quickly"), Phrase(ADVERB, "quickly", ("very",))]
+_CLAUSES = [Clause("to", None, action, obj)
+            for action in (vp("run"), vp("run", "quickly"), vp("sprint"))
+            for obj in (None, np("model"), np("model", "neural"))] \
+    + [Clause("that", subject, vp("move"), None, advs)
+       for subject in (np("system"), np("system", "neural"))
+       for advs in ((), (Adverbial("place", pp("in", "model")),))]
+_ADVERBIALS = [Adverbial(kind, content) for kind in ("place", "time")
+               for content in (pp("in", "model"), pp("in", "model", "neural"),
+                               pp("on", "system"))] \
+    + [Adverbial("purpose", clause) for clause in _CLAUSES[:4]]
+ELEMENTS = (_REL_NOUNS + _REL_VERBS + _PREPS + _OTHERS + _CLAUSES
+            + _ADVERBIALS)
+VERB_PHRASES = _REL_VERBS + _CLAUSES[:9] \
+    + [(vp("run", *mods), obj) for mods in ((), ("quickly",))
+       for obj in (np("model"), np("model", "neural"), np("run"))]
+GROUPS = [None] + [ObjectGroup(direct, indirect, complement)
+                   for direct in (np("model"), np("model", "neural"))
+                   for indirect in (None, np("system"),
+                                    np("system", "neural"))
+                   for complement in (None, adjp("fast"))]
+SYNONYMS = st.sampled_from([None, SynonymTable([("sprint", "jog")]),
+                            SynonymTable([("run", "move")])])
+
+
+def _outcome(relation, *args):
+    try:
+        return relation(*args)
+    except KindMismatch:
+        return KindMismatch
+
+
+@settings(max_examples=25, deadline=None)
+@given(harvested(), SYNONYMS)
+def test_at_or_below_derives_the_five_valued_relation(edges, syn):
+    for e1 in ELEMENTS:
+        for e2 in ELEMENTS:
+            expected = _outcome(ref_element_subclass, e1, e2, edges, syn)
+            assert _outcome(element_subclass, e1, e2, edges, syn) \
+                == expected, (e1, e2)
+            below = expected if expected in (EQUAL, SUBCLASS) else None
+            assert at_or_below(e1, e2, edges, syn) == below, (e1, e2)
+    for v1 in VERB_PHRASES:
+        for v2 in VERB_PHRASES:
+            assert verb_phrase_subclass(v1, v2, edges, syn) \
+                == ref_verb_phrase_subclass(v1, v2, edges, syn), (v1, v2)
+    for c1 in _CLAUSES:
+        for c2 in _CLAUSES:
+            assert clause_subclass(c1, c2, edges, syn) \
+                == ref_clause_subclass(c1, c2, edges, syn), (c1, c2)
+    for g1 in GROUPS:
+        for g2 in GROUPS:
+            assert object_group_relation(g1, g2, edges, syn) \
+                == ref_object_group_relation(g1, g2, edges, syn), (g1, g2)
