@@ -15,10 +15,11 @@ from dataclasses import dataclass, field
 from . import subsume
 from .corpus import TaggedSentence
 from .subsume import (EdgeSet, MODIFIER, SUBCLASS, SYNTACTIC, SynonymTable,
-                      at_or_below, compare_elements, reach,
-                      scan_syntactic_patterns)
-from .syntax import (Adverbial, Clause, NoFiniteVerb, Phrase, SentenceSyntax,
-                     canonical_key, display, parse_sentence_parts)
+                      _inner_np, _modifier_below, at_or_below,
+                      compare_elements, reach, scan_syntactic_patterns)
+from .syntax import (Adverbial, NOUN, NoFiniteVerb, PREPOSITIONAL, Phrase,
+                     SentenceSyntax, VERB, canonical_key, display,
+                     parse_sentence_parts)
 
 DIMENSIONS = ("subject", "action", "object", "adverbial")
 
@@ -44,12 +45,51 @@ class Dimension:
     edge_meta: dict[tuple[str, str], tuple[str, int | None]] = field(default_factory=dict)
     postings: dict[str, set[int]] = field(default_factory=dict)
     dropped_edges: list[tuple[str, str, str]] = field(default_factory=list)
+    index: SearchIndex | None = None  # set last by build_dimension
 
     def descendants(self, keys: set[str]) -> set[str]:
-        children: dict[str, list[str]] = {}
-        for child, parent in self.edges:
-            children.setdefault(parent, []).append(child)
-        return set(keys) | reach(children, keys)
+        return set(keys) | reach(self.index.children, keys)
+
+
+class SearchIndex:
+    """What `search` reads of a final dimension: nodes by `_shape` (clauses by
+    lead alone), and the nodes whose side reaches each harvested key through
+    `edges.up`, so also through edges that cycle breaking dropped."""
+
+    def __init__(self, dim: Dimension, edges: EdgeSet):
+        self.edges, self.buckets, self.below, self.children = edges, {}, {}, {}
+        for key in sorted(dim.nodes):
+            wrapper, head, side = _shape(dim.nodes[key].element)
+            head = None if wrapper[-2] == "clause" else head  # clause fallback
+            self.buckets.setdefault((wrapper, head), []).append(dim.nodes[key])
+            for k in (edges.up(side) if side is not None and edges else ()):
+                self.below.setdefault((wrapper, edges.elements[k].head),
+                                      {}).setdefault(k, []).append(key)
+        for child, parent in dim.edges:
+            self.children.setdefault(parent, []).append(child)
+        self.covered = frozenset().union(*dim.postings.values())
+
+    def anchors(self, query, syn: SynonymTable | None = None) -> set[str]:
+        """Keys of the nodes `at_or_below` the query.  Its bucket's nodes (a
+        verb's synonyms' too; the clause fallback: every clause of the lead)
+        are judged, and only judged; any other node is below when its side
+        reaches the side's key or, for nouns, a key modifier-below it."""
+        wrapper, head, side = _shape(query)
+        heads = {None} if wrapper[-2] == "clause" else {head}
+        if side is not None and side.kind == VERB and syn is not None:
+            heads |= syn.synonyms(head)
+        nodes = [n for h in heads for n in self.buckets.get((wrapper, h), ())]
+        found = {n.key for n in nodes
+                 if at_or_below(n.element, query, self.edges, syn)}
+        if side is None:
+            return found
+        reached = self.below.get((wrapper, side.head), {})
+        side_key = canonical_key(side)
+        keys = [side_key] if side.kind == VERB else [
+            k for k in reached if k == side_key
+            or _modifier_below(self.edges.elements[k], side)]
+        return found | ({key for k in keys for key in reached.get(k, ())}
+                        - {n.key for n in nodes})
 
 
 @dataclass
@@ -79,18 +119,20 @@ class ResourceSpace:
 # ---------------------------------------------------------------------------
 
 
-def _bucket(element) -> tuple:
-    """Only same-bucket nodes can be related by the modifier rules."""
+def _shape(element) -> tuple[tuple, str | None, Phrase | None]:
+    """(wrapper, head, side): nodes meet by the modifier rule only inside one
+    wrapper (adverbial kind, phrase kind and preposition, or clause lead) and
+    head (a clause's action head); harvested edges count from the noun or
+    verb phrase side, a prepositional phrase's inner noun phrase."""
     if isinstance(element, Adverbial):
-        return ("adv", element.kind) + _bucket(element.content)
+        wrapper, head, side = _shape(element.content)
+        return ("adverbial", element.kind) + wrapper, head, side
     if isinstance(element, Phrase):
-        if element.kind == "prepositional":
-            return ("pp", element.preposition(), element.head)
-        return (element.kind, element.head)
-    if isinstance(element, Clause):
-        action_head = element.action.head if element.action else "-"
-        return ("cl", element.lead or "-", action_head)
-    return ("?",)
+        side = _inner_np(element) if element.kind == PREPOSITIONAL else (
+            element if element.kind in (NOUN, VERB) else None)
+        return (element.kind, element.preposition()), element.head, side
+    return (("clause", element.lead or "-"),  # a clause
+            element.action.head if element.action else "-", None)
 
 
 def sentence_elements(part: SentenceSyntax) -> dict[str, list]:
@@ -161,7 +203,7 @@ def build_dimension(name: str, items: list[tuple[int, object]],
     edge_pairs = {(c, p) for c, p, _, _ in raw_edges}
     buckets: dict[tuple, list[str]] = {}
     for key in sorted(dim.nodes):
-        buckets.setdefault(_bucket(dim.nodes[key].element), []).append(key)
+        buckets.setdefault(_shape(dim.nodes[key].element)[:2], []).append(key)
     for bucket_keys in buckets.values():
         for child_key in bucket_keys:
             for parent_key in bucket_keys:
@@ -182,6 +224,7 @@ def build_dimension(name: str, items: list[tuple[int, object]],
     dim.edges = reduced
     dim.edge_meta = {(c, p): (src, ev) for c, p, src, ev in kept
                      if (c, p) in reduced}
+    dim.index = SearchIndex(dim, harvested)
     return dim
 
 
@@ -312,27 +355,16 @@ def search(space: ResourceSpace, dimension: str, query,
            syn: SynonymTable | None = None) -> set[int]:
     """Sentences reachable from the query downwards.
 
-    The query node is located by canonical key; when absent, every node
-    that is a subclass of the query anchors the search.  Postings of the
-    anchors and all their descendants are unioned.  `query=None` addresses
-    the dimension root: every sentence carrying the element.
+    Every node at or below the query, named by the dimension's `SearchIndex`,
+    anchors the search.  Postings of the anchors and all their descendants
+    are unioned into a new set.  `query=None` addresses the dimension root:
+    every sentence carrying the element.
     """
     dim = space.dimensions[dimension]
     if query is None:
-        return _covered(dim)
-    anchors = {key for key, node in dim.nodes.items()
-               if at_or_below(node.element, query, space.edge_set, syn)}
-    if not anchors:
-        return set()
-    out: set[int] = set()
-    for key in dim.descendants(anchors):
-        out.update(dim.postings.get(key, ()))
-    return out
-
-
-def _covered(dim: Dimension) -> set[int]:
-    """Every sentence posted anywhere in the dimension."""
-    return set().union(*dim.postings.values())
+        return set(dim.index.covered)
+    keys = dim.descendants(dim.index.anchors(query, syn))
+    return set().union(*(dim.postings[key] for key in keys))
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +404,7 @@ def coverage(space: ResourceSpace) -> CoverageReport:
         return CoverageReport(0, {n: 0 for n in DIMENSIONS},
                               {n: None for n in DIMENSIONS}, 0, None, 0, None,
                               empty=True)
-    per_dim = {name: _covered(space.dimensions[name]) & ids
+    per_dim = {name: space.dimensions[name].index.covered & ids
                for name in DIMENSIONS}
     union = set().union(*per_dim.values()) if per_dim else set()
     intersection = per_dim["subject"] & per_dim["action"] & per_dim["object"]
@@ -440,7 +472,7 @@ def check_normal_forms(space: ResourceSpace) -> NFReport:
     second = first and not double_posted
 
     ids = set(space.records)
-    per_dim = {name: _covered(space.dimensions[name]) & ids
+    per_dim = {name: space.dimensions[name].index.covered & ids
                for name in _NF_DIMENSIONS}
     full = {name: per_dim[name] == ids and bool(ids) for name in _NF_DIMENSIONS}
     subspace = per_dim["subject"] & per_dim["action"] & per_dim["object"]

@@ -74,6 +74,9 @@ class SynonymTable:
     def related(self, a: str, b: str) -> bool:
         return b in self._map.get(a, ())
 
+    def synonyms(self, lemma: str) -> frozenset[str]:
+        return frozenset(self._map.get(lemma, ()))
+
     def __len__(self) -> int:
         return len(self._map)
 

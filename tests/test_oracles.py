@@ -10,6 +10,9 @@ is the recursive cycle search.  They are copied unchanged except that
 "run" with the verb pool, so the closed relation's first step, which looks
 up np edges by head, is checked across kinds.
 
+The anchors that a dimension's `SearchIndex` gives `search` are checked
+against testing every node with `at_or_below`, the scan it replaced.
+
 `split_sentences` and `_inside_abbreviation` are the splitter that scanned
 the whole text before each candidate dot, copied unchanged together with
 the abbreviation list and boundary pattern they read.
@@ -21,7 +24,7 @@ from itertools import combinations
 from hypothesis import given, settings, strategies as st
 
 from syntaxspace import corpus
-from syntaxspace.space import _find_cycle
+from syntaxspace.space import _find_cycle, build_dimension
 from syntaxspace.subsume import (EQUAL, RELATED, SUBCLASS, SUPERCLASS,
                                  SYNTACTIC, UNRELATED, KindMismatch,
                                  SubclassEdge, SynonymTable, _as_action_np,
@@ -572,3 +575,24 @@ def test_at_or_below_derives_the_five_valued_relation(edges, syn):
         for g2 in GROUPS:
             assert object_group_relation(g1, g2, edges, syn) \
                 == ref_object_group_relation(g1, g2, edges, syn), (g1, g2)
+
+
+# Adverbials whose content is a noun or a verb phrase, next to the
+# prepositional and clause contents of ELEMENTS.
+_PLAIN_ADVERBIALS = [Adverbial("time", content)
+                     for content in (np("model"), np("model", "neural"),
+                                     np("system"), vp("run"),
+                                     vp("sprint", "quickly"))]
+
+
+@settings(max_examples=25, deadline=None)
+@given(harvested(), SYNONYMS)
+def test_search_index_anchors_equal_the_scan(edges, syn):
+    """The anchors `search` takes from a dimension's index are exactly the
+    nodes that `at_or_below` accepts when every node is tested."""
+    pool = ELEMENTS + _PLAIN_ADVERBIALS
+    dim = build_dimension("subject", list(enumerate(pool)), edges)
+    for query in pool + NOUNS + VERBS:
+        scan = {key for key, node in dim.nodes.items()
+                if at_or_below(node.element, query, edges, syn)}
+        assert dim.index.anchors(query, syn) == scan, query

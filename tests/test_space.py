@@ -3,12 +3,15 @@ import random
 import pytest
 
 from syntaxspace import corpus
+from syntaxspace import space as space_mod
 from syntaxspace.corpus import tag
 from syntaxspace.space import (ClassNode, CycleDetected, Dimension,
-                               _break_cycles, build_dimension, build_space,
-                               check_normal_forms, coverage, search,
-                               serialize_space, space_stats, transitive_reduce)
-from syntaxspace.subsume import MODIFIER, SYNTACTIC, EdgeSet
+                               ResourceSpace, _break_cycles, build_dimension,
+                               build_space, check_normal_forms, coverage,
+                               search, serialize_space, space_stats,
+                               transitive_reduce)
+from syntaxspace.subsume import (MODIFIER, SYNTACTIC, EdgeSet, SubclassEdge,
+                                 SynonymTable, harvest_edges)
 from syntaxspace.syntax import canonical_key
 
 from conftest import SHORT_INPUT, np, tag_corpus, vp
@@ -154,6 +157,11 @@ class TestSearch:
         assert search(short_space, "subject", None) == {1, 2, 3, 4}
         assert search(short_space, "adverbial", None) == {1, 2, 4}
 
+    def test_root_search_returns_a_new_set(self, short_space):
+        search(short_space, "subject", None).clear()
+        assert search(short_space, "subject", None) == {1, 2, 3, 4}
+        assert coverage(short_space).covered["subject"] == 4
+
     def test_descendant_closure(self, short_space):
         # for any node X with descendant Y: search(Y) subset of search(X)
         for name, dim in short_space.dimensions.items():
@@ -161,6 +169,58 @@ class TestSearch:
                 child_hits = search(short_space, name, dim.nodes[child].element)
                 parent_hits = search(short_space, name, dim.nodes[parent].element)
                 assert child_hits <= parent_hits
+
+
+def _harvested(*pairs):
+    """An edge set with one np edge per (child, parent) pair, in order."""
+    return harvest_edges(
+        (SubclassEdge(canonical_key(child), canonical_key(parent), "np",
+                      SYNTACTIC, sid), child, parent)
+        for sid, (child, parent) in enumerate(pairs, 1))
+
+
+def _subject_space(items, edges):
+    dim = build_dimension("subject", items, edges)
+    return ResourceSpace({"subject": dim}, {}, {}, [], edges, SynonymTable())
+
+
+class TestSearchIndex:
+    def test_harvested_edge_dropped_by_cycle_breaking_still_counts(self):
+        # the harvested cycle apple < berry < cherry < apple loses one edge
+        # in the dimension, but at_or_below still follows it through
+        # EdgeSet.up, so every node is below every other
+        apple, berry, cherry = np("apple"), np("berry"), np("cherry")
+        edges = _harvested((apple, berry), (berry, cherry), (cherry, apple))
+        space = _subject_space([(1, apple), (2, berry), (3, cherry)], edges)
+        dim = space.dimensions["subject"]
+        assert len(dim.dropped_edges) == 1
+        _, parent, _ = dim.dropped_edges[0]
+        assert dim.descendants({parent}) == {parent}
+        for query in (apple, berry, cherry):
+            assert search(space, "subject", query) == {1, 2, 3}
+
+    def test_query_work_does_not_grow_with_nodes(self, monkeypatch):
+        # the same query over 20 and 200 unrelated noun heads makes the same
+        # at_or_below calls: only its bucket is judged
+        edges = _harvested((np("lexrank"), np("algorithm", "unsupervised")))
+        spaces = [_subject_space(
+            [(i, np(f"noun{i:03d}")) for i in range(unrelated)]
+            + [(1000, np("algorithm")), (1001, np("algorithm", "fast")),
+               (1002, np("lexrank"))], edges)
+            for unrelated in (20, 200)]
+        calls, real = [], space_mod.at_or_below
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+        monkeypatch.setattr(space_mod, "at_or_below", counted)
+        counts = []
+        for space in spaces:
+            calls.clear()
+            assert search(space, "subject", np("algorithm")) \
+                == {1000, 1001, 1002}
+            counts.append(len(calls))
+        assert counts[0] == counts[1] == 3  # algorithm, fast, unsupervised
 
 
 class TestCoverage:
