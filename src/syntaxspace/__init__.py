@@ -4,8 +4,8 @@ and rule-based question answering."""
 from .corpus import (TaggedSentence, Token, ingest_text, load_pretagged,
                      normalize_voice, serialize_pretagged, split_sentences,
                      tag)
-from .evaluation import (BASELINE_METHODS, baseline_rank, qa_precision,
-                         relation_prf)
+from .evaluation import (BASELINE_METHODS, BaselineIndex, baseline_rank,
+                         qa_precision, relation_prf)
 from .qa import (AnswerJudgment, NotAQuestion, QuestionSyntax, answer,
                  candidate_search, match_answer, parse_question,
                  question_relevant, sentence_relevant)

@@ -72,6 +72,15 @@ def load_config(args) -> Config:
             setattr(config, key, value)
     if config.top_k < 1:
         raise ValueError("top_k must be >= 1")
+    # exact int/float comparisons: they also refuse nan, inf and ints too
+    # large for a float
+    if not 0 <= config.bm25_k1 <= sys.float_info.max:
+        raise ValueError(f"bm25_k1 must be finite and >= 0, "
+                         f"not {config.bm25_k1}")
+    if not 0 <= config.bm25_b <= 1:
+        raise ValueError(f"bm25_b must be in [0, 1], not {config.bm25_b}")
+    if config.gst_min_tile < 1:
+        raise ValueError("gst_min_tile must be >= 1")
     if config.tagger not in TAGGERS:
         raise ValueError(f"tagger must be one of {', '.join(TAGGERS)}, "
                          f"not {config.tagger!r}")
@@ -222,15 +231,16 @@ def cmd_eval(args, config: Config) -> int:
         print(f"qa precision@{config.top_k} = {shown} ({correct}/{returned})")
         return 0
     if args.what == "baselines":
-        slist = [(sid, _corpus_lemmas(space, sid))
-                 for sid in space.sentence_ids()]
+        index = evaluation.BaselineIndex(
+            (sid, space.records[sid].lemmas) for sid in space.sentence_ids())
         bconfig = evaluation.BaselineConfig(config.bm25_k1, config.bm25_b,
                                             config.gst_min_tile)
+        questions = {question: tag(question).lemmas()
+                     for question in sorted(gold)}
         for method in evaluation.BASELINE_METHODS:
             system = {}
-            for question in sorted(gold):
-                q_lemmas = tag(question).lemmas()
-                ranked = evaluation.baseline_rank(method, q_lemmas, slist,
+            for question, q_lemmas in questions.items():
+                ranked = evaluation.baseline_rank(method, q_lemmas, index,
                                                   bconfig)
                 system[question] = ranked[:config.top_k]
             precision, correct, returned = evaluation.qa_precision(
@@ -241,10 +251,6 @@ def cmd_eval(args, config: Config) -> int:
         return 0
     print(f"eval: unknown target {args.what}", file=sys.stderr)
     return USAGE_ERROR
-
-
-def _corpus_lemmas(space: ResourceSpace, sid: int) -> list[str]:
-    return list(space.records[sid].lemmas)
 
 
 # ---------------------------------------------------------------------------
@@ -270,9 +276,15 @@ def _snapshot_corpus(path: str, snapshot: str) -> str:
 
 
 def _load_space(path: str, config: Config) -> ResourceSpace:
-    corpus_text = _snapshot_corpus(path, _read(path))
-    sentences = parse_pretagged(corpus_text)
-    return build_space(sentences, _load_synonyms(config))
+    """Rebuild the space from the snapshot's corpus; the snapshot must be
+    exactly what `build` writes for that corpus."""
+    snapshot = _read(path)
+    corpus_text = _snapshot_corpus(path, snapshot)
+    space = build_space(parse_pretagged(corpus_text), _load_synonyms(config))
+    if serialize_space(space, corpus_text) != snapshot:
+        raise ValueError(f"{path}: snapshot does not match its corpus "
+                         f"(rebuild it)")
+    return space
 
 
 def build_parser() -> argparse.ArgumentParser:

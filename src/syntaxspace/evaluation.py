@@ -12,13 +12,10 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 
 from .lexicon import FUNCTION_LEMMAS
 from .subsume import reach
-
-BASELINE_METHODS = ("common_words", "jaccard", "tfidf_cosine", "unigram_lm",
-                    "bm25", "gst", "lcs")
-
 
 class UnknownMethod(ValueError):
     pass
@@ -140,8 +137,8 @@ def load_gold_answers(path) -> dict[str, set[int]]:
 
 def content_lemmas(lemmas) -> list[str]:
     """Filter function words; keep order for the sequence baselines."""
-    return [w for w in lemmas
-            if w not in FUNCTION_LEMMAS and any(c.isalnum() for c in w)]
+    return [w for w in lemmas if w not in FUNCTION_LEMMAS
+            and (w.isalnum() or any(c.isalnum() for c in w))]
 
 
 @dataclass
@@ -151,114 +148,116 @@ class BaselineConfig:
     gst_min_tile: int = 2
 
 
+class BaselineIndex:
+    """Content lemmas of `(sentence id, lemmas)` documents, for any number of
+    `baseline_rank` calls; df, avgdl and vocab size are computed on use."""
+
+    def __init__(self, sentences):
+        self.docs = [(sid, content_lemmas(toks)) for sid, toks in sentences]
+        self.n_docs = len(self.docs)
+
+    @cached_property
+    def df(self) -> Counter:
+        return Counter(w for _, d in self.docs for w in set(d))
+
+    @cached_property
+    def avgdl(self) -> float:
+        return (sum(len(d) for _, d in self.docs) / self.n_docs
+                if self.n_docs else 0.0)
+
+    @cached_property
+    def vocab_size(self) -> int:
+        return len(set().union(*(d for _, d in self.docs)))
+
+
 def baseline_rank(method: str, question: list[str],
-                  sentences: list[tuple[int, list[str]]],
+                  sentences: BaselineIndex | list[tuple[int, list[str]]],
                   config: BaselineConfig | None = None) -> list[int]:
     """Rank sentence ids by similarity to the question under one method.
 
     `question` and the sentence token lists are lemma sequences; function
-    words are filtered here.  Ties break to the lower sentence id.
+    words are filtered here.  `sentences` may be a prebuilt
+    `BaselineIndex`.  Ties break to the lower sentence id.
     """
     if method not in BASELINE_METHODS:
         raise UnknownMethod(method)
-    config = config or BaselineConfig()
+    index = sentences if isinstance(sentences, BaselineIndex) \
+        else BaselineIndex(sentences)
     q = content_lemmas(question)
-    docs = [(sid, content_lemmas(toks)) for sid, toks in sentences]
-    scorer = _SCORERS[method]
-    corpus_stats = _CorpusStats(docs)
-    scored = [(-scorer(q, d, corpus_stats, config), sid) for sid, d in docs]
-    scored.sort()
-    return [sid for _, sid in scored]
+    score = _SCORERS[method](q, index, config or BaselineConfig())
+    # sharing no lemma scores 0.0 (sorts with -0.0), except in unigram_lm
+    shared = set(q)
+    return [sid for _, sid in sorted(
+        (0.0 if method != "unigram_lm" and shared.isdisjoint(d)
+         else -score(d), sid) for sid, d in index.docs)]
 
 
-class _CorpusStats:
-    def __init__(self, docs):
-        self.n_docs = len(docs)
-        self.df = Counter()
-        total_len = 0
-        vocab = set()
-        for _, toks in docs:
-            for w in set(toks):
-                self.df[w] += 1
-            total_len += len(toks)
-            vocab.update(toks)
-        self.avgdl = total_len / self.n_docs if self.n_docs else 0.0
-        self.vocab_size = len(vocab)
+def _common_words(q, index, config):
+    qs = set(q)
+    return lambda d: float(len(qs.intersection(d)))
 
 
-def _common_words(q, d, stats, config) -> float:
-    return float(len(set(q) & set(d)))
+def _jaccard(q, index, config):
+    qs = set(q)
+    return lambda d: len(qs.intersection(d)) / len(qs.union(d))
 
 
-def _jaccard(q, d, stats, config) -> float:
-    qs, ds = set(q), set(d)
-    union = qs | ds
-    return len(qs & ds) / len(union) if union else 0.0
-
-
-def _tfidf_cosine(q, d, stats, config) -> float:
-    if not q or not d:
-        return 0.0
-
+def _tfidf_cosine(q, index, config):
     def vector(tokens):
         tf = Counter(tokens)
-        return {
-            w: tf[w] * math.log(stats.n_docs / stats.df[w])
-            for w in tf if stats.df.get(w)
-        }
-
-    vq, vd = vector(q), vector(d)
-    dot = sum(vq[w] * vd[w] for w in vq.keys() & vd.keys())
+        return {w: tf[w] * math.log(index.n_docs / index.df[w])
+                for w in tf if index.df.get(w)}
+    vq = vector(q)
     nq = math.sqrt(sum(x * x for x in vq.values()))
-    nd = math.sqrt(sum(x * x for x in vd.values()))
-    return dot / (nq * nd) if nq and nd else 0.0
 
-
-def _unigram_lm(q, d, stats, config) -> float:
-    """Add-one-smoothed query likelihood, in log space."""
-    if not q:
-        return float("-inf")
-    tf = Counter(d)
-    denom = len(d) + stats.vocab_size
-    if denom == 0:
-        return float("-inf")
-    return sum(math.log((tf[w] + 1) / denom) for w in q)
-
-
-def _bm25(q, d, stats, config) -> float:
-    tf = Counter(d)
-    k1, b = config.bm25_k1, config.bm25_b
-    score = 0.0
-    for w in set(q):
-        if w not in tf:
-            continue
-        df = stats.df[w]
-        idf = math.log((stats.n_docs - df + 0.5) / (df + 0.5) + 1)
-        norm = tf[w] * (k1 + 1) / (
-            tf[w] + k1 * (1 - b + b * len(d) / stats.avgdl))
-        score += idf * norm
+    def score(d):
+        vd = vector(d)
+        dot = sum(vq[w] * vd[w] for w in vq.keys() & vd.keys())
+        nd = math.sqrt(sum(x * x for x in vd.values()))
+        return dot / (nq * nd) if nq and nd else 0.0
     return score
 
 
-def _lcs(q, d, stats, config) -> float:
+def _unigram_lm(q, index, config):
+    """Add-one-smoothed query likelihood, in log space."""
+    def score(d):
+        denom = len(d) + index.vocab_size
+        return (sum(math.log((d.count(w) + 1) / denom) for w in q)
+                if q and denom else float("-inf"))
+    return score
+
+
+def _bm25(q, index, config):
+    k1, b = config.bm25_k1, config.bm25_b
+    idf = {}
+    for w in set(q):  # sums in string-hash order, see README
+        df = index.df[w]
+        idf[w] = math.log((index.n_docs - df + 0.5) / (df + 0.5) + 1)
+
+    def score(d):
+        total = 0.0
+        for w, weight in idf.items():
+            if w in d:
+                tf = d.count(w)
+                total += weight * (tf * (k1 + 1) / (
+                    tf + k1 * (1 - b + b * len(d) / index.avgdl)))
+        return total
+    return score
+
+
+def _lcs(q, d) -> float:
     """Longest common subsequence length over lemma sequences."""
-    m, n = len(q), len(d)
-    if m == 0 or n == 0:
-        return 0.0
-    table = [[0] * (n + 1) for _ in range(m + 1)]
-    for i in range(1, m + 1):
-        for j in range(1, n + 1):
-            if q[i - 1] == d[j - 1]:
-                table[i][j] = table[i - 1][j - 1] + 1
-            else:
-                table[i][j] = max(table[i][j - 1], table[i - 1][j])
-    return float(table[m][n])
+    row = [0] * (len(d) + 1)
+    for w in q:
+        above, row = row, [0]
+        for j, v in enumerate(d):
+            row.append(above[j] + 1 if w == v else max(row[j], above[j + 1]))
+    return float(row[-1])
 
 
-def _gst(q, d, stats, config) -> float:
+def _gst(q, d, min_tile) -> float:
     """Greedy string tiling: total length of maximal non-overlapping common
-    contiguous tiles of at least `gst_min_tile` tokens."""
-    min_tile = config.gst_min_tile
+    contiguous tiles of at least `min_tile` tokens."""
     marked_q = [False] * len(q)
     marked_d = [False] * len(d)
     total = 0
@@ -280,19 +279,20 @@ def _gst(q, d, stats, config) -> float:
         if best is None or best[0] < min_tile:
             break
         length, i, j = best
-        for off in range(length):
-            marked_q[i + off] = True
-            marked_d[j + off] = True
+        marked_q[i:i + length] = [True] * length
+        marked_d[j:j + length] = [True] * length
         total += length
     return float(total)
 
 
+# method -> scorer(q, index, config): prepares q once, returns d -> score
 _SCORERS = {
     "common_words": _common_words,
     "jaccard": _jaccard,
     "tfidf_cosine": _tfidf_cosine,
     "unigram_lm": _unigram_lm,
     "bm25": _bm25,
-    "gst": _gst,
-    "lcs": _lcs,
+    "gst": lambda q, index, config: lambda d: _gst(q, d, config.gst_min_tile),
+    "lcs": lambda q, index, config: lambda d: _lcs(q, d),
 }
+BASELINE_METHODS = tuple(_SCORERS)

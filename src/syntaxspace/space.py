@@ -542,7 +542,8 @@ def corpus_section(snapshot_text: str) -> str:
         raise ValueError("not a complete #space v1 snapshot")
     out = []
     for line in snapshot_text.splitlines()[2:]:
-        if line.startswith("[DIMENSION "):
+        # the first section header, never a corpus line (three columns)
+        if line == f"[DIMENSION {DIMENSIONS[0]}]":
             break
         out.append(line)
     return "\n".join(out)

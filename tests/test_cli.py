@@ -170,6 +170,39 @@ class TestErrorHandling:
         assert err == f"error: {damaged}: not a complete #space v1 snapshot\n"
         assert out == ""
 
+    @pytest.mark.parametrize("command", [
+        ["query", "{snap}", SHORT_QUESTION], ["stats", "{snap}"],
+        ["dump-edges", "{snap}"], ["eval", "baselines", "{snap}", "{gold}"]])
+    def test_snapshot_that_does_not_match_its_corpus_is_data_error(
+            self, workspace, capsys, command):
+        _, space_snap = build_short(workspace, capsys)
+        text = space_snap.read_text()
+        node = text.index("[DIMENSION subject]\n[NODES]\n") + 28
+        damaged = workspace / "damaged.snap"
+        damaged.write_text(text[:node] + "x" + text[node + 1:])
+        gold = workspace / "gold.txt"
+        gold.write_text(f"Q: {SHORT_QUESTION}\nA: 1\n")
+        args = [a.format(snap=damaged, gold=gold) for a in command]
+        code, out, err = run(capsys, *args)
+        assert code == 2
+        assert err == (f"error: {damaged}: snapshot does not match its "
+                       f"corpus (rebuild it)\n")
+        assert out == ""
+        # dump-parse reads only the corpus section
+        assert run(capsys, "dump-parse", damaged)[0] == 0
+
+    def test_corpus_token_like_a_section_header_loads(self, tmp_path, capsys):
+        corpus_snap = tmp_path / "odd.tsv"
+        corpus_snap.write_text(
+            "LexRank\tlexrank\tNNP\nbuilds\tbuild\tVBZ\n"
+            "summaries\tsummary\tNNS\n.\t.\t.\n\n"
+            "[DIMENSION x\tx\tNN\nruns\trun\tVBZ\n.\t.\t.\n")
+        space_snap = tmp_path / "odd.snap"
+        assert run(capsys, "build", corpus_snap, "-o", space_snap)[0] == 0
+        code, out, _ = run(capsys, "stats", space_snap)
+        assert code == 0
+        assert "subject dimension: 2 nodes" in out
+
 
 # a malformed line in each kind of side file: (text, bad line, argv)
 MALFORMED = {
@@ -233,6 +266,12 @@ class TestConfig:
         '{"bm25_k1": true}',
         '{"synonym_path": 3}',
         '{"tagger": "xyz"}',
+        '{"bm25_k1": -1}',
+        '{"bm25_k1": Infinity}',
+        pytest.param('{"bm25_k1": 1' + "0" * 400 + '}', id="k1-beyond-float"),
+        '{"bm25_b": 1.5}',
+        '{"bm25_b": NaN}',
+        '{"gst_min_tile": 0}',
     ])
     def test_bad_config_is_a_usage_error(self, capsys, monkeypatch, tmp_path,
                                          content):
@@ -242,6 +281,22 @@ class TestConfig:
         code, _, err = run(capsys, "stats", tmp_path / "space.snap")
         assert code == 1
         assert err.startswith("config error: ")
+
+    @pytest.mark.parametrize("flags", [
+        ["--bm25-k1", "-1", "--bm25-b", "0"],
+        ["--bm25-k1", "nan"],
+        ["--bm25-b", "-0.5"],
+        ["--gst-min-tile", "0"],
+    ])
+    def test_bad_baseline_flag_is_a_usage_error(self, workspace, capsys,
+                                                flags):
+        _, space_snap = build_short(workspace, capsys)
+        gold = workspace / "gold.txt"
+        gold.write_text(f"Q: {SHORT_QUESTION}\nA: 1\n")
+        code, out, err = run(capsys, *flags, "eval", "baselines", space_snap,
+                             gold)
+        assert code == 1
+        assert err.startswith("config error: ") and out == ""
 
 
 class TestSyntheticPipeline:

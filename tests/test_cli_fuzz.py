@@ -2,7 +2,9 @@
 config JSON, synonyms files and damaged snapshots.
 
 Whatever the input, `main` returns an exit code in {0, 1, 2} and never
-raises; every strict prefix of a snapshot is a data error.
+raises; every strict prefix of a snapshot, and every change to its
+dimension sections, is a data error, while every snapshot that `build`
+writes loads again.
 """
 
 import contextlib
@@ -12,7 +14,7 @@ import os
 from unittest import mock
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from syntaxspace.cli import CONFIG_ENV, main
 
@@ -64,8 +66,11 @@ def test_any_corpus_bytes(files, data):
     code = quiet_main("ingest", raw, "-o", files / "raw.snap")
     assert code in EXIT_CODES
     if code == 0:
-        assert quiet_main("build", files / "raw.snap", "-o",
-                          files / "raw-space.snap") in EXIT_CODES
+        code = quiet_main("build", files / "raw.snap", "-o",
+                          files / "raw-space.snap")
+        assert code in EXIT_CODES
+    if code == 0:
+        assert quiet_main("stats", files / "raw-space.snap") == 0
 
 
 _JSON = st.recursive(
@@ -123,3 +128,22 @@ def test_flipped_snapshot_bytes(files, data):
     flipped = files / "flipped.snap"
     flipped.write_bytes(bytes(snapshot))
     assert quiet_main("query", flipped, SHORT_QUESTION) in EXIT_CODES
+
+
+@FUZZ
+@given(st.data())
+def test_flipped_dimension_bytes_are_a_data_error(files, data):
+    snapshot = bytearray((files / "space.snap").read_bytes())
+    start = snapshot.index(b"[DIMENSION ")
+    positions = data.draw(st.sets(st.integers(start, len(snapshot) - 1),
+                                  min_size=1, max_size=3))
+    for pos in positions:
+        snapshot[pos] ^= data.draw(st.integers(1, 255))
+        # text mode reads "\r" as "\n", so a "\n" turned into "\r" is
+        # the same text
+        assume(snapshot[pos] != ord("\r"))
+    flipped = files / "flipped.snap"
+    flipped.write_bytes(bytes(snapshot))
+    command = data.draw(st.sampled_from(
+        [["stats"], ["dump-edges"], ["query", SHORT_QUESTION]]))
+    assert quiet_main(command[0], flipped, *command[1:]) == 2

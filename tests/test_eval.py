@@ -2,13 +2,13 @@ import math
 
 import pytest
 
-from syntaxspace import corpus
+from syntaxspace import corpus, evaluation
 from syntaxspace.corpus import tag
 from syntaxspace.evaluation import (BASELINE_METHODS, BaselineConfig,
-                                    UnknownMethod, baseline_rank,
-                                    content_lemmas, load_gold_answers,
-                                    load_gold_relations, qa_precision,
-                                    relation_prf, space_closure)
+                                    BaselineIndex, UnknownMethod,
+                                    baseline_rank, content_lemmas,
+                                    load_gold_answers, load_gold_relations,
+                                    qa_precision, relation_prf, space_closure)
 from syntaxspace.space import build_space
 
 from conftest import SHORT_INPUT, SHORT_QUESTION, tag_corpus
@@ -145,6 +145,18 @@ class TestBaselines:
         config = BaselineConfig(gst_min_tile=2)
         ranked = baseline_rank("gst", q, sentences, config)
         assert ranked == [1, 2]
+
+    def test_lcs_runs_only_on_documents_sharing_a_lemma(self, monkeypatch):
+        calls = []
+        lcs = evaluation._lcs
+        monkeypatch.setattr(evaluation, "_lcs",
+                            lambda q, d: calls.append(d) or lcs(q, d))
+        sentences = [(i, [f"word{i}", "the", "graph"]) for i in range(500)]
+        sentences += [(500, ["rank", "sentence"]), (501, ["the", "rank"])]
+        index = BaselineIndex(sentences)
+        ranked = baseline_rank("lcs", ["rank", "sentence"], index)
+        assert ranked[:2] == [500, 501]
+        assert calls == [["rank", "sentence"], ["rank"]]
 
 
 class TestGoldLoaders:

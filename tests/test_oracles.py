@@ -16,14 +16,23 @@ against testing every node with `at_or_below`, the scan it replaced.
 `split_sentences` and `_inside_abbreviation` are the splitter that scanned
 the whole text before each candidate dot, copied unchanged together with
 the abbreviation list and boundary pattern they read.
+
+The ranking baselines, which filter the corpus once into a
+`BaselineIndex` and skip documents that share no lemma with the question,
+are checked against the copy that prepared everything on each call.
 """
 
+import math
 import re
+from collections import Counter
 from itertools import combinations
 
 from hypothesis import given, settings, strategies as st
 
-from syntaxspace import corpus
+from syntaxspace import corpus, evaluation
+from syntaxspace.evaluation import (BASELINE_METHODS, BaselineConfig,
+                                    UnknownMethod)
+from syntaxspace.lexicon import FUNCTION_LEMMAS
 from syntaxspace.space import _find_cycle, build_dimension
 from syntaxspace.subsume import (EQUAL, RELATED, SUBCLASS, SUPERCLASS,
                                  SYNTACTIC, UNRELATED, KindMismatch,
@@ -596,3 +605,200 @@ def test_search_index_anchors_equal_the_scan(edges, syn):
         scan = {key for key, node in dim.nodes.items()
                 if at_or_below(node.element, query, edges, syn)}
         assert dim.index.anchors(query, syn) == scan, query
+
+
+# ---------------------------------------------------------------------------
+# Ranking baselines
+# ---------------------------------------------------------------------------
+#
+# `content_lemmas`, `_CorpusStats`, the seven scorers and `baseline_rank`
+# below are the implementation that prepared the corpus on every call and
+# scored every document, copied unchanged.
+
+
+def content_lemmas(lemmas) -> list[str]:
+    """Filter function words; keep order for the sequence baselines."""
+    return [w for w in lemmas
+            if w not in FUNCTION_LEMMAS and any(c.isalnum() for c in w)]
+
+
+def baseline_rank(method: str, question: list[str],
+                  sentences: list[tuple[int, list[str]]],
+                  config: BaselineConfig | None = None) -> list[int]:
+    """Rank sentence ids by similarity to the question under one method.
+
+    `question` and the sentence token lists are lemma sequences; function
+    words are filtered here.  Ties break to the lower sentence id.
+    """
+    if method not in BASELINE_METHODS:
+        raise UnknownMethod(method)
+    config = config or BaselineConfig()
+    q = content_lemmas(question)
+    docs = [(sid, content_lemmas(toks)) for sid, toks in sentences]
+    scorer = _SCORERS[method]
+    corpus_stats = _CorpusStats(docs)
+    scored = [(-scorer(q, d, corpus_stats, config), sid) for sid, d in docs]
+    scored.sort()
+    return [sid for _, sid in scored]
+
+
+class _CorpusStats:
+    def __init__(self, docs):
+        self.n_docs = len(docs)
+        self.df = Counter()
+        total_len = 0
+        vocab = set()
+        for _, toks in docs:
+            for w in set(toks):
+                self.df[w] += 1
+            total_len += len(toks)
+            vocab.update(toks)
+        self.avgdl = total_len / self.n_docs if self.n_docs else 0.0
+        self.vocab_size = len(vocab)
+
+
+def _common_words(q, d, stats, config) -> float:
+    return float(len(set(q) & set(d)))
+
+
+def _jaccard(q, d, stats, config) -> float:
+    qs, ds = set(q), set(d)
+    union = qs | ds
+    return len(qs & ds) / len(union) if union else 0.0
+
+
+def _tfidf_cosine(q, d, stats, config) -> float:
+    if not q or not d:
+        return 0.0
+
+    def vector(tokens):
+        tf = Counter(tokens)
+        return {
+            w: tf[w] * math.log(stats.n_docs / stats.df[w])
+            for w in tf if stats.df.get(w)
+        }
+
+    vq, vd = vector(q), vector(d)
+    dot = sum(vq[w] * vd[w] for w in vq.keys() & vd.keys())
+    nq = math.sqrt(sum(x * x for x in vq.values()))
+    nd = math.sqrt(sum(x * x for x in vd.values()))
+    return dot / (nq * nd) if nq and nd else 0.0
+
+
+def _unigram_lm(q, d, stats, config) -> float:
+    """Add-one-smoothed query likelihood, in log space."""
+    if not q:
+        return float("-inf")
+    tf = Counter(d)
+    denom = len(d) + stats.vocab_size
+    if denom == 0:
+        return float("-inf")
+    return sum(math.log((tf[w] + 1) / denom) for w in q)
+
+
+def _bm25(q, d, stats, config) -> float:
+    tf = Counter(d)
+    k1, b = config.bm25_k1, config.bm25_b
+    score = 0.0
+    for w in set(q):
+        if w not in tf:
+            continue
+        df = stats.df[w]
+        idf = math.log((stats.n_docs - df + 0.5) / (df + 0.5) + 1)
+        norm = tf[w] * (k1 + 1) / (
+            tf[w] + k1 * (1 - b + b * len(d) / stats.avgdl))
+        score += idf * norm
+    return score
+
+
+def _lcs(q, d, stats, config) -> float:
+    """Longest common subsequence length over lemma sequences."""
+    m, n = len(q), len(d)
+    if m == 0 or n == 0:
+        return 0.0
+    table = [[0] * (n + 1) for _ in range(m + 1)]
+    for i in range(1, m + 1):
+        for j in range(1, n + 1):
+            if q[i - 1] == d[j - 1]:
+                table[i][j] = table[i - 1][j - 1] + 1
+            else:
+                table[i][j] = max(table[i][j - 1], table[i - 1][j])
+    return float(table[m][n])
+
+
+def _gst(q, d, stats, config) -> float:
+    """Greedy string tiling: total length of maximal non-overlapping common
+    contiguous tiles of at least `gst_min_tile` tokens."""
+    min_tile = config.gst_min_tile
+    marked_q = [False] * len(q)
+    marked_d = [False] * len(d)
+    total = 0
+    while True:
+        best: tuple[int, int, int] | None = None  # (length, qi, dj)
+        for i in range(len(q)):
+            if marked_q[i]:
+                continue
+            for j in range(len(d)):
+                if marked_d[j] or q[i] != d[j]:
+                    continue
+                length = 0
+                while (i + length < len(q) and j + length < len(d)
+                       and not marked_q[i + length] and not marked_d[j + length]
+                       and q[i + length] == d[j + length]):
+                    length += 1
+                if best is None or length > best[0]:
+                    best = (length, i, j)
+        if best is None or best[0] < min_tile:
+            break
+        length, i, j = best
+        for off in range(length):
+            marked_q[i + off] = True
+            marked_d[j + off] = True
+        total += length
+    return float(total)
+
+
+_SCORERS = {
+    "common_words": _common_words,
+    "jaccard": _jaccard,
+    "tfidf_cosine": _tfidf_cosine,
+    "unigram_lm": _unigram_lm,
+    "bm25": _bm25,
+    "gst": _gst,
+    "lcs": _lcs,
+}
+
+
+_CONTENT = ["graph", "rank", "sentence", "model", "naïve", "x-ray"]
+_FUNCTION = ["the", "a", "of", "be", "and", "it"]
+_ODD = ["e.g", "3-d", "u.s.", "--", ".", "(", "'", "", "2", "½"]
+_LEMMAS = st.sampled_from(_CONTENT + _FUNCTION + _ODD)
+_DOCUMENT = st.lists(_LEMMAS, max_size=8)
+_QUESTION = st.one_of(st.lists(_LEMMAS, max_size=6),
+                      st.lists(st.sampled_from(_FUNCTION), max_size=3))
+_CONFIG = st.one_of(st.just(BaselineConfig()), st.builds(
+    BaselineConfig, st.floats(0, 3), st.floats(0, 1), st.integers(1, 4)))
+
+
+@st.composite
+def baseline_corpora(draw):
+    """Documents, some repeated, under distinct sentence ids in any order."""
+    docs = draw(st.lists(_DOCUMENT, max_size=12))
+    docs += draw(st.lists(st.sampled_from(docs), max_size=4)) if docs else []
+    ids = draw(st.lists(st.integers(0, 99), min_size=len(docs),
+                        max_size=len(docs), unique=True))
+    return list(zip(ids, docs))
+
+
+@settings(max_examples=150, deadline=None)
+@given(baseline_corpora(), _QUESTION, _CONFIG)
+def test_baseline_rank_matches_reference(sentences, question, config):
+    for _, doc in sentences:
+        assert evaluation.content_lemmas(doc) == content_lemmas(doc)
+    index = evaluation.BaselineIndex(sentences)
+    for method in BASELINE_METHODS:
+        expected = baseline_rank(method, question, sentences, config)
+        assert evaluation.baseline_rank(method, question, sentences,
+                                        config) == expected, method
+        assert evaluation.baseline_rank(method, question, index,
+                                        config) == expected, method
