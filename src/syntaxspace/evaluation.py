@@ -150,7 +150,7 @@ class BaselineConfig:
 
 class BaselineIndex:
     """Content lemmas of `(sentence id, lemmas)` documents, for any number of
-    `baseline_rank` calls; df, avgdl and vocab size are computed on use."""
+    `baseline_rank` calls; its corpus statistics are computed on use."""
 
     def __init__(self, sentences):
         self.docs = [(sid, content_lemmas(toks)) for sid, toks in sentences]
@@ -159,6 +159,10 @@ class BaselineIndex:
     @cached_property
     def df(self) -> Counter:
         return Counter(w for _, d in self.docs for w in set(d))
+
+    @cached_property
+    def idf(self) -> dict[str, float]:
+        return {w: math.log(self.n_docs / n) for w, n in self.df.items()}
 
     @cached_property
     def avgdl(self) -> float:
@@ -205,8 +209,7 @@ def _jaccard(q, index, config):
 def _tfidf_cosine(q, index, config):
     def vector(tokens):
         tf = Counter(tokens)
-        return {w: tf[w] * math.log(index.n_docs / index.df[w])
-                for w in tf if index.df.get(w)}
+        return {w: tf[w] * index.idf[w] for w in tf if w in index.idf}
     vq = vector(q)
     nq = math.sqrt(sum(x * x for x in vq.values()))
 

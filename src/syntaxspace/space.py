@@ -10,6 +10,7 @@ serves descendant-closed searches.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 
 from . import subsume
@@ -17,9 +18,9 @@ from .corpus import TaggedSentence
 from .subsume import (EdgeSet, MODIFIER, SUBCLASS, SYNTACTIC, SynonymTable,
                       _inner_np, _modifier_below, at_or_below,
                       compare_elements, reach, scan_syntactic_patterns)
-from .syntax import (Adverbial, NOUN, NoFiniteVerb, PREPOSITIONAL, Phrase,
-                     SentenceSyntax, VERB, canonical_key, display,
-                     parse_sentence_parts)
+from .syntax import (Adverbial, Clause, NOUN, NoFiniteVerb, PREPOSITIONAL,
+                     PRONOUN, Phrase, SentenceSyntax, VERB, canonical_key,
+                     display, parse_sentence_parts)
 
 DIMENSIONS = ("subject", "action", "object", "adverbial")
 
@@ -199,18 +200,27 @@ def build_dimension(name: str, items: list[tuple[int, object]],
                 seen_entries.add(entry)
                 changed = True
 
-    # 2b. modifier-rule edges by pairwise comparison inside head buckets
+    # 2b. modifier-rule edges inside head buckets, from `_lemmas` postings
     edge_pairs = {(c, p) for c, p, _, _ in raw_edges}
     buckets: dict[tuple, list[str]] = {}
     for key in sorted(dim.nodes):
         buckets.setdefault(_shape(dim.nodes[key].element)[:2], []).append(key)
     for bucket_keys in buckets.values():
+        own = [_lemmas(dim.nodes[key].element) for key in bucket_keys]
+        postings: dict[str, list[int]] = {}
+        for i, lemmas in enumerate(own):
+            for lemma in lemmas:
+                postings.setdefault(lemma, []).append(i)
         for child_key in bucket_keys:
-            for parent_key in bucket_keys:
-                if child_key == parent_key:
+            child = dim.nodes[child_key].element
+            hits = Counter(i for lemma in _lemmas(child, harvested)
+                           for i in postings.get(lemma, ()))
+            for i in sorted(hits):
+                parent_key = bucket_keys[i]
+                if hits[i] < len(own[i]) or parent_key == child_key:
                     continue
-                rel = at_or_below(dim.nodes[child_key].element,
-                                  dim.nodes[parent_key].element, harvested)
+                rel = at_or_below(child, dim.nodes[parent_key].element,
+                                  harvested)
                 if rel == SUBCLASS and (child_key, parent_key) not in edge_pairs:
                     raw_edges.append((child_key, parent_key, MODIFIER, None))
                     edge_pairs.add((child_key, parent_key))
@@ -226,6 +236,28 @@ def build_dimension(name: str, items: list[tuple[int, object]],
                      if (c, p) in reduced}
     dim.index = SearchIndex(dim, harvested)
     return dim
+
+
+def _lemmas(element, harvested: EdgeSet | None = None) -> set[str]:
+    """Head and modifiers of every phrase in `element` (of a pronoun, equal
+    by its head, the head alone) and every clause lead; with `harvested`,
+    also those of each element a phrase's noun or verb side reaches in it.
+    Build compares without synonyms, so `at_or_below(c, p, harvested)` is
+    SUBCLASS only if `_lemmas(p) <= _lemmas(c, harvested)`: the modifier
+    rule needs equal heads and more modifiers, a harvested step reaches the
+    parent's key or one modifier-below it, and the rest are product orders."""
+    if isinstance(element, Adverbial):
+        return _lemmas(element.content, harvested)
+    if isinstance(element, Clause):
+        return {element.lead or "-"}.union(*(_lemmas(x, harvested) for x in (
+            element.subject, element.action, element.object,
+            *element.adverbials) if x))
+    out = {element.head, *(element.modifiers()
+                           if element.kind != PRONOUN else ())}
+    side = _shape(element)[2]
+    for k in (harvested.up(side) if harvested and side else ()):
+        out |= _lemmas(harvested.elements[k])
+    return out
 
 
 def _break_cycles(raw_edges, dropped_log) -> list:

@@ -11,7 +11,9 @@ is the recursive cycle search.  They are copied unchanged except that
 up np edges by head, is checked across kinds.
 
 The anchors that a dimension's `SearchIndex` gives `search` are checked
-against testing every node with `at_or_below`, the scan it replaced.
+against testing every node with `at_or_below`, the scan it replaced, and
+`build_dimension` against the copy whose modifier step judged every
+ordered pair of a bucket.
 
 `split_sentences` and `_inside_abbreviation` are the splitter that scanned
 the whole text before each candidate dot, copied unchanged together with
@@ -33,18 +35,20 @@ from syntaxspace import corpus, evaluation
 from syntaxspace.evaluation import (BASELINE_METHODS, BaselineConfig,
                                     UnknownMethod)
 from syntaxspace.lexicon import FUNCTION_LEMMAS
-from syntaxspace.space import _find_cycle, build_dimension
-from syntaxspace.subsume import (EQUAL, RELATED, SUBCLASS, SUPERCLASS,
-                                 SYNTACTIC, UNRELATED, KindMismatch,
-                                 SubclassEdge, SynonymTable, _as_action_np,
-                                 _inner_np, _modifier_below, _multiset,
-                                 _proper_superset, at_or_below,
+from syntaxspace.space import (ClassNode, Dimension, SearchIndex,
+                               _break_cycles, _find_cycle, _shape,
+                               build_dimension, transitive_reduce)
+from syntaxspace.subsume import (EQUAL, MODIFIER, RELATED, SUBCLASS,
+                                 SUPERCLASS, SYNTACTIC, UNRELATED, EdgeSet,
+                                 KindMismatch, SubclassEdge, SynonymTable,
+                                 _as_action_np, _inner_np, _modifier_below,
+                                 _multiset, _proper_superset, at_or_below,
                                  clause_subclass, element_subclass,
                                  harvest_edges, object_group_relation,
                                  phrase_subclass, verb_phrase_subclass)
 from syntaxspace.syntax import (ADVERB, NOUN, PREPOSITIONAL, PRONOUN, VERB,
                                 Adverbial, Clause, ObjectGroup, Phrase,
-                                canonical_key)
+                                canonical_key, display)
 
 from conftest import adjp, advp, np, pp, vp
 
@@ -605,6 +609,102 @@ def test_search_index_anchors_equal_the_scan(edges, syn):
         scan = {key for key, node in dim.nodes.items()
                 if at_or_below(node.element, query, edges, syn)}
         assert dim.index.anchors(query, syn) == scan, query
+
+
+# `build_dimension` as it was when step 2b judged every ordered pair of a
+# bucket, copied unchanged but for its name.
+
+
+def ref_build_dimension(name: str, items: list[tuple[int, object]],
+                        harvested: EdgeSet | None = None) -> Dimension:
+    """Merge, connect, break cycles, reduce, attach postings."""
+    harvested = harvested if harvested is not None else EdgeSet()
+    dim = Dimension(name)
+
+    # 1. canonicalize and merge duplicates
+    for sid, element in items:
+        key = canonical_key(element)
+        if key not in dim.nodes:
+            dim.nodes[key] = ClassNode(key, display(element), element)
+        dim.postings.setdefault(key, set()).add(sid)
+
+    raw_edges: list[tuple[str, str, str, int | None]] = []
+
+    # 2a. inject harvested edges whose child belongs to this dimension
+    # (exactly, or through a more specific node), materializing missing
+    # endpoints; repeated so edge chains attach
+    kind = {"subject": "np", "object": "np", "action": "vp"}.get(name)
+    if kind is not None:
+        pending = sorted((e for e in harvested if e.kind == kind),
+                         key=lambda e: (e.child, e.parent))
+        seen_entries: set[tuple] = set()
+        changed = True
+        while changed:
+            changed = False
+            for edge in pending:
+                entry = (edge.child, edge.parent, edge.source, edge.evidence)
+                if entry in seen_entries:
+                    continue
+                child_elem = harvested.elements[edge.child]
+                attaches = edge.child in dim.nodes or any(
+                    at_or_below(node.element, child_elem, harvested)
+                    == SUBCLASS for node in dim.nodes.values())
+                if not attaches:
+                    continue
+                for endpoint in (edge.child, edge.parent):
+                    if endpoint not in dim.nodes:
+                        element = harvested.elements[endpoint]
+                        dim.nodes[endpoint] = ClassNode(
+                            endpoint, display(element), element)
+                        dim.postings.setdefault(endpoint, set())
+                raw_edges.append(entry)
+                seen_entries.add(entry)
+                changed = True
+
+    # 2b. modifier-rule edges by pairwise comparison inside head buckets
+    edge_pairs = {(c, p) for c, p, _, _ in raw_edges}
+    buckets: dict[tuple, list[str]] = {}
+    for key in sorted(dim.nodes):
+        buckets.setdefault(_shape(dim.nodes[key].element)[:2], []).append(key)
+    for bucket_keys in buckets.values():
+        for child_key in bucket_keys:
+            for parent_key in bucket_keys:
+                if child_key == parent_key:
+                    continue
+                rel = at_or_below(dim.nodes[child_key].element,
+                                  dim.nodes[parent_key].element, harvested)
+                if rel == SUBCLASS and (child_key, parent_key) not in edge_pairs:
+                    raw_edges.append((child_key, parent_key, MODIFIER, None))
+                    edge_pairs.add((child_key, parent_key))
+
+    # 3. break cycles: drop lowest-evidence, then latest-discovered
+    kept = _break_cycles(raw_edges, dim.dropped_edges)
+
+    # 4. transitive reduction
+    pairs = {(c, p) for c, p, _, _ in kept}
+    reduced = transitive_reduce(pairs)
+    dim.edges = reduced
+    dim.edge_meta = {(c, p): (src, ev) for c, p, src, ev in kept
+                     if (c, p) in reduced}
+    dim.index = SearchIndex(dim, harvested)
+    return dim
+
+
+@settings(max_examples=40, deadline=None)
+@given(harvested())
+def test_build_dimension_matches_pairwise_reference(edges):
+    """Step 2b judges a child only against the bucket members whose lemmas
+    it covers; the dimension, its edge order and its dropped edges are the
+    same as when every ordered pair was judged."""
+    items = list(enumerate(ELEMENTS + _PLAIN_ADVERBIALS + NOUNS))
+    for name in ("subject", "action", "adverbial"):
+        dim = build_dimension(name, items, edges)
+        ref = ref_build_dimension(name, items, edges)
+        assert list(dim.nodes.items()) == list(ref.nodes.items()), name
+        assert dim.edges == ref.edges, name
+        assert list(dim.edge_meta.items()) == list(ref.edge_meta.items())
+        assert list(dim.postings.items()) == list(ref.postings.items())
+        assert dim.dropped_edges == ref.dropped_edges, name
 
 
 # ---------------------------------------------------------------------------

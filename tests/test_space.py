@@ -12,9 +12,10 @@ from syntaxspace.space import (ClassNode, CycleDetected, Dimension,
                                transitive_reduce)
 from syntaxspace.subsume import (MODIFIER, SYNTACTIC, EdgeSet, SubclassEdge,
                                  SynonymTable, harvest_edges)
-from syntaxspace.syntax import canonical_key
+from syntaxspace.syntax import (PRONOUN, Adverbial, Clause, Phrase,
+                                canonical_key)
 
-from conftest import SHORT_INPUT, np, tag_corpus, vp
+from conftest import SHORT_INPUT, np, pp, tag_corpus, vp
 
 
 class TestBuildDimension:
@@ -42,6 +43,33 @@ class TestBuildDimension:
             ("np(algorithm|graph-based unsupervised)", "np(algorithm|unsupervised)"),
             ("np(algorithm|unsupervised)", "np(algorithm|)"),
         }
+
+    @pytest.mark.parametrize("n", [20, 200])
+    def test_bucket_work_grows_with_nodes_not_pairs(self, monkeypatch, n):
+        # "dog" and n dogs with distinct adjectives share one bucket; each
+        # adjective dog covers the lemmas of "dog" and of itself only, so it
+        # is judged against "dog" alone, and "dog" against nobody
+        calls, real = [], space_mod.at_or_below
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+        monkeypatch.setattr(space_mod, "at_or_below", counted)
+        items = [(0, np("dog"))] + [(i, np("dog", f"adj{i:03d}"))
+                                    for i in range(1, n + 1)]
+        dim = build_dimension("subject", items, EdgeSet())
+        assert len(dim.edges) == n
+        assert len(calls) <= n + 2
+
+    def test_clause_edge_through_a_pronoun_equal_by_its_head(self):
+        # the pronouns are equal by their head, modifiers aside, so the
+        # clause with one more adverbial is below the other
+        parent = Clause("that", Phrase(PRONOUN, "it", ("very",)), vp("move"),
+                        None)
+        child = Clause("that", Phrase(PRONOUN, "it"), vp("move"), None,
+                       (Adverbial("place", pp("in", "model")),))
+        dim = build_dimension("subject", [(1, child), (2, parent)], EdgeSet())
+        assert dim.edges == {(canonical_key(child), canonical_key(parent))}
 
     def test_merge_soundness(self, short_tagged, short_space):
         # total posting cardinality equals the number of (sentence, element)
