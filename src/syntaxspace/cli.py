@@ -354,6 +354,10 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return DATA_ERROR
+    except RecursionError:  # the parser recurses per coordinated item
+        print("error: a sentence or question nests too deeply to parse",
+              file=sys.stderr)
+        return DATA_ERROR
 
 
 if __name__ == "__main__":

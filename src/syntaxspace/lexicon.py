@@ -115,9 +115,12 @@ MARKER_TABLES = (
 
 ALL_MARKERS = frozenset().union(*(table for _, table in MARKER_TABLES))
 
-# First tokens of any (possibly multi-word) marker: `match_marker` tries the
-# marker table only at a token that can start one.
-MARKER_FIRST_TOKENS = frozenset(m.split()[0] for m in ALL_MARKERS)
+# First lemma -> the (marker, words) pairs it starts, longest first: the
+# first that `match_marker` finds is the longest, as no two share words.
+MARKERS_BY_FIRST = {first: tuple(sorted(
+    ((m, tuple(m.split())) for m in ALL_MARKERS if m.split()[0] == first),
+    key=lambda pair: (-len(pair[1]), pair[0])))
+    for first in sorted({m.split()[0] for m in ALL_MARKERS})}
 
 TIME_NOUNS = frozenset(
     ["time", "week", "month", "year", "day", "today", "tomorrow", "yesterday",

@@ -211,9 +211,10 @@ def build_dimension(name: str, items: list[tuple[int, object]],
         for i, lemmas in enumerate(own):
             for lemma in lemmas:
                 postings.setdefault(lemma, []).append(i)
-        for child_key in bucket_keys:
+        for child_key, lemmas in zip(bucket_keys, own):
             child = dim.nodes[child_key].element
-            hits = Counter(i for lemma in _lemmas(child, harvested)
+            covered = _lemmas(child, harvested) if harvested else lemmas
+            hits = Counter(i for lemma in covered
                            for i in postings.get(lemma, ()))
             for i in sorted(hits):
                 parent_key = bucket_keys[i]

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 from .corpus import TaggedSentence
 from .syntax import (ADJECTIVE, ADVERB, Adverbial, Clause, Element, NOUN,
                      ObjectGroup, PREPOSITIONAL, PRONOUN, Phrase,
-                     SentenceSyntax, VERB, canonical_key, match_marker,
-                     _Parser, _nominal_start)
+                     SentenceSyntax, VERB, canonical_key, _Parser,
+                     _nominal_start)
 
 EQUAL = "equal"
 SUBCLASS = "subclass"
@@ -158,19 +158,20 @@ def reach(successors: dict, starts) -> set:
 # ---------------------------------------------------------------------------
 
 
-def _multiset(phrase: Phrase) -> Counter:
-    return Counter(phrase.modifiers())
-
-
-def _proper_superset(larger: Counter, smaller: Counter) -> bool:
-    return smaller != larger and all(larger[k] >= v for k, v in smaller.items())
+def _contains(larger: tuple[str, ...], smaller: tuple[str, ...]) -> bool:
+    """True when `larger`, as a multiset of lemmas, contains `smaller`."""
+    if len(smaller) <= 1:
+        return not smaller or smaller[0] in larger
+    counts = Counter(larger)
+    counts.subtract(smaller)
+    return min(counts.values()) >= 0
 
 
 def phrase_subclass(p1: Phrase, p2: Phrase) -> bool:
     """Modifier rule: equal heads and p2's modifiers a proper subset of p1's.
 
-    Equal phrases are merged elsewhere, never subclassed, hence proper.
-    """
+    Equal phrases are merged elsewhere, never subclassed, hence proper: a
+    proper superset is a containing multiset with more elements."""
     if not isinstance(p1, Phrase) or not isinstance(p2, Phrase):
         raise KindMismatch("phrase_subclass expects phrases")
     if p1.kind != p2.kind:
@@ -179,7 +180,8 @@ def phrase_subclass(p1: Phrase, p2: Phrase) -> bool:
         raise KindMismatch(f"modifier rule does not apply to {p1.kind}")
     if p1.head != p2.head:
         return False
-    return _proper_superset(_multiset(p1), _multiset(p2))
+    m1, m2 = p1.modifiers(), p2.modifiers()
+    return len(m1) > len(m2) and _contains(m1, m2)
 
 
 def _np_reaches(child: Phrase, parent: Phrase, edges: EdgeSet) -> bool:
@@ -225,10 +227,10 @@ def _action_at_or_below(a1: Phrase, a2: Phrase, edges: EdgeSet,
     """Same or synonym heads compare modifier multisets; other heads meet
     only through harvested verb-phrase edges ("to sprint is to run")."""
     if a1.head == a2.head or (syn is not None and syn.related(a1.head, a2.head)):
-        m1, m2 = _multiset(a1), _multiset(a2)
-        if m1 == m2:
-            return EQUAL
-        return SUBCLASS if _proper_superset(m1, m2) else None
+        m1, m2 = a1.modifiers(), a2.modifiers()
+        if len(m1) < len(m2) or not _contains(m1, m2):
+            return None
+        return SUBCLASS if len(m1) > len(m2) else EQUAL
     if edges and canonical_key(a2) in edges.up(a1):
         return SUBCLASS
     return None

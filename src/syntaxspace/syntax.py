@@ -235,17 +235,11 @@ def _finite_verb_start(tokens, i) -> bool:
 
 def match_marker(tokens, i) -> tuple[str, int] | None:
     """Longest marker (possibly multi-word) starting at position i."""
-    if i >= len(tokens) or tokens[i].lemma not in lx.MARKER_FIRST_TOKENS:
-        return None
-    best = None
-    for marker in lx.ALL_MARKERS:
-        words = marker.split()
-        if len(words) > len(tokens) - i:
-            continue
-        if all(tokens[i + k].lemma == words[k] for k in range(len(words))):
-            if best is None or len(words) > len(best[0].split()):
-                best = (marker, i + len(words))
-    return best
+    for marker, words in (lx.MARKERS_BY_FIRST.get(tokens[i].lemma, ())
+                          if i < len(tokens) else ()):
+        if tuple(tok.lemma for tok in tokens[i:i + len(words)]) == words:
+            return marker, i + len(words)
+    return None
 
 
 def classify_marker(marker: str, content: Element | None,
@@ -519,10 +513,6 @@ class _Parser:
         matched = match_marker(tokens, i)
         if matched:
             marker, j = matched
-            if marker == "to" and not (j < end and tokens[j].pos in VERB_TAGS):
-                matched = None
-        if matched:
-            marker, j = matched
             content, k, has_finite = self._parse_adverbial_content(j, end, marker)
             if content is not None:
                 kind = classify_marker(marker, content, has_finite)
@@ -779,8 +769,7 @@ class _Parser:
         out: list[Adverbial] = []
         while i < end:
             tok = tokens[i]
-            starts_marker = match_marker(tokens, i) is not None \
-                and tok.lemma != "to"
+            starts_marker = match_marker(tokens, i) is not None
             starts_pp = tok.pos == "IN" and tok.lemma in lx.PREPOSITIONS
             # "to select ...," with a comma is a purpose adverbial; without
             # one the infinitive is the sentence subject

@@ -191,6 +191,28 @@ class TestErrorHandling:
         # dump-parse reads only the corpus section
         assert run(capsys, "dump-parse", damaged)[0] == 0
 
+    DEEP = " and ".join(["models"] * 2000)
+
+    def test_deeply_nested_corpus_is_data_error(self, tmp_path, capsys):
+        raw = tmp_path / "deep.txt"
+        raw.write_text(f"LexRank builds {self.DEEP}.\n")
+        corpus_snap = tmp_path / "deep.tsv"
+        assert run(capsys, "ingest", raw, "-o", corpus_snap)[0] == 0
+        code, out, err = run(capsys, "build", corpus_snap, "-o",
+                             tmp_path / "deep.snap")
+        assert code == 2
+        assert err == ("error: a sentence or question nests too deeply "
+                       "to parse\n")
+
+    def test_deeply_nested_question_is_data_error(self, workspace, capsys):
+        _, space_snap = build_short(workspace, capsys)
+        code, out, err = run(capsys, "query", space_snap,
+                             f"How does {self.DEEP} build an extract?")
+        assert code == 2
+        assert err == ("error: a sentence or question nests too deeply "
+                       "to parse\n")
+        assert out == ""
+
     def test_corpus_token_like_a_section_header_loads(self, tmp_path, capsys):
         corpus_snap = tmp_path / "odd.tsv"
         corpus_snap.write_text(

@@ -22,6 +22,14 @@ the abbreviation list and boundary pattern they read.
 The ranking baselines, which filter the corpus once into a
 `BaselineIndex` and skip documents that share no lemma with the question,
 are checked against the copy that prepared everything on each call.
+
+The references compare modifiers through `phrase_subclass`,
+`_modifier_below`, `_multiset` and `_proper_superset` as they were when
+every call built two `Counter`s, copied unchanged, so that they never call
+the length-first rule under test.  `match_marker` is checked against the
+loop that tried every marker at each token that can start one, copied
+unchanged but for reading `ALL_MARKERS` and `MARKER_FIRST_TOKENS` (a copy of
+the set that `lexicon` no longer has) without the `lx.` prefix.
 """
 
 import math
@@ -32,23 +40,23 @@ from itertools import combinations
 from hypothesis import given, settings, strategies as st
 
 from syntaxspace import corpus, evaluation
+from syntaxspace.corpus import Token
 from syntaxspace.evaluation import (BASELINE_METHODS, BaselineConfig,
                                     UnknownMethod)
-from syntaxspace.lexicon import FUNCTION_LEMMAS
+from syntaxspace.lexicon import ALL_MARKERS, FUNCTION_LEMMAS
 from syntaxspace.space import (ClassNode, Dimension, SearchIndex,
                                _break_cycles, _find_cycle, _shape,
                                build_dimension, transitive_reduce)
 from syntaxspace.subsume import (EQUAL, MODIFIER, RELATED, SUBCLASS,
                                  SUPERCLASS, SYNTACTIC, UNRELATED, EdgeSet,
                                  KindMismatch, SubclassEdge, SynonymTable,
-                                 _as_action_np, _inner_np, _modifier_below,
-                                 _multiset, _proper_superset, at_or_below,
+                                 _as_action_np, _inner_np, at_or_below,
                                  clause_subclass, element_subclass,
                                  harvest_edges, object_group_relation,
-                                 phrase_subclass, verb_phrase_subclass)
-from syntaxspace.syntax import (ADVERB, NOUN, PREPOSITIONAL, PRONOUN, VERB,
-                                Adverbial, Clause, ObjectGroup, Phrase,
-                                canonical_key, display)
+                                 verb_phrase_subclass)
+from syntaxspace.syntax import (ADJECTIVE, ADVERB, NOUN, PREPOSITIONAL,
+                                PRONOUN, VERB, Adverbial, Clause, ObjectGroup,
+                                Phrase, canonical_key, display, match_marker)
 
 from conftest import adjp, advp, np, pp, vp
 
@@ -56,6 +64,55 @@ from conftest import adjp, advp, np, pp, vp
 # ---------------------------------------------------------------------------
 # Reference implementations
 # ---------------------------------------------------------------------------
+
+
+def _multiset(phrase: Phrase) -> Counter:
+    return Counter(phrase.modifiers())
+
+
+def _proper_superset(larger: Counter, smaller: Counter) -> bool:
+    return smaller != larger and all(larger[k] >= v for k, v in smaller.items())
+
+
+def phrase_subclass(p1: Phrase, p2: Phrase) -> bool:
+    """Modifier rule: equal heads and p2's modifiers a proper subset of p1's.
+
+    Equal phrases are merged elsewhere, never subclassed, hence proper.
+    """
+    if not isinstance(p1, Phrase) or not isinstance(p2, Phrase):
+        raise KindMismatch("phrase_subclass expects phrases")
+    if p1.kind != p2.kind:
+        raise KindMismatch(f"{p1.kind} vs {p2.kind}")
+    if p1.kind not in (NOUN, ADJECTIVE, ADVERB, VERB):
+        raise KindMismatch(f"modifier rule does not apply to {p1.kind}")
+    if p1.head != p2.head:
+        return False
+    return _proper_superset(_multiset(p1), _multiset(p2))
+
+
+def _modifier_below(child: Phrase, parent: Phrase) -> bool:
+    try:
+        return phrase_subclass(child, parent)
+    except KindMismatch:
+        return False
+
+
+MARKER_FIRST_TOKENS = frozenset(m.split()[0] for m in ALL_MARKERS)
+
+
+def ref_match_marker(tokens, i) -> tuple[str, int] | None:
+    """Longest marker (possibly multi-word) starting at position i."""
+    if i >= len(tokens) or tokens[i].lemma not in MARKER_FIRST_TOKENS:
+        return None
+    best = None
+    for marker in ALL_MARKERS:
+        words = marker.split()
+        if len(words) > len(tokens) - i:
+            continue
+        if all(tokens[i + k].lemma == words[k] for k in range(len(words))):
+            if best is None or len(words) > len(best[0].split()):
+                best = (marker, i + len(words))
+    return best
 
 
 def np_reaches(child: Phrase, parent: Phrase, edges) -> bool:
@@ -227,9 +284,13 @@ def oracle_relation(e1: Phrase, e2: Phrase, edges) -> str:
 _NP_MODS = ("neural", "fast", "deep")
 NOUNS = [np(head, *mods) for head in ("model", "system", "method")
          for size in range(3) for mods in combinations(_NP_MODS, size)] \
-    + [np("run"), np("run", "fast"), np("run", "fast", "deep")]
+    + [np("run"), np("run", "fast"), np("run", "fast", "deep"),
+       np("run", "fast", "fast", "deep"), np("model", "neural", "neural"),
+       np("model", "neural", "fast", "deep")]
 VERBS = [vp(head, *mods) for head in ("run", "sprint", "jog", "move")
-         for mods in ((), ("quickly",))]
+         for mods in ((), ("quickly",))] \
+    + [vp("run", "quickly", "quickly"), vp("run", "quickly", "slowly"),
+       vp("jog", "quickly", "slowly"), vp("jog", "slowly", "quickly")]
 
 
 def _pairs(pool):
@@ -310,6 +371,24 @@ def abbreviation_texts(draw):
 @given(abbreviation_texts())
 def test_split_sentences_matches_reference(text):
     assert corpus.split_sentences(text) == split_sentences(text)
+
+
+# Whole markers and single words, the words of every marker among them, so
+# that multi-word markers occur whole, cut short and overlapping ("so as
+# to", "as long as"), next to distractors.
+_MARKER_WORDS = sorted({w for m in ALL_MARKERS for w in m.split()})
+_LEMMA_RUNS = st.lists(st.one_of(
+    st.sampled_from(sorted(ALL_MARKERS)).map(str.split),
+    st.sampled_from(_MARKER_WORDS + ["model", "be", "the", "run", "."]).map(
+        lambda w: [w])), max_size=8).map(lambda runs: sum(runs, []))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_LEMMA_RUNS)
+def test_match_marker_matches_reference(lemmas):
+    tokens = [Token(w, w, "IN", k) for k, w in enumerate(lemmas)]
+    for i in range(len(tokens) + 1):
+        assert match_marker(tokens, i) == ref_match_marker(tokens, i), i
 
 
 # ---------------------------------------------------------------------------

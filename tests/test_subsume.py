@@ -58,6 +58,19 @@ class TestPhraseSubclass:
         assert phrase_subclass(adjp("beautiful", "very"), adjp("beautiful"))
         assert not phrase_subclass(advp("quickly"), advp("quickly"))
 
+    def test_repeated_modifiers_count(self):
+        """More modifiers is not enough: the smaller side's multiset must be
+        contained, each lemma as often as it occurs there."""
+        assert phrase_subclass(np("dog", "big", "big"), np("dog", "big"))
+        assert not phrase_subclass(np("dog", "big", "small"),
+                                   np("dog", "big", "big"))
+        assert not phrase_subclass(np("dog", "big", "small", "red"),
+                                   np("dog", "big", "big"))
+        assert not phrase_subclass(np("dog", "big"), np("dog", "big", "big"))
+        v1, v2 = vp("go", "quickly", "slowly"), vp("go", "slowly", "quickly")
+        assert element_subclass(v1, v2) == EQUAL
+        assert element_subclass(vp("go", "slowly", "slowly"), v1) == RELATED
+
 
 class TestVerbPhraseSubclass:
     def test_worked_example(self):
