@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from . import subsume
 from .corpus import TaggedSentence
 from .subsume import (EdgeSet, MODIFIER, SUBCLASS, SYNTACTIC, SynonymTable,
-                      _inner_np, _modifier_below, at_or_below,
+                      _contains, _inner_np, _modifier_below, at_or_below,
                       compare_elements, reach, scan_syntactic_patterns)
 from .syntax import (Adverbial, Clause, NOUN, NoFiniteVerb, PREPOSITIONAL,
                      PRONOUN, Phrase, SentenceSyntax, VERB, canonical_key,
@@ -54,15 +54,17 @@ class Dimension:
 
 class SearchIndex:
     """What `search` reads of a final dimension: nodes by `_shape` (clauses by
-    lead alone), and the nodes whose side reaches each harvested key through
-    `edges.up`, so also through edges that cycle breaking dropped."""
+    lead alone) and modifier, and the nodes whose side reaches each harvested
+    key through `edges.up`, so also through edges cycle breaking dropped."""
 
     def __init__(self, dim: Dimension, edges: EdgeSet):
         self.edges, self.buckets, self.below, self.children = edges, {}, {}, {}
         for key in sorted(dim.nodes):
-            wrapper, head, side = _shape(dim.nodes[key].element)
+            wrapper, head, side, mods = _shape(dim.nodes[key].element)
             head = None if wrapper[-2] == "clause" else head  # clause fallback
-            self.buckets.setdefault((wrapper, head), []).append(dim.nodes[key])
+            bucket = self.buckets.setdefault((wrapper, head), {})
+            for lemma in (None, *mods):  # None: every member
+                bucket.setdefault(lemma, {})[key] = dim.nodes[key]
             for k in (edges.up(side) if side is not None and edges else ()):
                 self.below.setdefault((wrapper, edges.elements[k].head),
                                       {}).setdefault(k, []).append(key)
@@ -71,26 +73,33 @@ class SearchIndex:
         self.covered = frozenset().union(*dim.postings.values())
 
     def anchors(self, query, syn: SynonymTable | None = None) -> set[str]:
-        """Keys of the nodes `at_or_below` the query.  Its bucket's nodes (a
-        verb's synonyms' too; the clause fallback: every clause of the lead)
-        are judged, and only judged; any other node is below when its side
-        reaches the side's key or, for nouns, a key modifier-below it."""
-        wrapper, head, side = _shape(query)
-        heads = {None} if wrapper[-2] == "clause" else {head}
-        if side is not None and side.kind == VERB and syn is not None:
-            heads |= syn.synonyms(head)
-        nodes = [n for h in heads for n in self.buckets.get((wrapper, h), ())]
-        found = {n.key for n in nodes
-                 if at_or_below(n.element, query, self.edges, syn)}
+        """Keys of the nodes `at_or_below` the query: its bucket's members (a
+        verb's synonym heads' too) posted under all its modifiers, counted if
+        one repeats, and others whose side reaches the side's key or, for
+        nouns, one modifier-below it.  A clause judges its lead's clauses."""
+        wrapper, head, side, mods = _shape(query)
+        if wrapper[-2] == "clause":
+            clauses = self.buckets.get((wrapper, None), {}).get(None, {})
+            return {k for k, n in clauses.items()
+                    if at_or_below(n.element, query, self.edges, syn)}
+        verb = side is not None and side.kind == VERB
+        heads = {head} | (syn.synonyms(head) if verb and syn else set())
+        found, judged, repeated = set(), set(), len(set(mods)) < len(mods)
+        for bucket in (self.buckets.get((wrapper, h), {}) for h in heads):
+            hits = [bucket.get(m, {}) for m in {None, *mods}]
+            found |= {k for k, n in min(hits, key=len).items()
+                      if all(k in p for p in hits) and (not repeated
+                      or _contains(_shape(n.element)[3], mods))}
+            judged |= bucket.get(None, {}).keys()
         if side is None:
             return found
         reached = self.below.get((wrapper, side.head), {})
         side_key = canonical_key(side)
-        keys = [side_key] if side.kind == VERB else [
+        keys = [side_key] if verb else [
             k for k in reached if k == side_key
             or _modifier_below(self.edges.elements[k], side)]
-        return found | ({key for k in keys for key in reached.get(k, ())}
-                        - {n.key for n in nodes})
+        below = {key for k in keys for key in reached.get(k, ())}
+        return found | (below - judged if verb else below)
 
 
 @dataclass
@@ -120,20 +129,21 @@ class ResourceSpace:
 # ---------------------------------------------------------------------------
 
 
-def _shape(element) -> tuple[tuple, str | None, Phrase | None]:
-    """(wrapper, head, side): nodes meet by the modifier rule only inside one
-    wrapper (adverbial kind, phrase kind and preposition, or clause lead) and
-    head (a clause's action head); harvested edges count from the noun or
-    verb phrase side, a prepositional phrase's inner noun phrase."""
+def _shape(element) -> tuple[tuple, str | None, Phrase | None, tuple]:
+    """(wrapper, head, side, modifiers): the modifier rule compares modifiers
+    (none for clauses and pronouns) inside one wrapper (adverbial kind, phrase
+    kind and preposition, or clause lead) and head (a clause's action head);
+    harvested edges count from the noun or verb (a PP's inner noun) side."""
     if isinstance(element, Adverbial):
-        wrapper, head, side = _shape(element.content)
-        return ("adverbial", element.kind) + wrapper, head, side
+        wrapper, *rest = _shape(element.content)
+        return ("adverbial", element.kind) + wrapper, *rest
     if isinstance(element, Phrase):
         side = _inner_np(element) if element.kind == PREPOSITIONAL else (
             element if element.kind in (NOUN, VERB) else None)
-        return (element.kind, element.preposition()), element.head, side
+        return ((element.kind, element.preposition()), element.head, side,
+                element.modifiers() if element.kind != PRONOUN else ())
     return (("clause", element.lead or "-"),  # a clause
-            element.action.head if element.action else "-", None)
+            element.action.head if element.action else "-", None, ())
 
 
 def sentence_elements(part: SentenceSyntax) -> dict[str, list]:
@@ -201,24 +211,29 @@ def build_dimension(name: str, items: list[tuple[int, object]],
                 changed = True
 
     # 2b. modifier-rule edges inside head buckets, from `_lemmas` postings
+    # without the lemmas all members share; members left bare always judged
     edge_pairs = {(c, p) for c, p, _, _ in raw_edges}
     buckets: dict[tuple, list[str]] = {}
     for key in sorted(dim.nodes):
         buckets.setdefault(_shape(dim.nodes[key].element)[:2], []).append(key)
     for bucket_keys in buckets.values():
         own = [_lemmas(dim.nodes[key].element) for key in bucket_keys]
+        shared = set.intersection(*own)
         postings: dict[str, list[int]] = {}
         for i, lemmas in enumerate(own):
+            lemmas -= shared
             for lemma in lemmas:
                 postings.setdefault(lemma, []).append(i)
+        bare = [i for i, lemmas in enumerate(own) if not lemmas]
         for child_key, lemmas in zip(bucket_keys, own):
             child = dim.nodes[child_key].element
             covered = _lemmas(child, harvested) if harvested else lemmas
             hits = Counter(i for lemma in covered
                            for i in postings.get(lemma, ()))
-            for i in sorted(hits):
+            admitted = [j for j in hits if hits[j] == len(own[j])]
+            for i in sorted(bare + admitted):
                 parent_key = bucket_keys[i]
-                if hits[i] < len(own[i]) or parent_key == child_key:
+                if parent_key == child_key:
                     continue
                 rel = at_or_below(child, dim.nodes[parent_key].element,
                                   harvested)

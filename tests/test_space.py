@@ -228,13 +228,18 @@ class TestSearchIndex:
             assert search(space, "subject", query) == {1, 2, 3}
 
     def test_query_work_does_not_grow_with_nodes(self, monkeypatch):
-        # the same query over 20 and 200 unrelated noun heads makes the same
-        # at_or_below calls: only its bucket is judged
+        # the same query over 20 and 200 unrelated noun heads and "to"
+        # clauses makes the same at_or_below calls: a noun query reads its
+        # bucket's modifier postings and judges nothing; a clause query
+        # judges only the clauses of its lead
         edges = _harvested((np("lexrank"), np("algorithm", "unsupervised")))
+        that_clause = Clause("that", None, vp("rank"), np("sentence"))
         spaces = [_subject_space(
             [(i, np(f"noun{i:03d}")) for i in range(unrelated)]
+            + [(i, Clause("to", None, vp(f"verb{i:03d}"), None))
+               for i in range(2000, 2000 + unrelated)]
             + [(1000, np("algorithm")), (1001, np("algorithm", "fast")),
-               (1002, np("lexrank"))], edges)
+               (1002, np("lexrank")), (1003, that_clause)], edges)
             for unrelated in (20, 200)]
         calls, real = [], space_mod.at_or_below
 
@@ -248,7 +253,10 @@ class TestSearchIndex:
             assert search(space, "subject", np("algorithm")) \
                 == {1000, 1001, 1002}
             counts.append(len(calls))
-        assert counts[0] == counts[1] == 3  # algorithm, fast, unsupervised
+            calls.clear()
+            assert search(space, "subject", that_clause) == {1003}
+            counts.append(len(calls))
+        assert counts == [0, 1, 0, 1]
 
 
 class TestCoverage:
