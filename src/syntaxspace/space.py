@@ -268,9 +268,8 @@ def _lemmas(element, harvested: EdgeSet | None = None) -> set[str]:
         return {element.lead or "-"}.union(*(_lemmas(x, harvested) for x in (
             element.subject, element.action, element.object,
             *element.adverbials) if x))
-    out = {element.head, *(element.modifiers()
-                           if element.kind != PRONOUN else ())}
-    side = _shape(element)[2]
+    _, head, side, mods = _shape(element)
+    out = {head, *mods}
     for k in (harvested.up(side) if harvested and side else ()):
         out |= _lemmas(harvested.elements[k])
     return out
