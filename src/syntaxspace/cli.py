@@ -347,7 +347,13 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     try:
-        return args.func(args, config)
+        status = args.func(args, config)
+        sys.stdout.flush()  # so that a closed stdout raises here
+        return status
+    except BrokenPipeError:  # the reader is gone, as after `head` or `grep -q`
+        with open(os.devnull, "w") as devnull:  # quiets the final flush
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return 0
     except MalformedLine as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return DATA_ERROR

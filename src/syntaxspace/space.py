@@ -170,45 +170,48 @@ def build_dimension(name: str, items: list[tuple[int, object]],
     harvested = harvested if harvested is not None else EdgeSet()
     dim = Dimension(name)
 
+    # 2a's edges, in the order a pass tries them, and the children not yet
+    # ready (neither a node nor above one) with their lemmas
+    kind = {"subject": "np", "object": "np", "action": "vp"}.get(name)
+    pending = dict.fromkeys(sorted((e for e in harvested if e.kind == kind),
+                                   key=lambda e: (e.child, e.parent)))
+    waiting = {e.child: _lemmas(harvested.elements[e.child]) for e in pending}
+    ext: dict[str, set[str]] = {}  # node key -> _lemmas(element, harvested)
+
+    def add(key, element):  # judged once, against the waiting children
+        # whose lemmas it covers: only those can be above it (see `_lemmas`)
+        dim.nodes[key] = ClassNode(key, display(element), element)
+        dim.postings[key] = set()
+        waiting.pop(key, None)
+        if harvested:
+            ext[key] = _lemmas(element, harvested)
+        for child in [c for c, need in waiting.items() if need <= ext[key]]:
+            if at_or_below(element, harvested.elements[child],
+                           harvested) == SUBCLASS:
+                del waiting[child]
+
     # 1. canonicalize and merge duplicates
     for sid, element in items:
         key = canonical_key(element)
         if key not in dim.nodes:
-            dim.nodes[key] = ClassNode(key, display(element), element)
-        dim.postings.setdefault(key, set()).add(sid)
+            add(key, element)
+        dim.postings[key].add(sid)
 
     raw_edges: list[tuple[str, str, str, int | None]] = []
 
-    # 2a. inject harvested edges whose child belongs to this dimension
-    # (exactly, or through a more specific node), materializing missing
-    # endpoints; repeated so edge chains attach
-    kind = {"subject": "np", "object": "np", "action": "vp"}.get(name)
-    if kind is not None:
-        pending = sorted((e for e in harvested if e.kind == kind),
-                         key=lambda e: (e.child, e.parent))
-        seen_entries: set[tuple] = set()
-        changed = True
-        while changed:
-            changed = False
-            for edge in pending:
-                entry = (edge.child, edge.parent, edge.source, edge.evidence)
-                if entry in seen_entries:
-                    continue
-                child_elem = harvested.elements[edge.child]
-                attaches = edge.child in dim.nodes or any(
-                    at_or_below(node.element, child_elem, harvested)
-                    == SUBCLASS for node in dim.nodes.values())
-                if not attaches:
-                    continue
-                for endpoint in (edge.child, edge.parent):
-                    if endpoint not in dim.nodes:
-                        element = harvested.elements[endpoint]
-                        dim.nodes[endpoint] = ClassNode(
-                            endpoint, display(element), element)
-                        dim.postings.setdefault(endpoint, set())
-                raw_edges.append(entry)
-                seen_entries.add(entry)
-                changed = True
+    # 2a. inject harvested edges whose child is ready, materializing missing
+    # endpoints; repeated so edge chains attach.  Nodes only grow, so a
+    # child once ready stays ready, and a pass only reads `waiting`
+    while any(edge.child not in waiting for edge in pending):  # one pass
+        for edge in list(pending):
+            if edge.child in waiting:
+                continue
+            for endpoint in (edge.child, edge.parent):
+                if endpoint not in dim.nodes:
+                    add(endpoint, harvested.elements[endpoint])
+            raw_edges.append((edge.child, edge.parent, edge.source,
+                              edge.evidence))
+            del pending[edge]
 
     # 2b. modifier-rule edges inside head buckets, from `_lemmas` postings
     # without the lemmas all members share; members left bare always judged
@@ -227,7 +230,7 @@ def build_dimension(name: str, items: list[tuple[int, object]],
         bare = [i for i, lemmas in enumerate(own) if not lemmas]
         for child_key, lemmas in zip(bucket_keys, own):
             child = dim.nodes[child_key].element
-            covered = _lemmas(child, harvested) if harvested else lemmas
+            covered = ext.get(child_key, lemmas)
             hits = Counter(i for lemma in covered
                            for i in postings.get(lemma, ()))
             admitted = [j for j in hits if hits[j] == len(own[j])]
@@ -276,54 +279,45 @@ def _lemmas(element, harvested: EdgeSet | None = None) -> set[str]:
 
 
 def _break_cycles(raw_edges, dropped_log) -> list:
-    edges = list(raw_edges)
-    while True:
-        cycle = _find_cycle({(c, p) for c, p, _, _ in edges})
-        if cycle is None:
-            return edges
-        # candidates on the cycle, weakest evidence first, then latest
-        candidates = [
-            (i, entry) for i, entry in enumerate(edges)
-            if (entry[0], entry[1]) in cycle
-        ]
-        candidates.sort(key=lambda item: (_EVIDENCE_RANK[item[1][2]], -item[0]))
-        idx, entry = candidates[0]
-        edges.pop(idx)
-        dropped_log.append((entry[0], entry[1], entry[2]))
+    """Drop edges until the rest is acyclic: on each cycle found, the one of
+    lowest evidence, then latest.  One depth-first search in sorted order
+    resumes after each drop where a search without the edge would be: that
+    search repeats this one up to its first traversal of the edge, which is
+    the back edge or a tree edge on the current path (Tarjan 1972)."""
+    position = {(c, p): i for i, (c, p, _, _) in enumerate(raw_edges)}
+    assert len(position) == len(raw_edges), "one entry per pair"
+    by_child: dict[str, list[tuple[str, str]]] = {}
+    for pair in sorted(position):
+        by_child.setdefault(pair[0], []).append(pair)
+    dropped: set[tuple[str, str]] = set()
+    # stack: a virtual root above every node, then the path of grey nodes,
+    # each with its iterator over its edges not dropped; found: the nodes
+    # discovered, in order, with their place on the stack while grey
+    nodes = sorted({n for pair in position for n in pair})
+    stack = [(None, ((None, n) for n in nodes))]
+    found: dict[str | None, int | None] = {None: 0}
 
-
-def _find_cycle(pairs: set[tuple[str, str]]):
-    """Return the edge set of one cycle, or None.
-
-    Depth-first in sorted order; the order decides which cycle is found
-    first, and so which edge `_break_cycles` drops.
-    """
-    graph: dict[str, list[str]] = {}
-    for child, parent in sorted(pairs):
-        graph.setdefault(child, []).append(parent)
-    WHITE, GREY, BLACK = 0, 1, 2
-    color = {node: WHITE for node in
-             set(graph) | {p for ps in graph.values() for p in ps}}
-    for root in sorted(color):
-        if color[root] != WHITE:
-            continue
-        color[root] = GREY
-        path = [root]
-        pending = [iter(graph.get(root, ()))]
-        while pending:
-            for nxt in pending[-1]:
-                if color[nxt] == GREY:
-                    cycle_nodes = path[path.index(nxt):] + [nxt]
-                    return set(zip(cycle_nodes, cycle_nodes[1:]))
-                if color[nxt] == WHITE:
-                    color[nxt] = GREY
-                    path.append(nxt)
-                    pending.append(iter(graph.get(nxt, ())))
-                    break
-            else:
-                pending.pop()
-                color[path.pop()] = BLACK
-    return None
+    while stack:
+        for _, nxt in stack[-1][1]:
+            if found.get(nxt) is not None:  # grey: a cycle back to nxt
+                cycle = [n for n, _ in stack[found[nxt]:]] + [nxt]
+                pair = min(zip(cycle, cycle[1:]), key=lambda e: (
+                    _EVIDENCE_RANK[raw_edges[position[e]][2]], -position[e]))
+                dropped.add(pair)
+                dropped_log.append((*pair, raw_edges[position[pair]][2]))
+                if pair[1] != nxt:  # tree edge a -> b: forget all since b
+                    while found.popitem()[0] != pair[1]:
+                        pass
+                    del stack[found[pair[0]] + 1:]
+                break  # go on with the iterator now on top
+            if nxt not in found:
+                found[nxt] = len(stack)
+                stack.append((nxt, (e for e in by_child.get(nxt, ())
+                                    if e not in dropped)))
+                break
+        else:
+            found[stack.pop()[0]] = None
+    return [e for e in raw_edges if (e[0], e[1]) not in dropped]
 
 
 def transitive_reduce(pairs: set[tuple[str, str]]) -> set[tuple[str, str]]:

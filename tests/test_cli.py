@@ -1,5 +1,7 @@
 import json
+import os
 import pathlib
+import sys
 
 import pytest
 
@@ -224,6 +226,34 @@ class TestErrorHandling:
         code, out, _ = run(capsys, "stats", space_snap)
         assert code == 0
         assert "subject dimension: 2 nodes" in out
+
+    @pytest.mark.parametrize("fails", ["write", "flush"])
+    def test_closed_stdout_exits_quietly(self, workspace, capsys, monkeypatch,
+                                         fails):
+        # the reader of a pipe has gone: an unbuffered stdout fails on the
+        # first write, a buffered one on the flush
+        _, space_snap = build_short(workspace, capsys)
+
+        class ClosedPipe:
+            def __init__(self, handle):
+                self.fileno = handle.fileno
+
+            def write(self, text):
+                if fails == "write":
+                    raise BrokenPipeError(32, "Broken pipe")
+                return len(text)
+
+            def flush(self):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        with open(workspace / "stdout", "w") as handle:
+            monkeypatch.setattr(sys, "stdout", ClosedPipe(handle))
+            code = main(["query", str(space_snap), SHORT_QUESTION])
+            monkeypatch.undo()
+            assert os.path.samestat(os.fstat(handle.fileno()),
+                                    os.stat(os.devnull))
+        assert code == 0
+        assert capsys.readouterr().err == ""
 
 
 # a malformed line in each kind of side file: (text, bad line, argv)

@@ -1,14 +1,17 @@
-"""The closed-edge relation, the iterative cycle search, the sentence
-splitter and the one-direction relation `at_or_below` against their
-original implementations, kept here as references.
+"""The closed-edge relation, cycle breaking, the sentence splitter and the
+one-direction relation `at_or_below` against their original
+implementations, kept here as references.
 
 `np_reaches` and `vp_edge_reaches` scan every harvested edge at every step,
 as the package did before an `EdgeSet` was closed when built; `find_cycle`
 is the recursive cycle search.  They are copied unchanged except that
 `edges.of_kind(kind)` (no longer part of `EdgeSet`) reads
-`[e for e in edges if e.kind == kind]`.  The noun pool shares the head
-"run" with the verb pool, so the closed relation's first step, which looks
-up np edges by head, is checked across kinds.
+`[e for e in edges if e.kind == kind]`.  `ref_break_cycles` is cycle
+breaking as it was when each drop sorted the edges again and searched the
+whole graph afresh, copied unchanged but for its name and for calling
+`find_cycle`.  The noun pool shares the head "run" with the verb pool, so
+the closed relation's first step, which looks up np edges by head, is
+checked across kinds.
 
 The anchors that a dimension's `SearchIndex` gives `search` are checked
 against testing every node with `at_or_below`, the scan it replaced, and
@@ -44,8 +47,8 @@ from syntaxspace.corpus import Token
 from syntaxspace.evaluation import (BASELINE_METHODS, BaselineConfig,
                                     UnknownMethod)
 from syntaxspace.lexicon import ALL_MARKERS, FUNCTION_LEMMAS
-from syntaxspace.space import (ClassNode, Dimension, SearchIndex,
-                               _break_cycles, _find_cycle, _shape,
+from syntaxspace.space import (_EVIDENCE_RANK, ClassNode, Dimension,
+                               SearchIndex, _break_cycles, _shape,
                                build_dimension, transitive_reduce)
 from syntaxspace.subsume import (EQUAL, MODIFIER, RELATED, SUBCLASS,
                                  SUPERCLASS, SYNTACTIC, UNRELATED, EdgeSet,
@@ -198,6 +201,23 @@ def find_cycle(pairs: set[tuple[str, str]]):
     return None
 
 
+def ref_break_cycles(raw_edges, dropped_log) -> list:
+    edges = list(raw_edges)
+    while True:
+        cycle = find_cycle({(c, p) for c, p, _, _ in edges})
+        if cycle is None:
+            return edges
+        # candidates on the cycle, weakest evidence first, then latest
+        candidates = [
+            (i, entry) for i, entry in enumerate(edges)
+            if (entry[0], entry[1]) in cycle
+        ]
+        candidates.sort(key=lambda item: (_EVIDENCE_RANK[item[1][2]], -item[0]))
+        idx, entry = candidates[0]
+        edges.pop(idx)
+        dropped_log.append((entry[0], entry[1], entry[2]))
+
+
 # Abbreviations that do not end a sentence even when followed by a capital.
 _ABBREVIATIONS = frozenset(
     ["e.g", "i.e", "fig", "figs", "et al", "al", "etc", "cf", "vs", "dr",
@@ -331,10 +351,31 @@ def test_element_subclass_matches_reference_walks(edges):
 _NODE = st.integers(0, 59).map(lambda i: f"n{i:02d}")
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.sets(st.tuples(_NODE, _NODE), max_size=90))
-def test_find_cycle_matches_recursive_search(pairs):
-    assert _find_cycle(pairs) == find_cycle(pairs)
+@st.composite
+def edge_lists(draw):
+    """Entries with distinct (child, parent) pairs, as `build_dimension`
+    makes them, in random order and of mixed evidence: random edges, up to
+    four chains closed into cycles (nested where they share nodes) and
+    mutual pairs."""
+    pairs = draw(st.lists(st.tuples(_NODE, _NODE), max_size=60))
+    for chain in draw(st.lists(st.lists(_NODE, min_size=2, max_size=15,
+                                        unique=True), max_size=4)):
+        pairs += zip(chain, chain[1:] + chain[:1])
+    for a, b in draw(st.lists(st.tuples(_NODE, _NODE), max_size=8)):
+        pairs += [(a, b), (b, a)]
+    pairs = draw(st.permutations(list(dict.fromkeys(pairs))))
+    sources = draw(st.lists(st.sampled_from((MODIFIER, SYNTACTIC)),
+                            min_size=len(pairs), max_size=len(pairs)))
+    return [(c, p, source, i)
+            for i, ((c, p), source) in enumerate(zip(pairs, sources))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(edge_lists())
+def test_break_cycles_matches_reference(raw):
+    dropped, ref_dropped = [], []
+    assert _break_cycles(raw, dropped) == ref_break_cycles(raw, ref_dropped)
+    assert dropped == ref_dropped
 
 
 def _mixed_case(word):
@@ -729,8 +770,10 @@ def test_search_index_anchors_equal_the_scan(edges, syn):
             assert dim.index.anchors(query, syn) == scan, (query, len(members))
 
 
-# `build_dimension` as it was when step 2b judged every ordered pair of a
-# bucket, copied unchanged but for its name.
+# `build_dimension` as it was when step 2a judged every node against every
+# unattached edge on every pass and step 2b every ordered pair of a bucket,
+# copied unchanged but for its name and for breaking cycles with
+# `ref_break_cycles`.
 
 
 def ref_build_dimension(name: str, items: list[tuple[int, object]],
@@ -796,7 +839,7 @@ def ref_build_dimension(name: str, items: list[tuple[int, object]],
                     edge_pairs.add((child_key, parent_key))
 
     # 3. break cycles: drop lowest-evidence, then latest-discovered
-    kept = _break_cycles(raw_edges, dim.dropped_edges)
+    kept = ref_break_cycles(raw_edges, dim.dropped_edges)
 
     # 4. transitive reduction
     pairs = {(c, p) for c, p, _, _ in kept}
@@ -811,11 +854,13 @@ def ref_build_dimension(name: str, items: list[tuple[int, object]],
 @settings(max_examples=40, deadline=None)
 @given(harvested())
 def test_build_dimension_matches_pairwise_reference(edges):
-    """Step 2b judges a child only against the bucket members whose lemmas
-    it covers; the dimension, its edge order and its dropped edges are the
-    same as when every ordered pair was judged."""
+    """Step 2a judges each node once, against the children not yet ready
+    whose lemmas it covers, step 2b a child only against the bucket members
+    whose lemmas it covers, and step 3 resumes one search after each drop;
+    the dimension, its edge order and its dropped edges are the same as
+    when every node, every pair and every cycle search was done afresh."""
     items = list(enumerate(ELEMENTS + _PLAIN_ADVERBIALS + NOUNS))
-    for name in ("subject", "action", "adverbial"):
+    for name in ("subject", "action", "object", "adverbial"):
         dim = build_dimension(name, items, edges)
         ref = ref_build_dimension(name, items, edges)
         assert list(dim.nodes.items()) == list(ref.nodes.items()), name

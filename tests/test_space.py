@@ -61,6 +61,28 @@ class TestBuildDimension:
         assert len(dim.edges) == n
         assert len(calls) <= n + 2
 
+    @pytest.mark.parametrize("n", [20, 200])
+    def test_attach_work_grows_with_nodes_plus_edges(self, monkeypatch, n):
+        # a harvested chain of k edges, keys falling along it, whose first
+        # child is no node but has "big" one below it, after n nodes of
+        # other heads; each node is judged once, and only against the
+        # children whose lemmas it covers, not every node per edge and pass
+        calls, real = [], space_mod.at_or_below
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+        monkeypatch.setattr(space_mod, "at_or_below", counted)
+        k = 30
+        chain = [np(f"rank{k - j:02d}") for j in range(k + 1)]
+        items = [(i, np(f"dog{i:03d}")) for i in range(n)] \
+            + [(n, np(f"rank{k:02d}", "big"))]
+        edges = _harvested(*zip(chain, chain[1:]))
+        dim = build_dimension("subject", items, edges)
+        assert {canonical_key(c) for c in chain} <= dim.nodes.keys()
+        assert len(dim.edges) == k + 1
+        assert len(calls) <= n + k
+
     def test_clause_edge_through_a_pronoun_equal_by_its_head(self):
         # the pronouns are equal by their head, modifiers aside, so the
         # clause with one more adverbial is below the other
