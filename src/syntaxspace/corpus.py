@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import re
 import string
-from dataclasses import dataclass, replace
+from collections import namedtuple
+from dataclasses import dataclass
+from functools import lru_cache
 
 from . import lexicon as lx
 
@@ -46,12 +48,7 @@ class MalformedLine(ValueError):
         self.line_number = line_number
 
 
-@dataclass(frozen=True)
-class Token:
-    surface: str
-    lemma: str
-    pos: str
-    index: int
+Token = namedtuple("Token", "surface lemma pos index")
 
 
 @dataclass
@@ -153,19 +150,29 @@ _PUNCT_TAGS = {
     "(": "(", ")": ")", "[": "(", "]": ")", '"': "''", "“": "``", "”": "''",
 }
 
+_AUX_TAGS = {
+    "am": "VBP", "is": "VBZ", "are": "VBP", "was": "VBD", "were": "VBD",
+    "be": "VB", "been": "VBN", "being": "VBG",
+    "have": "VBP", "has": "VBZ", "had": "VBD",
+    "do": "VBP", "does": "VBZ", "did": "VBD", "done": "VBN",
+    "doing": "VBG", "having": "VBG",
+}
+
 
 def tag(sentence: str, sentence_id: int = 0,
         doc_id: str = "") -> TaggedSentence:
     """Tag one raw sentence.  Never fails; unknown words get heuristic tags."""
     tokens: list[Token] = []
     for i, word in enumerate(tokenize(sentence)):
-        lemma, pos = _tag_word(word, i)
+        lemma, pos = _tag_word(word, i > 0)
         tokens.append(Token(word, lemma, pos, i))
     tokens = _contextual_fixups(tokens)
     return TaggedSentence(sentence_id, doc_id, tokens, ACTIVE, sentence)
 
 
-def _tag_word(word: str, i: int):
+@lru_cache(maxsize=1 << 16)
+def _tag_word(word: str, inside: bool):
+    """(lemma, pos) of one word; `inside` is true after the first token."""
     if word in _PUNCT_TAGS:
         return word, _PUNCT_TAGS[word]
     lower = word.lower()
@@ -174,7 +181,7 @@ def _tag_word(word: str, i: int):
     if lower in lx.MODAL_VERBS:
         return lower, "MD"
     if lower in lx.BE_FORMS or lower in lx.HAVE_FORMS or lower in lx.DO_FORMS:
-        return lx.IRREGULAR_VERB_LEMMAS.get(lower, lower), _aux_tag(lower)
+        return lx.IRREGULAR_VERB_LEMMAS.get(lower, lower), _AUX_TAGS[lower]
     if lower == "to":
         return "to", "TO"
     if lower == "not" or lower == "never":
@@ -210,7 +217,7 @@ def _tag_word(word: str, i: int):
         return reading
 
     # Suffix heuristics for unknown words.
-    if word[0].isupper() and i > 0:
+    if word[0].isupper() and inside:
         return lower, "NNP"
     if lower.endswith("ing"):
         return _strip_with(lower, lx.verb_lemma_candidates, lx.VERBS), "VBG"
@@ -227,16 +234,6 @@ def _tag_word(word: str, i: int):
     if lower.endswith("s") and lower not in lx.S_FINAL_SINGULARS:
         return lx.noun_lemma_candidates(lower)[0], "NNS"
     return lower, "NN"
-
-
-def _aux_tag(lower: str) -> str:
-    return {
-        "am": "VBP", "is": "VBZ", "are": "VBP", "was": "VBD", "were": "VBD",
-        "be": "VB", "been": "VBN", "being": "VBG",
-        "have": "VBP", "has": "VBZ", "had": "VBD",
-        "do": "VBP", "does": "VBZ", "did": "VBD", "done": "VBN",
-        "doing": "VBG", "having": "VBG",
-    }[lower]
 
 
 def _open_class_reading(lower: str):
@@ -296,15 +293,15 @@ def _contextual_fixups(tokens: list[Token]) -> list[Token]:
             if prev is None or prev.pos in ("DT", "JJ", "IN", "PRP$", "CD", "POS"):
                 continue
             if prev.pos == "TO":
-                out[i] = replace(tok, pos="VB")
+                out[i] = tok._replace(pos="VB")
             elif prev.pos == "MD" or (prev.pos in ("VBP", "VBZ", "VBD") and prev.lemma in ("do", "be", "have")):
-                out[i] = replace(tok, pos="VB")
+                out[i] = tok._replace(pos="VB")
             elif prev.pos in NOUN_TAGS and tok.surface.lower().endswith("s") and tok.surface.lower() != tok.lemma:
-                out[i] = replace(tok, pos="VBZ")
+                out[i] = tok._replace(pos="VBZ")
             elif prev.pos in ("NNS", "NNPS", "NNP") and tok.surface.lower() == tok.lemma:
                 # plural/proper noun + base form agrees as a finite verb; a
                 # singular common noun before keeps the compound reading
-                out[i] = replace(tok, pos="VBP")
+                out[i] = tok._replace(pos="VBP")
         # Base verbs in the lexicon: -s surface means VBZ after a nominal; a
         # determiner or true preposition before forces the noun reading
         # (subordinators like "that" do precede verbs).
@@ -315,16 +312,16 @@ def _contextual_fixups(tokens: list[Token]) -> list[Token]:
                 or (prev.pos == "IN" and prev.lemma in lx.PREPOSITIONS
                     and prev.lemma not in ("that", "whether")))
             if noun_trigger:
-                out[i] = replace(tok, pos="NNS" if surf != tok.lemma else "NN")
+                out[i] = tok._replace(pos="NNS" if surf != tok.lemma else "NN")
             elif surf != tok.lemma:
-                out[i] = replace(tok, pos=_verb_inflection_tag(surf, tok.lemma))
+                out[i] = tok._replace(pos=_verb_inflection_tag(surf, tok.lemma))
             elif prev is not None and prev.pos in ("NNS", "NNPS", "NNP") or (prev is not None and prev.pos == "PRP" and prev.lemma in ("i", "you", "we", "they")):
-                out[i] = replace(tok, pos="VBP")
+                out[i] = tok._replace(pos="VBP")
         # "to" before a base verb is infinitival TO, before a nominal it is IN.
         if tok.pos == "TO":
             nxt = out[i + 1] if i + 1 < len(out) else None
             if nxt is not None and nxt.pos not in VERB_TAGS and nxt.pos != "RB":
-                out[i] = replace(tok, pos="IN")
+                out[i] = tok._replace(pos="IN")
     return out
 
 
@@ -520,14 +517,14 @@ def _rewrite_window(tokens: list[Token], w) -> list[Token]:
         + post_adv
         + tokens[w["agent_end"]:]
     )
-    return [replace(t, index=i) for i, t in enumerate(rebuilt)]
+    return [t._replace(index=i) for i, t in enumerate(rebuilt)]
 
 
 def _reinflect(participle: Token, kept: list[Token], be_tok: Token,
                agent: list[Token]) -> Token:
     base = participle.lemma
     if any(t.lemma == "have" for t in kept):
-        return replace(participle)  # perfect: "has been built" -> "has built"
+        return participle  # perfect: "has been built" -> "has built"
     if any(t.pos == "MD" for t in kept):
         return Token(base, base, "VB", participle.index)
     head = next((t for t in reversed(agent) if t.pos in NOUN_TAGS), None)

@@ -473,7 +473,7 @@ class NFReport:
     first_nf: bool
     second_nf: bool
     third_nf: bool
-    duplicate_keys: list[str]
+    miskeyed: list[str]  # keys that are not their node's canonical key
     double_posted: list[tuple[str, int]]
     full_coverage: dict[str, bool]
     subspace_sentences: int  # sentences covered by subject & action & object
@@ -489,18 +489,15 @@ class NFReport:
 
 
 def check_normal_forms(space: ResourceSpace) -> NFReport:
-    """1NF: no duplicate coordinates; 2NF: sibling coordinates of one
-    dimension are disjoint (one subject/action/object per sentence part);
-    3NF: every sentence is covered by each checked dimension.  The subspace
-    restricted to commonly-covered sentences always attains 3NF."""
-    duplicates: list[str] = []
-    for name in DIMENSIONS:
-        seen: set[str] = set()
-        for key in space.dimensions[name].nodes:
-            if key in seen:
-                duplicates.append(key)
-            seen.add(key)
-    first = not duplicates
+    """1NF: every node is stored under its canonical key, so no coordinate
+    appears twice; 2NF: sibling coordinates of one dimension are disjoint
+    (one subject/action/object per sentence part); 3NF: every sentence is
+    covered by each checked dimension.  The subspace restricted to
+    commonly-covered sentences always attains 3NF."""
+    miskeyed = [key for name in DIMENSIONS
+                for key, node in space.dimensions[name].nodes.items()
+                if key != canonical_key(node.element)]
+    first = not miskeyed
 
     double_posted: list[tuple[str, int]] = []
     for name in _NF_DIMENSIONS:
@@ -518,7 +515,7 @@ def check_normal_forms(space: ResourceSpace) -> NFReport:
     full = {name: per_dim[name] == ids and bool(ids) for name in _NF_DIMENSIONS}
     subspace = per_dim["subject"] & per_dim["action"] & per_dim["object"]
     third = second and all(full.values())
-    return NFReport(first, second, third, duplicates, double_posted, full,
+    return NFReport(first, second, third, miskeyed, double_posted, full,
                     len(subspace))
 
 

@@ -52,6 +52,13 @@ class TestPipeline:
         assert code == 0
         assert "adverbial*: gap_filled" in out
 
+    def test_ingest_matches_golden_file(self, tmp_path, capsys):
+        demo = pathlib.Path(__file__).parent.parent / "demo" / "short.txt"
+        code, _, _ = run(capsys, "ingest", demo, "-o", tmp_path / "short.tsv")
+        assert code == 0
+        assert (tmp_path / "short.tsv").read_bytes() \
+            == (DATA / "short.tsv").read_bytes()
+
     def test_stats(self, workspace, capsys):
         _, space_snap = build_short(workspace, capsys)
         code, out, _ = run(capsys, "stats", space_snap)

@@ -1,3 +1,5 @@
+import sys
+import threading
 import time
 
 import pytest
@@ -74,6 +76,48 @@ class TestTagger:
     def test_token_indices_contiguous(self):
         tokens = tag("Supervised algorithm builds an extract.").tokens
         assert [t.index for t in tokens] == list(range(len(tokens)))
+
+    @pytest.mark.parametrize("copies", [20, 200])
+    def test_each_word_form_is_read_once(self, monkeypatch, copies):
+        sentence = "Models train models quickly and researchers train models."
+        reads = []
+        read = corpus._open_class_reading
+        monkeypatch.setattr(corpus, "_open_class_reading",
+                            lambda lower: reads.append(lower) or read(lower))
+        corpus._tag_word.cache_clear()
+        sentences = corpus.ingest_text(" ".join([sentence] * copies))
+        assert len(sentences) == copies
+        # one read per (word, first-or-later) pair: "and" and "." are
+        # closed-class, "Models" is read first, "models" later
+        assert sorted(reads) == ["models", "models", "quickly",
+                                 "researchers", "train"]
+        assert corpus._tag_word.cache_info().misses == 7
+
+    def test_threads_share_the_memo(self):
+        texts = [f"Zab{i}ing models train Zab{i}ing quickly by Zab{i % 3}ed."
+                 for i in range(40)]
+        corpus._tag_word.cache_clear()
+        want = [[tuple(t) for t in tag(text).tokens] for text in texts]
+        corpus._tag_word.cache_clear()
+        got = [None] * len(texts)
+
+        def work(k):
+            for i in range(k, len(texts), 8):
+                got[i] = [tuple(t) for t in tag(texts[i]).tokens]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,))
+                       for k in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert got == want
 
 
 class TestPretagged:

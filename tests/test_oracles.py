@@ -33,17 +33,30 @@ the length-first rule under test.  `match_marker` is checked against the
 loop that tried every marker at each token that can start one, copied
 unchanged but for reading `ALL_MARKERS` and `MARKER_FIRST_TOKENS` (a copy of
 the set that `lexicon` no longer has) without the `lx.` prefix.
+
+`tag` and `normalize_voice` are checked against the tagger that read every
+token afresh and built each token as a frozen dataclass: `tag`, `_tag_word`,
+`_aux_tag`, `_contextual_fixups`, `normalize_voice`, `_rewrite_window` and
+`_reinflect` are copied unchanged but for the `ref_` prefix on the public
+names, together with a dataclass `Token` of their own; the helpers they call
+and that did not change are read from `corpus`.
 """
 
 import math
 import re
 from collections import Counter
+from dataclasses import dataclass, replace
 from itertools import combinations
 
 from hypothesis import given, settings, strategies as st
 
 from syntaxspace import corpus, evaluation
-from syntaxspace.corpus import Token
+from syntaxspace import lexicon as lx
+from syntaxspace.corpus import (ACTIVE, NOUN_TAGS, PASSIVE_AGENTLESS,
+                                PASSIVE_CONVERTED, VERB_TAGS, _PUNCT_TAGS,
+                                TaggedSentence, _find_passive_window,
+                                _open_class_reading, _strip_with,
+                                _verb_inflection_tag, tokenize)
 from syntaxspace.evaluation import (BASELINE_METHODS, BaselineConfig,
                                     UnknownMethod)
 from syntaxspace.lexicon import ALL_MARKERS, FUNCTION_LEMMAS
@@ -269,6 +282,219 @@ def _inside_abbreviation(text: str, dot: int) -> bool:
     return before.lower().endswith("et al")
 
 
+@dataclass(frozen=True)
+class Token:
+    surface: str
+    lemma: str
+    pos: str
+    index: int
+
+
+def ref_tag(sentence: str, sentence_id: int = 0,
+            doc_id: str = "") -> TaggedSentence:
+    """Tag one raw sentence.  Never fails; unknown words get heuristic tags."""
+    tokens: list[Token] = []
+    for i, word in enumerate(tokenize(sentence)):
+        lemma, pos = _tag_word(word, i)
+        tokens.append(Token(word, lemma, pos, i))
+    tokens = _contextual_fixups(tokens)
+    return TaggedSentence(sentence_id, doc_id, tokens, ACTIVE, sentence)
+
+
+def _tag_word(word: str, i: int):
+    if word in _PUNCT_TAGS:
+        return word, _PUNCT_TAGS[word]
+    lower = word.lower()
+
+    # Closed classes first; these lists come straight from the grammars.
+    if lower in lx.MODAL_VERBS:
+        return lower, "MD"
+    if lower in lx.BE_FORMS or lower in lx.HAVE_FORMS or lower in lx.DO_FORMS:
+        return lx.IRREGULAR_VERB_LEMMAS.get(lower, lower), _aux_tag(lower)
+    if lower == "to":
+        return "to", "TO"
+    if lower == "not" or lower == "never":
+        return lower, "RB"
+    if lower in ("who", "whom", "whoever", "what", "whatever"):
+        return lower, "WP"
+    if lower == "whose":
+        return lower, "WP$"
+    if lower in ("which", "whichever"):
+        return lower, "WDT"
+    if lower in ("when", "where", "why", "how", "whenever", "wherever", "however"):
+        return lower, "WRB"
+    if lower == "that":
+        return lower, "IN"  # complementizer reading; NP rule handles the rest
+    if lower in ("such", "other", "own"):
+        return lower, "JJ"
+    if lower in lx.DETERMINERS and lower not in ("many", "most", "several", "few", "one", "more", "such", "all", "both"):
+        return lower, "DT"
+    if lower in lx.PRONOUNS:
+        return lower, "PRP"
+    if lower in lx.COORDINATING_CONJUNCTIONS:
+        return lower, "CC"
+    if lower in ("if", "because", "unless", "whether", "since", "while", "although", "though"):
+        return lower, "IN"
+    if lower in lx.PREPOSITIONS:
+        return lower, "IN"
+    if word.replace(".", "").isdigit():
+        return lower, "CD"
+
+    # Open classes through the lexicon with inflection analysis.
+    reading = _open_class_reading(lower)
+    if reading:
+        return reading
+
+    # Suffix heuristics for unknown words.
+    if word[0].isupper() and i > 0:
+        return lower, "NNP"
+    if lower.endswith("ing"):
+        return _strip_with(lower, lx.verb_lemma_candidates, lx.VERBS), "VBG"
+    if lower.endswith("ed"):
+        return _strip_with(lower, lx.verb_lemma_candidates, lx.VERBS), "VBN"
+    if lower.endswith("ly"):
+        return lower, "RB"
+    if lower.endswith(("tion", "ment", "ness", "ity", "ism", "ance", "ence")):
+        return lower, "NN"
+    if lower.endswith(("ous", "ive", "able", "ible", "ful", "ic", "al", "ar")) or "-" in lower:
+        return lower, "JJ"
+    if word[0].isupper():
+        return lower, "NNP"
+    if lower.endswith("s") and lower not in lx.S_FINAL_SINGULARS:
+        return lx.noun_lemma_candidates(lower)[0], "NNS"
+    return lower, "NN"
+
+
+def _aux_tag(lower: str) -> str:
+    return {
+        "am": "VBP", "is": "VBZ", "are": "VBP", "was": "VBD", "were": "VBD",
+        "be": "VB", "been": "VBN", "being": "VBG",
+        "have": "VBP", "has": "VBZ", "had": "VBD",
+        "do": "VBP", "does": "VBZ", "did": "VBD", "done": "VBN",
+        "doing": "VBG", "having": "VBG",
+    }[lower]
+
+
+def _contextual_fixups(tokens: list[Token]) -> list[Token]:
+    """Resolve noun/verb ambiguity and finite-verb agreement from context."""
+    out = list(tokens)
+    for i, tok in enumerate(out):
+        prev = out[i - 1] if i > 0 else None
+        # Noun/verb ambiguous lemma: a determiner, adjective or preposition
+        # before it forces the noun reading; a subject nominal before it and
+        # an -s form forces VBZ.
+        if tok.pos in ("NN", "NNS") and tok.lemma in lx.VERBS:
+            if prev is None or prev.pos in ("DT", "JJ", "IN", "PRP$", "CD", "POS"):
+                continue
+            if prev.pos == "TO":
+                out[i] = replace(tok, pos="VB")
+            elif prev.pos == "MD" or (prev.pos in ("VBP", "VBZ", "VBD") and prev.lemma in ("do", "be", "have")):
+                out[i] = replace(tok, pos="VB")
+            elif prev.pos in NOUN_TAGS and tok.surface.lower().endswith("s") and tok.surface.lower() != tok.lemma:
+                out[i] = replace(tok, pos="VBZ")
+            elif prev.pos in ("NNS", "NNPS", "NNP") and tok.surface.lower() == tok.lemma:
+                # plural/proper noun + base form agrees as a finite verb; a
+                # singular common noun before keeps the compound reading
+                out[i] = replace(tok, pos="VBP")
+        # Base verbs in the lexicon: -s surface means VBZ after a nominal; a
+        # determiner or true preposition before forces the noun reading
+        # (subordinators like "that" do precede verbs).
+        if tok.pos == "VB":
+            surf = tok.surface.lower()
+            noun_trigger = prev is not None and (
+                prev.pos in ("DT", "JJ", "PRP$", "POS")
+                or (prev.pos == "IN" and prev.lemma in lx.PREPOSITIONS
+                    and prev.lemma not in ("that", "whether")))
+            if noun_trigger:
+                out[i] = replace(tok, pos="NNS" if surf != tok.lemma else "NN")
+            elif surf != tok.lemma:
+                out[i] = replace(tok, pos=_verb_inflection_tag(surf, tok.lemma))
+            elif prev is not None and prev.pos in ("NNS", "NNPS", "NNP") or (prev is not None and prev.pos == "PRP" and prev.lemma in ("i", "you", "we", "they")):
+                out[i] = replace(tok, pos="VBP")
+        # "to" before a base verb is infinitival TO, before a nominal it is IN.
+        if tok.pos == "TO":
+            nxt = out[i + 1] if i + 1 < len(out) else None
+            if nxt is not None and nxt.pos not in VERB_TAGS and nxt.pos != "RB":
+                out[i] = replace(tok, pos="IN")
+    return out
+
+
+def ref_normalize_voice(sentence: TaggedSentence) -> TaggedSentence:
+    """Rewrite `NP1 be-aux VBN by NP2` windows as `NP2 verb NP1`.
+
+    The verb is re-inflected to agree with NP2 (modals and perfect "have"
+    are kept).  A passive window without a "by" agent leaves the sentence
+    unchanged but flags it.  Idempotent: converted output contains no
+    remaining convertible window.
+    """
+    tokens = sentence.tokens
+    converted = False
+    agentless = False
+    guard = 0
+    while guard < 10:
+        guard += 1
+        window = _find_passive_window(tokens)
+        if window is None:
+            break
+        if window["agent_start"] is None:
+            agentless = True
+            break
+        tokens = _rewrite_window(tokens, window)
+        converted = True
+    if converted:
+        voice = PASSIVE_CONVERTED
+    elif agentless:
+        voice = PASSIVE_AGENTLESS
+    else:
+        voice = sentence.voice
+    return TaggedSentence(sentence.sentence_id, sentence.doc_id, tokens, voice,
+                          sentence.raw)
+
+
+def _rewrite_window(tokens: list[Token], w) -> list[Token]:
+    np1 = tokens[w["np_start"]:w["np_end"]]
+    agent = tokens[w["agent_start"]:w["agent_end"]]
+    # Auxiliaries kept in front of the verb: modals, have-forms, negation.
+    kept = [t for t in tokens[w["chain_start"]:w["be_index"]]
+            if t.pos in ("MD", "RB") or t.lemma == "have"]
+    participle = tokens[w["participle"]]
+    pre_adv = tokens[w["be_index"] + 1:w["participle"]]
+    post_adv = tokens[w["participle"] + 1:w["post_adv_end"]]
+
+    be_tok = tokens[w["be_index"]]
+    # Tense/agreement: modal or have keeps the stored form; otherwise the
+    # new finite verb agrees with the agent head.
+    verb = _reinflect(participle, kept, be_tok, agent)
+
+    rebuilt = (
+        tokens[:w["np_start"]]
+        + agent
+        + kept
+        + pre_adv
+        + [verb]
+        + np1
+        + post_adv
+        + tokens[w["agent_end"]:]
+    )
+    return [replace(t, index=i) for i, t in enumerate(rebuilt)]
+
+
+def _reinflect(participle: Token, kept: list[Token], be_tok: Token,
+               agent: list[Token]) -> Token:
+    base = participle.lemma
+    if any(t.lemma == "have" for t in kept):
+        return replace(participle)  # perfect: "has been built" -> "has built"
+    if any(t.pos == "MD" for t in kept):
+        return Token(base, base, "VB", participle.index)
+    head = next((t for t in reversed(agent) if t.pos in NOUN_TAGS), None)
+    plural = head is not None and head.pos in ("NNS", "NNPS")
+    if be_tok.pos == "VBD":  # was/were
+        return Token(lx.past_tense(base), base, "VBD", participle.index)
+    if plural:
+        return Token(base, base, "VBP", participle.index)
+    return Token(lx.third_singular(base), base, "VBZ", participle.index)
+
+
 def oracle_relation(e1: Phrase, e2: Phrase, edges) -> str:
     """`element_subclass` for noun and verb phrases (no synonyms), over the
     reference walks."""
@@ -427,9 +653,73 @@ _LEMMA_RUNS = st.lists(st.one_of(
 @settings(max_examples=300, deadline=None)
 @given(_LEMMA_RUNS)
 def test_match_marker_matches_reference(lemmas):
-    tokens = [Token(w, w, "IN", k) for k, w in enumerate(lemmas)]
+    tokens = [corpus.Token(w, w, "IN", k) for k, w in enumerate(lemmas)]
     for i in range(len(tokens) + 1):
         assert match_marker(tokens, i) == ref_match_marker(tokens, i), i
+
+
+# Lexicon words with their inflections, closed-class words, and unknown words
+# (bare, -ing/-ed/-ly/-s and other suffixes, hyphenated), each capitalised or
+# not; digits and punctuation; and passive windows with and without an agent.
+_OPEN_WORDS = sorted(lx.NOUNS | lx.VERBS | lx.ADJECTIVES | lx.ADVERBS)
+_CLOSED_WORDS = sorted(lx.MODAL_VERBS | lx.BE_FORMS | lx.HAVE_FORMS
+                       | lx.DO_FORMS | lx.DETERMINERS | lx.PRONOUNS
+                       | lx.PREPOSITIONS | lx.COORDINATING_CONJUNCTIONS
+                       | {"to", "not", "that", "which", "whose", "how"})
+_INFLECTED = st.one_of(
+    st.sampled_from(sorted(lx.VERBS)).flatmap(lambda v: st.sampled_from(
+        [lx.third_singular(v), lx.past_tense(v), lx.past_participle(v),
+         v + "ing"])),
+    st.sampled_from(sorted(lx.NOUNS)).map(lambda n: n + "s"),
+)
+_STEM = st.from_regex(r"[bdfgkmpvz][aeiou][bdfgkmpvz]{1,2}", fullmatch=True)
+_UNKNOWN = st.one_of(
+    st.tuples(_STEM, st.sampled_from(["", "ing", "ed", "ly", "s", "tion",
+                                      "ous"])).map("".join),
+    st.tuples(_STEM, _STEM).map("-".join),
+)
+_TAGGER_WORD = st.tuples(
+    st.one_of(st.sampled_from(_OPEN_WORDS), st.sampled_from(_CLOSED_WORDS),
+              _INFLECTED, _UNKNOWN),
+    st.booleans(),
+).map(lambda wc: wc[0].capitalize() if wc[1] else wc[0])
+_PASSIVE = st.tuples(
+    st.sampled_from(["the", "a", "some"]),
+    st.sampled_from(["extract", "models", "Zorbing", "results"]),
+    st.sampled_from(["is", "are", "was", "were", "has been", "can be",
+                     "is not"]),
+    st.sampled_from(["", "well"]),
+    st.one_of(st.sampled_from(sorted(lx.VERBS)).map(lx.past_participle),
+              st.sampled_from(["zabed", "Zabed", "labelled", "run"])),
+    st.sampled_from(["by the", "by", "by a", "quickly by", ""]),
+    st.sampled_from(["researchers", "LexRank", "network", "Vozzing"]),
+).map(" ".join)
+_TAGGER_SENTENCES = st.lists(st.one_of(
+    _TAGGER_WORD,
+    st.from_regex(r"[0-9]{1,4}(\.[0-9]{1,2})?", fullmatch=True),
+    st.sampled_from(sorted(_PUNCT_TAGS)),
+    _PASSIVE,
+), min_size=1, max_size=10)
+
+
+def _rows(sentence):
+    return ([(t.surface, t.lemma, t.pos, t.index) for t in sentence.tokens],
+            sentence.voice, sentence.sentence_id, sentence.doc_id,
+            sentence.raw)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_TAGGER_SENTENCES)
+def test_tag_and_normalize_voice_match_reference(pieces):
+    # every piece both first and later in a sentence
+    texts = [" ".join(pieces), " ".join(pieces[1:] + pieces[:1])]
+    texts += [f"{piece} {piece}" for piece in pieces]
+    for _ in range(2):  # the second pass reads a warm cache
+        for text in texts:
+            got, want = corpus.tag(text, 7, "d"), ref_tag(text, 7, "d")
+            assert _rows(got) == _rows(want)
+            assert _rows(corpus.normalize_voice(got)) \
+                == _rows(ref_normalize_voice(want))
 
 
 # ---------------------------------------------------------------------------

@@ -312,19 +312,21 @@ class TestNormalForms:
         assert report.third_nf
         assert report.subspace_sentences == 4
 
-    def test_injected_duplicate_breaks_1nf(self, short_space):
-        report = check_normal_forms(short_space)
-        assert report.first_nf
-        # simulate a duplicate coordinate by hand
-        from syntaxspace.space import NFReport
+    def test_rekeyed_node_breaks_1nf(self, short_space):
+        assert check_normal_forms(short_space).first_nf
         dim = short_space.dimensions["subject"]
-        bogus = dict(dim.nodes)
+        saved = dim.nodes
+        key = next(iter(saved))
+        # store one node under a key that is not its canonical key
+        dim.nodes = {("x" + k if k == key else k): node
+                     for k, node in saved.items()}
         try:
-            dim.nodes = BogusDupDict(bogus)
             broken = check_normal_forms(short_space)
-            assert not broken.first_nf
         finally:
-            dim.nodes = bogus
+            dim.nodes = saved
+        assert not broken.first_nf
+        assert not broken.second_nf and not broken.third_nf
+        assert broken.miskeyed == ["x" + key]
 
     def test_imperative_breaks_3nf(self):
         space = build_space(tag_corpus([
@@ -338,16 +340,6 @@ class TestNormalForms:
         assert report.full_coverage["action"]
         # the subspace excluding the imperative attains 3NF
         assert report.subspace_sentences == 1
-
-
-class BogusDupDict(dict):
-    """Iterates one key twice to simulate a duplicate coordinate."""
-
-    def __iter__(self):
-        keys = list(super().__iter__())
-        if keys:
-            keys.append(keys[0])
-        return iter(keys)
 
 
 class TestDeterminism:
