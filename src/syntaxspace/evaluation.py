@@ -14,6 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
+from .corpus import gc_paused
 from .lexicon import FUNCTION_LEMMAS
 from .subsume import reach
 
@@ -174,6 +175,7 @@ class BaselineIndex:
         return len(set().union(*(d for _, d in self.docs)))
 
 
+@gc_paused
 def baseline_rank(method: str, question: list[str],
                   sentences: BaselineIndex | list[tuple[int, list[str]]],
                   config: BaselineConfig | None = None) -> list[int]:

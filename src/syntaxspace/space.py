@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from . import subsume
-from .corpus import TaggedSentence
+from .corpus import TaggedSentence, gc_paused
 from .subsume import (EdgeSet, MODIFIER, SUBCLASS, SYNTACTIC, SynonymTable,
                       _contains, _inner_np, _modifier_below, at_or_below,
                       compare_elements, reach, scan_syntactic_patterns)
@@ -343,6 +343,7 @@ def transitive_reduce(pairs: set[tuple[str, str]]) -> set[tuple[str, str]]:
 # ---------------------------------------------------------------------------
 
 
+@gc_paused
 def build_space(tagged: list[TaggedSentence],
                 synonyms: SynonymTable | None = None) -> ResourceSpace:
     """Parse every sentence, harvest pattern edges, and build all four

@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import pathlib
@@ -212,6 +213,7 @@ class TestErrorHandling:
         assert code == 2
         assert err == ("error: a sentence or question nests too deeply "
                        "to parse\n")
+        assert gc.isenabled()  # build_space raised RecursionError
 
     def test_deeply_nested_question_is_data_error(self, workspace, capsys):
         _, space_snap = build_short(workspace, capsys)
