@@ -300,7 +300,7 @@ def candidate_search(space: ResourceSpace, q: QuestionSyntax) -> set[int]:
     elif q.gap == "subject":
         narrow(search(space, "subject", None))
     if q.action is not None:
-        narrow(search(space, "action", q.action, syn=space.synonyms))
+        narrow(search(space, "action", q.action))
     if q.object is not None and q.object.direct is not None:
         narrow(search(space, "object", q.object.direct))
     elif q.gap in ("direct", "indirect", "complement"):

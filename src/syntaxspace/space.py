@@ -10,12 +10,11 @@ serves descendant-closed searches.
 from __future__ import annotations
 
 import re
-from collections import Counter
 from dataclasses import dataclass, field
 
 from . import subsume
 from .corpus import TaggedSentence, gc_paused
-from .subsume import (EdgeSet, MODIFIER, SUBCLASS, SYNTACTIC, SynonymTable,
+from .subsume import (EdgeSet, MODIFIER, SYNTACTIC, SynonymTable,
                       _contains, _inner_np, _modifier_below, at_or_below,
                       compare_elements, reach, scan_syntactic_patterns)
 from .syntax import (Adverbial, Clause, NOUN, NoFiniteVerb, PREPOSITIONAL,
@@ -46,60 +45,78 @@ class Dimension:
     edge_meta: dict[tuple[str, str], tuple[str, int | None]] = field(default_factory=dict)
     postings: dict[str, set[int]] = field(default_factory=dict)
     dropped_edges: list[tuple[str, str, str]] = field(default_factory=list)
-    index: SearchIndex | None = None  # set last by build_dimension
+    index: SearchIndex | None = None  # grows with the nodes
+    children: dict[str, list[str]] = field(default_factory=dict)
+    covered: frozenset[int] = frozenset()  # sentences posted at any node
 
     def descendants(self, keys: set[str]) -> set[str]:
-        return set(keys) | reach(self.index.children, keys)
+        return set(keys) | reach(self.children, keys)
 
 
 class SearchIndex:
-    """What `search` reads of a final dimension: nodes by `_shape` (clauses by
-    lead alone) and modifier, and the nodes whose side reaches each harvested
-    key through `edges.up`, so also through edges cycle breaking dropped."""
+    """The one answer to "which nodes are at or below X?" for a dimension:
+    `build_dimension` adds each node as it is made, its attach and modifier
+    steps read `anchors`, and so does `search`.  Phrases are posted in
+    their bucket (`_shape`'s wrapper and head) under their modifiers,
+    clauses in their lead's bucket under `_lemmas(element, edges)`, and
+    every node under each harvested key its side reaches (`edges.up`, so
+    also through edges cycle breaking drops)."""
 
-    def __init__(self, dim: Dimension, edges: EdgeSet):
-        self.edges, self.buckets, self.below, self.children = edges, {}, {}, {}
-        for key in sorted(dim.nodes):
-            wrapper, head, side, mods = _shape(dim.nodes[key].element)
-            head = None if wrapper[-2] == "clause" else head  # clause fallback
-            bucket = self.buckets.setdefault((wrapper, head), {})
-            for lemma in (None, *mods):  # None: every member
-                bucket.setdefault(lemma, {})[key] = dim.nodes[key]
-            for k in (edges.up(side) if side is not None and edges else ()):
-                self.below.setdefault((wrapper, edges.elements[k].head),
-                                      {}).setdefault(k, []).append(key)
-        for child, parent in dim.edges:
-            self.children.setdefault(parent, []).append(child)
-        self.covered = frozenset().union(*dim.postings.values())
+    def __init__(self, edges: EdgeSet):
+        self.edges, self.buckets, self.below = edges, {}, {}
+
+    def add(self, key: str, node: ClassNode) -> None:
+        wrapper, head, side, mods = _shape(node.element)
+        if wrapper[-2] == "clause":
+            head, mods = None, _lemmas(node.element, self.edges)
+        bucket = self.buckets.setdefault((wrapper, head), {})
+        for lemma in (None, *mods):  # None: every member
+            bucket.setdefault(lemma, {})[key] = node
+        for k in (self.edges.up(side) if side and self.edges else ()):
+            self.below.setdefault((wrapper, self.edges.elements[k].head),
+                                  {}).setdefault(k, []).append(key)
 
     def anchors(self, query, syn: SynonymTable | None = None) -> set[str]:
-        """Keys of the nodes `at_or_below` the query: its bucket's members (a
-        verb's synonym heads' too) posted under all its modifiers, counted if
-        one repeats, and others whose side reaches the side's key or, for
-        nouns, one modifier-below it.  A clause judges its lead's clauses."""
+        """Keys of the nodes `at_or_below` the query.  A phrase takes its
+        bucket's members (a verb's synonym heads' too) posted under all its
+        modifiers, counted if one repeats, and the nodes whose side reaches
+        the side's key or, for nouns, one modifier-below it; it judges
+        none.  A clause judges the clauses of its lead posted under all of
+        `_lemmas(query, syn=syn)`, which holds every clause below it."""
         wrapper, head, side, mods = _shape(query)
         if wrapper[-2] == "clause":
-            clauses = self.buckets.get((wrapper, None), {}).get(None, {})
-            return {k for k, n in clauses.items()
-                    if at_or_below(n.element, query, self.edges, syn)}
+            clauses = self.buckets.get((wrapper, None), {})
+            return {k for k in _common(clauses, _lemmas(query, syn=syn))
+                    if at_or_below(clauses[None][k].element, query,
+                                   self.edges, syn)}
         verb = side is not None and side.kind == VERB
         heads = {head} | (syn.synonyms(head) if verb and syn else set())
-        found, judged, repeated = set(), set(), len(set(mods)) < len(mods)
-        for bucket in (self.buckets.get((wrapper, h), {}) for h in heads):
-            hits = [bucket.get(m, {}) for m in {None, *mods}]
-            found |= {k for k, n in min(hits, key=len).items()
-                      if all(k in p for p in hits) and (not repeated
-                      or _contains(_shape(n.element)[3], mods))}
-            judged |= bucket.get(None, {}).keys()
-        if side is None:
+        buckets = [self.buckets.get((wrapper, h), {}) for h in heads]
+        repeated = len(set(mods)) < len(mods)
+        found = {k for bucket in buckets for k in _common(bucket, mods)
+                 if not repeated
+                 or _contains(_shape(bucket[None][k].element)[3], mods)}
+        reached = self.below.get((wrapper, side.head)) if side else None
+        if not reached:
             return found
-        reached = self.below.get((wrapper, side.head), {})
         side_key = canonical_key(side)
         keys = [side_key] if verb else [
             k for k in reached if k == side_key
             or _modifier_below(self.edges.elements[k], side)]
         below = {key for k in keys for key in reached.get(k, ())}
-        return found | (below - judged if verb else below)
+        if verb:  # of the same or a synonym head, modifiers alone decide
+            below -= {k for bucket in buckets for k in bucket.get(None, ())}
+        return found | below
+
+
+def _common(bucket: dict, lemmas) -> set[str]:
+    """Keys the bucket posts under every lemma, shortest posting first."""
+    shortest, *rest = sorted((bucket.get(m, {}) for m in {None, *lemmas}),
+                             key=len)
+    keys = set(shortest)
+    for posting in rest:
+        keys &= posting.keys()
+    return keys
 
 
 @dataclass
@@ -168,27 +185,12 @@ def build_dimension(name: str, items: list[tuple[int, object]],
                     harvested: EdgeSet | None = None) -> Dimension:
     """Merge, connect, break cycles, reduce, attach postings."""
     harvested = harvested if harvested is not None else EdgeSet()
-    dim = Dimension(name)
+    dim = Dimension(name, index=SearchIndex(harvested))
 
-    # 2a's edges, in the order a pass tries them, and the children not yet
-    # ready (neither a node nor above one) with their lemmas
-    kind = {"subject": "np", "object": "np", "action": "vp"}.get(name)
-    pending = dict.fromkeys(sorted((e for e in harvested if e.kind == kind),
-                                   key=lambda e: (e.child, e.parent)))
-    waiting = {e.child: _lemmas(harvested.elements[e.child]) for e in pending}
-    ext: dict[str, set[str]] = {}  # node key -> _lemmas(element, harvested)
-
-    def add(key, element):  # judged once, against the waiting children
-        # whose lemmas it covers: only those can be above it (see `_lemmas`)
+    def add(key, element):
         dim.nodes[key] = ClassNode(key, display(element), element)
         dim.postings[key] = set()
-        waiting.pop(key, None)
-        if harvested:
-            ext[key] = _lemmas(element, harvested)
-        for child in [c for c, need in waiting.items() if need <= ext[key]]:
-            if at_or_below(element, harvested.elements[child],
-                           harvested) == SUBCLASS:
-                del waiting[child]
+        dim.index.add(key, dim.nodes[key])
 
     # 1. canonicalize and merge duplicates
     for sid, element in items:
@@ -199,12 +201,17 @@ def build_dimension(name: str, items: list[tuple[int, object]],
 
     raw_edges: list[tuple[str, str, str, int | None]] = []
 
-    # 2a. inject harvested edges whose child is ready, materializing missing
-    # endpoints; repeated so edge chains attach.  Nodes only grow, so a
-    # child once ready stays ready, and a pass only reads `waiting`
-    while any(edge.child not in waiting for edge in pending):  # one pass
+    # 2a. inject harvested edges whose child is a node or has one below it,
+    # materializing missing endpoints; passes repeat so edge chains attach
+    kind = {"subject": "np", "object": "np", "action": "vp"}.get(name)
+    pending = dict.fromkeys(sorted((e for e in harvested if e.kind == kind),
+                                   key=lambda e: (e.child, e.parent)))
+    size = None
+    while size != len(pending):  # one pass, until one attaches nothing
+        size = len(pending)
         for edge in list(pending):
-            if edge.child in waiting:
+            if edge.child not in dim.nodes and not dim.index.anchors(
+                    harvested.elements[edge.child]):
                 continue
             for endpoint in (edge.child, edge.parent):
                 if endpoint not in dim.nodes:
@@ -213,36 +220,20 @@ def build_dimension(name: str, items: list[tuple[int, object]],
                               edge.evidence))
             del pending[edge]
 
-    # 2b. modifier-rule edges inside head buckets, from `_lemmas` postings
-    # without the lemmas all members share; members left bare always judged
-    edge_pairs = {(c, p) for c, p, _, _ in raw_edges}
+    # 2b. modifier-rule edges inside head buckets: the other members among
+    # a member's anchors are below it, but for pronouns, equal by their head
+    harvested_pairs = {(c, p) for c, p, _, _ in raw_edges}
     buckets: dict[tuple, list[str]] = {}
     for key in sorted(dim.nodes):
         buckets.setdefault(_shape(dim.nodes[key].element)[:2], []).append(key)
-    for bucket_keys in buckets.values():
-        own = [_lemmas(dim.nodes[key].element) for key in bucket_keys]
-        shared = set.intersection(*own)
-        postings: dict[str, list[int]] = {}
-        for i, lemmas in enumerate(own):
-            lemmas -= shared
-            for lemma in lemmas:
-                postings.setdefault(lemma, []).append(i)
-        bare = [i for i, lemmas in enumerate(own) if not lemmas]
-        for child_key, lemmas in zip(bucket_keys, own):
-            child = dim.nodes[child_key].element
-            covered = ext.get(child_key, lemmas)
-            hits = Counter(i for lemma in covered
-                           for i in postings.get(lemma, ()))
-            admitted = [j for j in hits if hits[j] == len(own[j])]
-            for i in sorted(bare + admitted):
-                parent_key = bucket_keys[i]
-                if parent_key == child_key:
-                    continue
-                rel = at_or_below(child, dim.nodes[parent_key].element,
-                                  harvested)
-                if rel == SUBCLASS and (child_key, parent_key) not in edge_pairs:
-                    raw_edges.append((child_key, parent_key, MODIFIER, None))
-                    edge_pairs.add((child_key, parent_key))
+    for (wrapper, _), keys in buckets.items():
+        if len(keys) < 2 or wrapper[-2] == PRONOUN:
+            continue
+        bucket = set(keys)
+        below = sorted((c, p) for p in keys for c in bucket
+                       & dim.index.anchors(dim.nodes[p].element)
+                       if c != p and (c, p) not in harvested_pairs)
+        raw_edges.extend((c, p, MODIFIER, None) for c, p in below)
 
     # 3. break cycles: drop lowest-evidence, then latest-discovered
     kept = _break_cycles(raw_edges, dim.dropped_edges)
@@ -253,26 +244,32 @@ def build_dimension(name: str, items: list[tuple[int, object]],
     dim.edges = reduced
     dim.edge_meta = {(c, p): (src, ev) for c, p, src, ev in kept
                      if (c, p) in reduced}
-    dim.index = SearchIndex(dim, harvested)
+    for child, parent in reduced:
+        dim.children.setdefault(parent, []).append(child)
+    dim.covered = frozenset().union(*dim.postings.values())
     return dim
 
 
-def _lemmas(element, harvested: EdgeSet | None = None) -> set[str]:
+def _lemmas(element, harvested: EdgeSet | None = None,
+            syn: SynonymTable | None = None) -> set[str]:
     """Head and modifiers of every phrase in `element` (of a pronoun, equal
     by its head, the head alone) and every clause lead; with `harvested`,
-    also those of each element a phrase's noun or verb side reaches in it.
-    Build compares without synonyms, so `at_or_below(c, p, harvested)` is
-    SUBCLASS only if `_lemmas(p) <= _lemmas(c, harvested)`: the modifier
-    rule needs equal heads and more modifiers, a harvested step reaches the
-    parent's key or one modifier-below it, and the rest are product orders."""
+    also those of each element a phrase's noun or verb side reaches in it;
+    with `syn`, no verb head that has synonyms.  So `at_or_below(c, p,
+    harvested, syn)` is not None only if `_lemmas(p, syn=syn) <= _lemmas(c,
+    harvested)`: the modifier rule needs equal heads (or synonym verbs)
+    and more modifiers, a harvested step reaches the parent's key or one
+    modifier-below it, and the rest are product orders."""
     if isinstance(element, Adverbial):
-        return _lemmas(element.content, harvested)
+        return _lemmas(element.content, harvested, syn)
     if isinstance(element, Clause):
-        return {element.lead or "-"}.union(*(_lemmas(x, harvested) for x in (
-            element.subject, element.action, element.object,
-            *element.adverbials) if x))
+        parts = (element.subject, element.action, element.object,
+                 *element.adverbials)
+        return {element.lead or "-"}.union(
+            *(_lemmas(x, harvested, syn) for x in parts if x))
     _, head, side, mods = _shape(element)
-    out = {head, *mods}
+    synonyms = syn and element.kind == VERB and syn.synonyms(head)
+    out = {*mods} if synonyms else {head, *mods}
     for k in (harvested.up(side) if harvested and side else ()):
         out |= _lemmas(harvested.elements[k])
     return out
@@ -393,19 +390,18 @@ def build_space(tagged: list[TaggedSentence],
 # ---------------------------------------------------------------------------
 
 
-def search(space: ResourceSpace, dimension: str, query,
-           syn: SynonymTable | None = None) -> set[int]:
+def search(space: ResourceSpace, dimension: str, query) -> set[int]:
     """Sentences reachable from the query downwards.
 
-    Every node at or below the query, named by the dimension's `SearchIndex`,
-    anchors the search.  Postings of the anchors and all their descendants
+    Every node at or below the query, with the space's synonyms, named by
+    the dimension's `SearchIndex`, anchors the search.  Postings of the anchors and all their descendants
     are unioned into a new set.  `query=None` addresses the dimension root:
     every sentence carrying the element.
     """
     dim = space.dimensions[dimension]
     if query is None:
-        return set(dim.index.covered)
-    keys = dim.descendants(dim.index.anchors(query, syn))
+        return set(dim.covered)
+    keys = dim.descendants(dim.index.anchors(query, space.synonyms))
     return set().union(*(dim.postings[key] for key in keys))
 
 
@@ -446,7 +442,7 @@ def coverage(space: ResourceSpace) -> CoverageReport:
         return CoverageReport(0, {n: 0 for n in DIMENSIONS},
                               {n: None for n in DIMENSIONS}, 0, None, 0, None,
                               empty=True)
-    per_dim = {name: space.dimensions[name].index.covered & ids
+    per_dim = {name: space.dimensions[name].covered & ids
                for name in DIMENSIONS}
     union = set().union(*per_dim.values()) if per_dim else set()
     intersection = per_dim["subject"] & per_dim["action"] & per_dim["object"]
@@ -511,7 +507,7 @@ def check_normal_forms(space: ResourceSpace) -> NFReport:
     second = first and not double_posted
 
     ids = set(space.records)
-    per_dim = {name: space.dimensions[name].index.covered & ids
+    per_dim = {name: space.dimensions[name].covered & ids
                for name in _NF_DIMENSIONS}
     full = {name: per_dim[name] == ids and bool(ids) for name in _NF_DIMENSIONS}
     subspace = per_dim["subject"] & per_dim["action"] & per_dim["object"]

@@ -108,6 +108,18 @@ class TestCandidateSearch:
         out = candidate_search(space, q("What is text summarization?"))
         assert out == {1}
 
+    def test_clause_with_a_synonym_verb_is_a_candidate(self):
+        # the object search reads the space's synonyms, as matching does:
+        # "that the big dog sprints" is below "that the dog runs"
+        space = build_space(
+            tag_corpus(["The researcher reports that the big dog sprints."]),
+            SynonymTable([("run", "sprint")]))
+        question = q("Who reports that the dog runs?")
+        assert match_answer(question, space.sentences[1][0],
+                            space.edge_set, space.synonyms).accepted
+        assert candidate_search(space, question) == {1}
+        assert [sid for sid, _ in answer(space, question)] == [1]
+
 
 class TestMatchAnswer:
     def test_worked_subject_answer(self):

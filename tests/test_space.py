@@ -46,9 +46,10 @@ class TestBuildDimension:
 
     @pytest.mark.parametrize("n", [20, 200])
     def test_bucket_work_grows_with_nodes_not_pairs(self, monkeypatch, n):
-        # "dog" and n dogs with distinct adjectives share one bucket; each
-        # adjective dog covers the lemmas of "dog" and of itself only, so it
-        # is judged against "dog" alone, and "dog" against nobody
+        # "dog" and n dogs with distinct adjectives share one bucket; "dog"
+        # reads the adjective dogs from the index's postings, and each of
+        # them finds no other member posted under its adjective: no pair of
+        # phrases is judged
         calls, real = [], space_mod.at_or_below
 
         def counted(*args):
@@ -60,13 +61,14 @@ class TestBuildDimension:
         dim = build_dimension("subject", items, EdgeSet())
         assert len(dim.edges) == n
         assert len(calls) <= n + 2
+        assert calls == []
 
     @pytest.mark.parametrize("n", [20, 200])
     def test_attach_work_grows_with_nodes_plus_edges(self, monkeypatch, n):
         # a harvested chain of k edges, keys falling along it, whose first
         # child is no node but has "big" one below it, after n nodes of
-        # other heads; each node is judged once, and only against the
-        # children whose lemmas it covers, not every node per edge and pass
+        # other heads; each child is looked up in the index, not judged
+        # against every node per edge and pass
         calls, real = [], space_mod.at_or_below
 
         def counted(*args):
@@ -250,16 +252,19 @@ class TestSearchIndex:
             assert search(space, "subject", query) == {1, 2, 3}
 
     def test_query_work_does_not_grow_with_nodes(self, monkeypatch):
-        # the same query over 20 and 200 unrelated noun heads and "to"
-        # clauses makes the same at_or_below calls: a noun query reads its
-        # bucket's modifier postings and judges nothing; a clause query
-        # judges only the clauses of its lead
+        # the same query over 20 and 200 unrelated noun heads, "to" clauses
+        # and "that" clauses of other verbs makes the same at_or_below
+        # calls: a noun query reads its bucket's modifier postings and
+        # judges nothing; a clause query judges only the clauses of its
+        # lead posted under all its lemmas
         edges = _harvested((np("lexrank"), np("algorithm", "unsupervised")))
         that_clause = Clause("that", None, vp("rank"), np("sentence"))
         spaces = [_subject_space(
             [(i, np(f"noun{i:03d}")) for i in range(unrelated)]
             + [(i, Clause("to", None, vp(f"verb{i:03d}"), None))
                for i in range(2000, 2000 + unrelated)]
+            + [(i, Clause("that", None, vp(f"verb{i:03d}"), np("sentence")))
+               for i in range(3000, 3000 + unrelated)]
             + [(1000, np("algorithm")), (1001, np("algorithm", "fast")),
                (1002, np("lexrank")), (1003, that_clause)], edges)
             for unrelated in (20, 200)]
