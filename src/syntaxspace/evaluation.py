@@ -121,8 +121,13 @@ def load_gold_answers(path) -> dict[str, set[int]]:
             line = line.strip()
             if line.startswith("Q:"):
                 current = line[2:].strip()
+                if not current:
+                    raise ValueError(f"{path}:{lineno}: empty question")
                 out.setdefault(current, set())
-            elif line.startswith("A:") and current is not None:
+            elif line.startswith("A:"):
+                if current is None:
+                    raise ValueError(f"{path}:{lineno}: answer before the "
+                                     f"first question")
                 try:
                     out[current].add(int(line[2:]))
                 except ValueError:
@@ -136,10 +141,23 @@ def load_gold_answers(path) -> dict[str, set[int]]:
 # ---------------------------------------------------------------------------
 
 
+class _ContentMemo(dict):
+    """lemma -> whether it is a content lemma; emptied at `1 << 16` entries."""
+
+    def __missing__(self, w):
+        if len(self) >= 1 << 16:
+            self.clear()
+        self[w] = keep = w not in FUNCTION_LEMMAS and (
+            w.isalnum() or any(c.isalnum() for c in w))
+        return keep
+
+
+_is_content = _ContentMemo()
+
+
 def content_lemmas(lemmas) -> list[str]:
     """Filter function words; keep order for the sequence baselines."""
-    return [w for w in lemmas if w not in FUNCTION_LEMMAS
-            and (w.isalnum() or any(c.isalnum() for c in w))]
+    return list(filter(_is_content.__getitem__, lemmas))
 
 
 @dataclass
@@ -224,11 +242,20 @@ def _tfidf_cosine(q, index, config):
 
 
 def _unigram_lm(q, index, config):
-    """Add-one-smoothed query likelihood, in log space."""
+    """Add-one-smoothed query likelihood, in log space.  A document that
+    shares no lemma with the question scores by its length alone, so each
+    such length is summed once."""
+    qs, unshared = set(q), {}
+
     def score(d):
         denom = len(d) + index.vocab_size
-        return (sum(math.log((d.count(w) + 1) / denom) for w in q)
-                if q and denom else float("-inf"))
+        if not (q and denom):
+            return float("-inf")
+        if qs.isdisjoint(d):
+            if denom not in unshared:
+                unshared[denom] = sum(math.log(1 / denom) for w in q)
+            return unshared[denom]
+        return sum(math.log((d.count(w) + 1) / denom) for w in q)
     return score
 
 
@@ -258,6 +285,13 @@ def _lcs(q, d) -> float:
         for j, v in enumerate(d):
             row.append(above[j] + 1 if w == v else max(row[j], above[j + 1]))
     return float(row[-1])
+
+
+def _lcs_scorer(q, index, config):
+    # only matching positions add to an LCS (Hunt & Szymanski, 1977), and a
+    # lemma that is not in the question matches none
+    qs = set(q)
+    return lambda d: _lcs(q, [w for w in d if w in qs])
 
 
 def _gst(q, d, min_tile) -> float:
@@ -298,6 +332,6 @@ _SCORERS = {
     "unigram_lm": _unigram_lm,
     "bm25": _bm25,
     "gst": lambda q, index, config: lambda d: _gst(q, d, config.gst_min_tile),
-    "lcs": lambda q, index, config: lambda d: _lcs(q, d),
+    "lcs": _lcs_scorer,
 }
 BASELINE_METHODS = tuple(_SCORERS)

@@ -132,6 +132,21 @@ class TestEvalCommands:
         assert "common_words   precision@1 = 0.00% (0/1)" in out
         assert "lcs            precision@1 = 0.00% (0/1)" in out
 
+    @pytest.mark.parametrize("what", ["qa", "baselines"])
+    @pytest.mark.parametrize("text, line, message", [
+        (f"A: 1\nQ: {SHORT_QUESTION}\n", 1,
+         "answer before the first question"),
+        (f"Q: {SHORT_QUESTION}\nA: 1\nQ: \nA: 2\n", 3, "empty question"),
+    ], ids=["answer_first", "empty_question"])
+    def test_malformed_gold_answers_are_data_errors(self, workspace, capsys,
+                                                    what, text, line, message):
+        _, space_snap = build_short(workspace, capsys)
+        gold = workspace / "gold_answers.txt"
+        gold.write_text(text)
+        code, out, err = run(capsys, "eval", what, space_snap, gold)
+        assert code == 2
+        assert err == f"error: {gold}:{line}: {message}\n" and out == ""
+
 
 class TestErrorHandling:
     def test_missing_file_is_data_error(self, tmp_path, capsys):

@@ -152,11 +152,26 @@ class TestBaselines:
         monkeypatch.setattr(evaluation, "_lcs",
                             lambda q, d: calls.append(d) or lcs(q, d))
         sentences = [(i, [f"word{i}", "the", "graph"]) for i in range(500)]
-        sentences += [(500, ["rank", "sentence"]), (501, ["the", "rank"])]
+        sentences += [(500, ["rank", "graph", "sentence"]),
+                      (501, ["the", "rank", "model"])]
         index = BaselineIndex(sentences)
         ranked = baseline_rank("lcs", ["rank", "sentence"], index)
         assert ranked[:2] == [500, 501]
+        # each document is read as its lemmas that occur in the question
         assert calls == [["rank", "sentence"], ["rank"]]
+
+    def test_content_memo_stays_within_its_bound(self, monkeypatch):
+        memo = evaluation._ContentMemo()
+        monkeypatch.setattr(evaluation, "_is_content", memo)
+        lemmas = [f"lemma{i}" for i in range((1 << 16) + 100)]
+        assert content_lemmas(lemmas) == lemmas
+        assert len(memo) <= 1 << 16
+        while len(memo) < 1 << 16:
+            content_lemmas([f"filler{len(memo)}"])
+        # "the" arrives at a full memo and empties it
+        assert content_lemmas(["the", "graph", "--", "e.g", "the"]) == [
+            "graph", "e.g"]
+        assert memo == {"the": False, "graph": True, "--": False, "e.g": True}
 
 
 class TestGoldLoaders:
@@ -171,3 +186,16 @@ class TestGoldLoaders:
         path.write_text("Q: What is X?\nA: 3\nA: 5\nQ: Who did Y?\nA: 2\n")
         gold = load_gold_answers(path)
         assert gold == {"What is X?": {3, 5}, "Who did Y?": {2}}
+
+    @pytest.mark.parametrize("text, line, message", [
+        ("A: 3\nQ: What is X?\nA: 5\n", 1, "answer before the first question"),
+        ("# gold\n\nA: 3\n", 3, "answer before the first question"),
+        ("Q: What is X?\nA: 3\nQ:\nA: 5\n", 3, "empty question"),
+        ("Q:   \n", 1, "empty question"),
+    ])
+    def test_malformed_answers(self, tmp_path, text, line, message):
+        path = tmp_path / "gold.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError) as info:
+            load_gold_answers(path)
+        assert str(info.value) == f"{path}:{line}: {message}"

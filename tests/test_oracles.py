@@ -1325,19 +1325,32 @@ _SCORERS = {
 _CONTENT = ["graph", "rank", "sentence", "model", "naïve", "x-ray"]
 _FUNCTION = ["the", "a", "of", "be", "and", "it"]
 _ODD = ["e.g", "3-d", "u.s.", "--", ".", "(", "'", "", "2", "½"]
+_UNASKED = ["tree", "node"]  # content lemmas that no question holds
 _LEMMAS = st.sampled_from(_CONTENT + _FUNCTION + _ODD)
-_DOCUMENT = st.lists(_LEMMAS, max_size=8)
+_DOCUMENT = st.lists(st.one_of(_LEMMAS, st.sampled_from(_UNASKED)),
+                     max_size=20)
 _QUESTION = st.one_of(st.lists(_LEMMAS, max_size=6),
-                      st.lists(st.sampled_from(_FUNCTION), max_size=3))
+                      st.lists(st.sampled_from(_FUNCTION), max_size=3),
+                      # three or more of two lemmas repeat one
+                      st.lists(st.sampled_from(_CONTENT[:2]), min_size=3,
+                               max_size=6))
 _CONFIG = st.one_of(st.just(BaselineConfig()), st.builds(
     BaselineConfig, st.floats(0, 3), st.floats(0, 1), st.integers(1, 4)))
 
 
 @st.composite
 def baseline_corpora(draw):
-    """Documents, some repeated, under distinct sentence ids in any order."""
+    """Documents, some repeated and some sharing no lemma with any question,
+    under distinct sentence ids in any order; perhaps one content lemma is
+    in every document, where its idf is 0."""
     docs = draw(st.lists(_DOCUMENT, max_size=12))
+    docs += draw(st.lists(st.lists(st.sampled_from(_UNASKED), min_size=1,
+                                   max_size=4), max_size=6))
     docs += draw(st.lists(st.sampled_from(docs), max_size=4)) if docs else []
+    everywhere = draw(st.none() | st.sampled_from(_CONTENT))
+    if everywhere is not None:
+        docs = [d[:i] + [everywhere] + d[i:]
+                for d in docs for i in [draw(st.integers(0, len(d)))]]
     ids = draw(st.lists(st.integers(0, 99), min_size=len(docs),
                         max_size=len(docs), unique=True))
     return list(zip(ids, docs))
