@@ -13,9 +13,12 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, compress
+from operator import itemgetter, mul, neg, not_
 
 from .corpus import gc_paused
 from .lexicon import FUNCTION_LEMMAS
+from .space import DIMENSIONS
 from .subsume import reach
 
 class UnknownMethod(ValueError):
@@ -89,6 +92,11 @@ def load_gold_relations(path) -> set[tuple[str, str, str]]:
             if len(fields) != 3:
                 raise ValueError(f"{path}:{lineno}: expected child, parent "
                                  f"and dimension, got {len(fields)} fields")
+            if fields[2] not in DIMENSIONS:
+                raise ValueError(f"{path}:{lineno}: {fields[2]!r} is not a "
+                                 f"dimension ({', '.join(DIMENSIONS)})")
+            if not (fields[0] and fields[1]):
+                raise ValueError(f"{path}:{lineno}: empty child or parent")
             out.add(fields)
     return out
 
@@ -168,16 +176,52 @@ class BaselineConfig:
 
 
 class BaselineIndex:
-    """Content lemmas of `(sentence id, lemmas)` documents, for any number of
-    `baseline_rank` calls; its corpus statistics are computed on use."""
+    """`(sentence id, lemmas)` documents for any number of `baseline_rank`
+    calls.  The lemma lists are kept by reference and must not change while
+    the index is in use.  A document's content lemmas are filtered the first
+    time a scorer reads them, and the corpus statistics are computed on use.
+    """
 
     def __init__(self, sentences):
-        self.docs = [(sid, content_lemmas(toks)) for sid, toks in sentences]
-        self.n_docs = len(self.docs)
+        pairs = list(sentences)
+        self.sids = list(map(itemgetter(0), pairs))
+        # each document's lemmas: as given until filtered, then its content
+        self.lemmas = list(map(itemgetter(1), pairs))
+        self.n_docs = len(pairs)
+        self._unread = [True] * self.n_docs
+        self.vectors = {}  # position -> tf-idf vector and norm
+        self.bm25_df = {}  # question lemma -> df
+
+    def sharing(self, q) -> list[int]:
+        """Positions of the documents holding a lemma of `q`; `q` holds
+        content lemmas only, so a document's lemmas tell before filtering."""
+        return list(compress(range(self.n_docs), map(
+            not_, map(set(q).isdisjoint, self.lemmas))))
+
+    def content(self, positions) -> list[list[str]]:
+        """Content lemmas of the documents at `positions`."""
+        lemmas, unread = self.lemmas, self._unread
+        for i in compress(positions, map(unread.__getitem__, positions)):
+            lemmas[i] = content_lemmas(lemmas[i])
+            unread[i] = False
+        return list(map(lemmas.__getitem__, positions))
+
+    @cached_property
+    def all_content(self) -> list[list[str]]:
+        """Content lemmas of every document, in order (do not change)."""
+        self.lemmas[:] = [content_lemmas(d) if unread else d
+                          for d, unread in zip(self.lemmas, self._unread)]
+        self._unread = [False] * self.n_docs
+        return self.lemmas
+
+    @property
+    def docs(self) -> list[tuple[int, list[str]]]:
+        return list(zip(self.sids, self.all_content))
 
     @cached_property
     def df(self) -> Counter:
-        return Counter(w for _, d in self.docs for w in set(d))
+        df = Counter(chain.from_iterable(map(set, self.lemmas)))
+        return Counter({w: n for w, n in df.items() if _is_content[w]})
 
     @cached_property
     def idf(self) -> dict[str, float]:
@@ -185,12 +229,13 @@ class BaselineIndex:
 
     @cached_property
     def avgdl(self) -> float:
-        return (sum(len(d) for _, d in self.docs) / self.n_docs
-                if self.n_docs else 0.0)
+        tokens = sum(map(_is_content.__getitem__,
+                         chain.from_iterable(self.lemmas)))
+        return tokens / self.n_docs if self.n_docs else 0.0
 
     @cached_property
     def vocab_size(self) -> int:
-        return len(set().union(*(d for _, d in self.docs)))
+        return len(set().union(*self.all_content))
 
 
 @gc_paused
@@ -208,47 +253,58 @@ def baseline_rank(method: str, question: list[str],
     index = sentences if isinstance(sentences, BaselineIndex) \
         else BaselineIndex(sentences)
     q = content_lemmas(question)
-    score = _SCORERS[method](q, index, config or BaselineConfig())
-    # sharing no lemma scores 0.0 (sorts with -0.0), except in unigram_lm
-    shared = set(q)
-    return [sid for _, sid in sorted(
-        (0.0 if method != "unigram_lm" and shared.isdisjoint(d)
-         else -score(d), sid) for sid, d in index.docs)]
+    scorer, config = _SCORERS[method], config or BaselineConfig()
+    if method == "unigram_lm":  # the one method that scores every document
+        keys = list(map(neg, scorer(q, index, config, range(index.n_docs))))
+    else:
+        # sharing no lemma scores 0.0 (sorts with -0.0)
+        scored = index.sharing(q)
+        keys = [0.0] * index.n_docs
+        for i, score in zip(scored, scorer(q, index, config, scored)):
+            keys[i] = -score
+    return list(map(itemgetter(1), sorted(zip(keys, index.sids))))
 
 
-def _common_words(q, index, config):
+def _common_words(q, index, config, positions):
+    return map(float, map(len, map(set(q).intersection,
+                                   index.content(positions))))
+
+
+def _jaccard(q, index, config, positions):
     qs = set(q)
-    return lambda d: float(len(qs.intersection(d)))
+    return [len(qs.intersection(d)) / len(qs.union(d))
+            for d in index.content(positions)]
 
 
-def _jaccard(q, index, config):
-    qs = set(q)
-    return lambda d: len(qs.intersection(d)) / len(qs.union(d))
+def _tfidf_cosine(q, index, config, positions):
+    idf, memo = index.idf, index.vectors
 
-
-def _tfidf_cosine(q, index, config):
     def vector(tokens):
         tf = Counter(tokens)
-        return {w: tf[w] * index.idf[w] for w in tf if w in index.idf}
+        return {w: tf[w] * idf[w] for w in tf if w in idf}
     vq = vector(q)
-    nq = math.sqrt(sum(x * x for x in vq.values()))
+    nq = math.sqrt(sum(map(mul, vq.values(), vq.values())))
+    for i, d in zip(positions, index.content(positions)):
+        if i not in memo:
+            vd = vector(d)
+            memo[i] = vd, math.sqrt(sum(map(mul, vd.values(), vd.values())))
+    scores = []
+    for vd, nd in map(memo.__getitem__, positions):
+        both = vq.keys() & vd.keys()
+        dot = sum(map(mul, map(vq.__getitem__, both),
+                      map(vd.__getitem__, both)))
+        scores.append(dot / (nq * nd) if nq and nd else 0.0)
+    return scores
 
-    def score(d):
-        vd = vector(d)
-        dot = sum(vq[w] * vd[w] for w in vq.keys() & vd.keys())
-        nd = math.sqrt(sum(x * x for x in vd.values()))
-        return dot / (nq * nd) if nq and nd else 0.0
-    return score
 
-
-def _unigram_lm(q, index, config):
+def _unigram_lm(q, index, config, positions):
     """Add-one-smoothed query likelihood, in log space.  A document that
     shares no lemma with the question scores by its length alone, so each
     such length is summed once."""
-    qs, unshared = set(q), {}
+    qs, unshared, vocab_size = set(q), {}, index.vocab_size
 
     def score(d):
-        denom = len(d) + index.vocab_size
+        denom = len(d) + vocab_size
         if not (q and denom):
             return float("-inf")
         if qs.isdisjoint(d):
@@ -256,15 +312,20 @@ def _unigram_lm(q, index, config):
                 unshared[denom] = sum(math.log(1 / denom) for w in q)
             return unshared[denom]
         return sum(math.log((d.count(w) + 1) / denom) for w in q)
-    return score
+    return map(score, index.all_content)
 
 
-def _bm25(q, index, config):
+def _bm25(q, index, config, positions):
     k1, b = config.bm25_k1, config.bm25_b
+    docs = index.content(positions)
+    # every document holding a lemma of the question is at `positions`
+    qs, df = set(q), index.bm25_df
+    if not df.keys() >= qs:
+        counts = Counter(chain.from_iterable(map(qs.intersection, docs)))
+        df.update((w, counts[w]) for w in qs)
     idf = {}
-    for w in set(q):  # sums in string-hash order, see README
-        df = index.df[w]
-        idf[w] = math.log((index.n_docs - df + 0.5) / (df + 0.5) + 1)
+    for w in qs:  # sums in string-hash order, see README
+        idf[w] = math.log((index.n_docs - df[w] + 0.5) / (df[w] + 0.5) + 1)
 
     def score(d):
         total = 0.0
@@ -274,7 +335,7 @@ def _bm25(q, index, config):
                 total += weight * (tf * (k1 + 1) / (
                     tf + k1 * (1 - b + b * len(d) / index.avgdl)))
         return total
-    return score
+    return map(score, docs)
 
 
 def _lcs(q, d) -> float:
@@ -287,11 +348,12 @@ def _lcs(q, d) -> float:
     return float(row[-1])
 
 
-def _lcs_scorer(q, index, config):
+def _lcs_scorer(q, index, config, positions):
     # only matching positions add to an LCS (Hunt & Szymanski, 1977), and a
     # lemma that is not in the question matches none
     qs = set(q)
-    return lambda d: _lcs(q, [w for w in d if w in qs])
+    return [_lcs(q, [w for w in d if w in qs])
+            for d in index.content(positions)]
 
 
 def _gst(q, d, min_tile) -> float:
@@ -324,14 +386,16 @@ def _gst(q, d, min_tile) -> float:
     return float(total)
 
 
-# method -> scorer(q, index, config): prepares q once, returns d -> score
+# method -> scorer(q, index, config, positions): the scores of the documents
+# at `positions`, in order; `unigram_lm` is given all of them
 _SCORERS = {
     "common_words": _common_words,
     "jaccard": _jaccard,
     "tfidf_cosine": _tfidf_cosine,
     "unigram_lm": _unigram_lm,
     "bm25": _bm25,
-    "gst": lambda q, index, config: lambda d: _gst(q, d, config.gst_min_tile),
+    "gst": lambda q, index, config, positions: [
+        _gst(q, d, config.gst_min_tile) for d in index.content(positions)],
     "lcs": _lcs_scorer,
 }
 BASELINE_METHODS = tuple(_SCORERS)

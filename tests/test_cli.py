@@ -285,6 +285,10 @@ MALFORMED = {
     "gold_relations": (
         "np(lexrank|)\tnp(algorithm|unsupervised)\tsubject\nnp(lexrank|)\n",
         2, lambda snap, bad: ["eval", "relations", snap, bad]),
+    # a tagged corpus is three columns too, but its third is no dimension
+    "gold_relations_dimension": (
+        "#doc short\nLexRank\tlexrank\tNNP\nbuilds\tbuild\tVBZ\n",
+        2, lambda snap, bad: ["eval", "relations", snap, bad]),
     "gold_answers": (
         f"Q: {SHORT_QUESTION}\nA: 1\n\nA: first\n",
         4, lambda snap, bad: ["eval", "qa", snap, bad]),

@@ -160,6 +160,51 @@ class TestBaselines:
         # each document is read as its lemmas that occur in the question
         assert calls == [["rank", "sentence"], ["rank"]]
 
+    # 500 documents that share nothing with QUESTION, then 2 that share a
+    # lemma of it; WORD_7 shares only document 7 and document 501
+    WORK_CORPUS = [(i, [f"word{i}", "the", "tree"]) for i in range(500)] + [
+        (500, ["the", "rank", "graph"]), (501, ["a", "sentence", "model"])]
+    QUESTION = ["the", "rank", "sentence"]
+    WORD_7 = ["word7", "of", "model"]
+
+    @staticmethod
+    def _filtered(monkeypatch) -> list:
+        """The lemma lists `content_lemmas` is called on, from now on."""
+        calls = []
+        filter_ = evaluation.content_lemmas
+        monkeypatch.setattr(evaluation, "content_lemmas",
+                            lambda lemmas: calls.append(lemmas)
+                            or filter_(lemmas))
+        return calls
+
+    @pytest.mark.parametrize("method", BASELINE_METHODS)
+    def test_list_filters_only_the_documents_sharing_a_lemma(
+            self, method, monkeypatch):
+        calls = self._filtered(monkeypatch)
+        baseline_rank(method, self.QUESTION, self.WORK_CORPUS)
+        docs = [d for _, d in self.WORK_CORPUS]
+        if method == "unigram_lm":  # scores every document by its length
+            assert calls == [self.QUESTION] + docs
+        else:
+            assert calls == [self.QUESTION] + docs[500:]
+
+    def test_prebuilt_index_filters_each_document_once(self, monkeypatch):
+        calls = self._filtered(monkeypatch)
+        index = BaselineIndex(self.WORK_CORPUS)
+        assert calls == []
+        docs = [d for _, d in self.WORK_CORPUS]
+        for method in BASELINE_METHODS:
+            for question in (self.QUESTION, self.WORD_7):
+                before = len(calls)
+                baseline_rank(method, question, index)
+                assert calls[before] is question
+                if method == "common_words":
+                    assert calls[before + 1:] == (
+                        docs[500:] if question is self.QUESTION else [docs[7]])
+        read = [d for d in calls if d is not self.QUESTION
+                and d is not self.WORD_7]
+        assert sorted(map(id, read)) == sorted(map(id, docs))
+
     def test_content_memo_stays_within_its_bound(self, monkeypatch):
         memo = evaluation._ContentMemo()
         monkeypatch.setattr(evaluation, "_is_content", memo)
@@ -180,6 +225,22 @@ class TestGoldLoaders:
         path.write_text("np(a|)\tnp(b|)\tsubject\n# comment\nvp(c|)\tvp(d|)\taction\n")
         assert load_gold_relations(path) == {
             ("np(a|)", "np(b|)", "subject"), ("vp(c|)", "vp(d|)", "action")}
+
+    @pytest.mark.parametrize("text, line, message", [
+        ("np(a|)\tnp(b|)\tsubjects\n", 1,
+         "'subjects' is not a dimension (subject, action, object, adverbial)"),
+        ("#doc short\nLexRank\tlexrank\tNNP\n", 2,
+         "'NNP' is not a dimension (subject, action, object, adverbial)"),
+        ("np(a|)\tnp(b|)\tsubject\n\tnp(b|)\tsubject\n", 2,
+         "empty child or parent"),
+        ("np(a|)\t\tobject\n", 1, "empty child or parent"),
+    ])
+    def test_malformed_relations(self, tmp_path, text, line, message):
+        path = tmp_path / "gold.tsv"
+        path.write_text(text)
+        with pytest.raises(ValueError) as info:
+            load_gold_relations(path)
+        assert str(info.value) == f"{path}:{line}: {message}"
 
     def test_answers(self, tmp_path):
         path = tmp_path / "gold.txt"

@@ -1335,7 +1335,10 @@ _QUESTION = st.one_of(st.lists(_LEMMAS, max_size=6),
                       st.lists(st.sampled_from(_CONTENT[:2]), min_size=3,
                                max_size=6))
 _CONFIG = st.one_of(st.just(BaselineConfig()), st.builds(
-    BaselineConfig, st.floats(0, 3), st.floats(0, 1), st.integers(1, 4)))
+    BaselineConfig, st.floats(0, 3), st.floats(0, 1), st.integers(1, 4)),
+    # bm25 scores NaN, which pins the rank of documents that score NaN
+    st.builds(BaselineConfig, st.sampled_from([math.inf, 1.2]),
+              st.sampled_from([math.nan, 0.75]), st.integers(1, 4)))
 
 
 @st.composite
@@ -1359,8 +1362,20 @@ def baseline_corpora(draw):
 @settings(max_examples=150, deadline=None)
 @given(baseline_corpora(), _QUESTION, _CONFIG)
 def test_baseline_rank_matches_reference(sentences, question, config):
+    docs = [(sid, content_lemmas(doc)) for sid, doc in sentences]
+    stats = _CorpusStats(docs)
+
+    def check_corpus(index):
+        assert index.df == stats.df
+        assert (index.avgdl, index.vocab_size, index.docs) == (
+            stats.avgdl, stats.vocab_size, docs)
+
     for _, doc in sentences:
         assert evaluation.content_lemmas(doc) == content_lemmas(doc)
+    check_corpus(evaluation.BaselineIndex(sentences))  # before filtering
+    partly = evaluation.BaselineIndex(sentences)
+    evaluation.baseline_rank("jaccard", question, partly, config)
+    check_corpus(partly)  # only the documents sharing a lemma are filtered
     index = evaluation.BaselineIndex(sentences)
     for method in BASELINE_METHODS:
         expected = baseline_rank(method, question, sentences, config)
@@ -1368,3 +1383,4 @@ def test_baseline_rank_matches_reference(sentences, question, config):
                                         config) == expected, method
         assert evaluation.baseline_rank(method, question, index,
                                         config) == expected, method
+    check_corpus(index)  # statistics read from partly filtered documents
