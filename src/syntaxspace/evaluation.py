@@ -177,9 +177,11 @@ class BaselineConfig:
 
 class BaselineIndex:
     """`(sentence id, lemmas)` documents for any number of `baseline_rank`
-    calls.  The lemma lists are kept by reference and must not change while
-    the index is in use.  A document's content lemmas are filtered the first
-    time a scorer reads them, and the corpus statistics are computed on use.
+    calls.  Lemma lists and tuples are kept by reference and must not change
+    while the index is in use; other iterables are copied to lists, since
+    the lemmas are read more than once.  A document's content lemmas are
+    filtered the first time a scorer reads them, and the corpus statistics
+    are computed on use.
     """
 
     def __init__(self, sentences):
@@ -187,6 +189,9 @@ class BaselineIndex:
         self.sids = list(map(itemgetter(0), pairs))
         # each document's lemmas: as given until filtered, then its content
         self.lemmas = list(map(itemgetter(1), pairs))
+        if not {list, tuple}.issuperset(map(type, self.lemmas)):
+            self.lemmas = [d if type(d) in (list, tuple) else list(d)
+                           for d in self.lemmas]
         self.n_docs = len(pairs)
         self._unread = [True] * self.n_docs
         self.vectors = {}  # position -> tf-idf vector and norm
@@ -206,17 +211,9 @@ class BaselineIndex:
             unread[i] = False
         return list(map(lemmas.__getitem__, positions))
 
-    @cached_property
-    def all_content(self) -> list[list[str]]:
-        """Content lemmas of every document, in order (do not change)."""
-        self.lemmas[:] = [content_lemmas(d) if unread else d
-                          for d, unread in zip(self.lemmas, self._unread)]
-        self._unread = [False] * self.n_docs
-        return self.lemmas
-
     @property
     def docs(self) -> list[tuple[int, list[str]]]:
-        return list(zip(self.sids, self.all_content))
+        return list(zip(self.sids, self.content(range(self.n_docs))))
 
     @cached_property
     def df(self) -> Counter:
@@ -235,7 +232,7 @@ class BaselineIndex:
 
     @cached_property
     def vocab_size(self) -> int:
-        return len(set().union(*self.all_content))
+        return len(set().union(*self.content(range(self.n_docs))))
 
 
 @gc_paused
@@ -312,7 +309,7 @@ def _unigram_lm(q, index, config, positions):
                 unshared[denom] = sum(math.log(1 / denom) for w in q)
             return unshared[denom]
         return sum(math.log((d.count(w) + 1) / denom) for w in q)
-    return map(score, index.all_content)
+    return map(score, index.content(positions))
 
 
 def _bm25(q, index, config, positions):

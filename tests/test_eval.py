@@ -205,6 +205,14 @@ class TestBaselines:
                 and d is not self.WORD_7]
         assert sorted(map(id, read)) == sorted(map(id, docs))
 
+    def test_one_shot_documents_are_read_in_full(self, short_lemmas,
+                                                 question_lemmas):
+        index = BaselineIndex((sid, iter(d)) for sid, d in short_lemmas)
+        for method in BASELINE_METHODS:  # each method rereads the documents
+            assert baseline_rank(method, question_lemmas, index) == \
+                baseline_rank(method, question_lemmas, short_lemmas)
+        assert index.docs == BaselineIndex(short_lemmas).docs
+
     def test_content_memo_stays_within_its_bound(self, monkeypatch):
         memo = evaluation._ContentMemo()
         monkeypatch.setattr(evaluation, "_is_content", memo)
