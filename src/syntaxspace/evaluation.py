@@ -20,6 +20,7 @@ from .corpus import gc_paused
 from .lexicon import FUNCTION_LEMMAS
 from .space import DIMENSIONS
 from .subsume import reach
+from .syntax import KEY_PREFIXES
 
 class UnknownMethod(ValueError):
     pass
@@ -97,6 +98,12 @@ def load_gold_relations(path) -> set[tuple[str, str, str]]:
                                  f"dimension ({', '.join(DIMENSIONS)})")
             if not (fields[0] and fields[1]):
                 raise ValueError(f"{path}:{lineno}: empty child or parent")
+            for key in fields[:2]:
+                if not (key.startswith(KEY_PREFIXES) and key.endswith(")")):
+                    raise ValueError(f"{path}:{lineno}: {key!r} is not a "
+                                     f"canonical key such as np(head|mods)")
+            if fields[0] == fields[1]:
+                raise ValueError(f"{path}:{lineno}: child equals parent")
             out.add(fields)
     return out
 

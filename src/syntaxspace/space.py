@@ -3,8 +3,8 @@
 Each dimension merges identical language representations into class nodes,
 connects them with subclass edges (modifier rule plus harvested pattern
 edges), breaks any cycles, transitively reduces the edge relation, and
-attaches sentence postings.  After building, the space is immutable and
-serves descendant-closed searches.
+attaches sentence postings.  After building, the space is immutable, and a
+search unions the postings of the nodes its index puts at or below a query.
 """
 
 from __future__ import annotations
@@ -46,11 +46,7 @@ class Dimension:
     postings: dict[str, set[int]] = field(default_factory=dict)
     dropped_edges: list[tuple[str, str, str]] = field(default_factory=list)
     index: SearchIndex | None = None  # grows with the nodes
-    children: dict[str, list[str]] = field(default_factory=dict)
     covered: frozenset[int] = frozenset()  # sentences posted at any node
-
-    def descendants(self, keys: set[str]) -> set[str]:
-        return set(keys) | reach(self.children, keys)
 
 
 class SearchIndex:
@@ -244,8 +240,6 @@ def build_dimension(name: str, items: list[tuple[int, object]],
     dim.edges = reduced
     dim.edge_meta = {(c, p): (src, ev) for c, p, src, ev in kept
                      if (c, p) in reduced}
-    for child, parent in reduced:
-        dim.children.setdefault(parent, []).append(child)
     dim.covered = frozenset().union(*dim.postings.values())
     return dim
 
@@ -391,17 +385,13 @@ def build_space(tagged: list[TaggedSentence],
 
 
 def search(space: ResourceSpace, dimension: str, query) -> set[int]:
-    """Sentences reachable from the query downwards.
-
-    Every node at or below the query, with the space's synonyms, named by
-    the dimension's `SearchIndex`, anchors the search.  Postings of the anchors and all their descendants
-    are unioned into a new set.  `query=None` addresses the dimension root:
-    every sentence carrying the element.
-    """
+    """Sentences posted at the nodes the dimension's `SearchIndex` puts at or
+    below the query, with the space's synonyms, in a new set; `query=None`
+    addresses the dimension root: every sentence carrying the element."""
     dim = space.dimensions[dimension]
     if query is None:
         return set(dim.covered)
-    keys = dim.descendants(dim.index.anchors(query, space.synonyms))
+    keys = dim.index.anchors(query, space.synonyms)
     return set().union(*(dim.postings[key] for key in keys))
 
 

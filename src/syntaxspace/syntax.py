@@ -132,6 +132,8 @@ class SentenceSyntax:
 
 _KIND_TAG = {NOUN: "np", VERB: "vp", ADJECTIVE: "adjp", ADVERB: "advp",
              PRONOUN: "prn"}
+KEY_PREFIXES = tuple(f"{tag}(" for tag in  # how each key opens
+                     (*_KIND_TAG.values(), "pp", "adv", "cl"))
 
 
 def canonical_key(element: Element | Adverbial | None) -> str:

@@ -60,6 +60,14 @@ class TestPipeline:
         assert (tmp_path / "short.tsv").read_bytes() \
             == (DATA / "short.tsv").read_bytes()
 
+    def test_query_matches_golden_file(self, tmp_path, capsys):
+        demo = pathlib.Path(__file__).parent.parent / "demo" / "short.txt"
+        run(capsys, "ingest", demo, "-o", tmp_path / "short.tsv")
+        run(capsys, "build", tmp_path / "short.tsv", "-o", tmp_path / "s")
+        code, out, _ = run(capsys, "query", tmp_path / "s", SHORT_QUESTION)
+        assert code == 0
+        assert out == (DATA / "short_query.txt").read_text()
+
     def test_stats(self, workspace, capsys):
         _, space_snap = build_short(workspace, capsys)
         code, out, _ = run(capsys, "stats", space_snap)
@@ -288,6 +296,11 @@ MALFORMED = {
     # a tagged corpus is three columns too, but its third is no dimension
     "gold_relations_dimension": (
         "#doc short\nLexRank\tlexrank\tNNP\nbuilds\tbuild\tVBZ\n",
+        2, lambda snap, bad: ["eval", "relations", snap, bad]),
+    # bare lemmas are no canonical keys: no build could predict the pair
+    "gold_relations_key": (
+        "np(lexrank|)\tnp(algorithm|unsupervised)\tsubject\n"
+        "lexrank\talgorithm\tsubject\n",
         2, lambda snap, bad: ["eval", "relations", snap, bad]),
     "gold_answers": (
         f"Q: {SHORT_QUESTION}\nA: 1\n\nA: first\n",

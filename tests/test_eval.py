@@ -10,8 +10,11 @@ from syntaxspace.evaluation import (BASELINE_METHODS, BaselineConfig,
                                     load_gold_answers, load_gold_relations,
                                     qa_precision, relation_prf, space_closure)
 from syntaxspace.space import build_space
+from syntaxspace.syntax import (ADVERB, PRONOUN, Adverbial, Clause, Phrase,
+                                canonical_key)
 
-from conftest import SHORT_INPUT, SHORT_QUESTION, tag_corpus
+from conftest import (SHORT_INPUT, SHORT_QUESTION, adjp, np, pp, tag_corpus,
+                      vp)
 
 
 class TestRelationPRF:
@@ -234,6 +237,19 @@ class TestGoldLoaders:
         assert load_gold_relations(path) == {
             ("np(a|)", "np(b|)", "subject"), ("vp(c|)", "vp(d|)", "action")}
 
+    def test_relations_take_every_kind_of_key(self, tmp_path):
+        # each kind of key `canonical_key` writes, below a plainer one
+        keys = [canonical_key(e) for e in (
+            np("model", "neural"), vp("run", "quickly"), adjp("fast", "very"),
+            Phrase(ADVERB, "quickly", ("very",)),
+            Phrase(PRONOUN, "it", ("all",)), pp("in", "model", "neural"),
+            Adverbial("time", pp("in", "model", "neural")),
+            Clause("to", None, vp("run", "quickly"), np("model")))]
+        rows = {(key, key.split("|")[0] + "|)", "object") for key in keys}
+        path = tmp_path / "gold.tsv"
+        path.write_text("".join("\t".join(row) + "\n" for row in rows))
+        assert load_gold_relations(path) == rows
+
     @pytest.mark.parametrize("text, line, message", [
         ("np(a|)\tnp(b|)\tsubjects\n", 1,
          "'subjects' is not a dimension (subject, action, object, adverbial)"),
@@ -242,6 +258,13 @@ class TestGoldLoaders:
         ("np(a|)\tnp(b|)\tsubject\n\tnp(b|)\tsubject\n", 2,
          "empty child or parent"),
         ("np(a|)\t\tobject\n", 1, "empty child or parent"),
+        ("lexrank\talgorithm\tsubject\n", 1,
+         "'lexrank' is not a canonical key such as np(head|mods)"),
+        ("np(a|)\tnp(b|\tsubject\n", 1,
+         "'np(b|' is not a canonical key such as np(head|mods)"),
+        ("np(a|)\tnp(a|)\tsubject\n", 1, "child equals parent"),
+        ("# pairs\nvp(c|)\tvp(d|)\taction\nvp(c|)\tvp(c|)\taction\n", 3,
+         "child equals parent"),
     ])
     def test_malformed_relations(self, tmp_path, text, line, message):
         path = tmp_path / "gold.tsv"

@@ -16,7 +16,10 @@ checked across kinds.
 The anchors that a dimension's `SearchIndex` gives `search` are checked
 against testing every node with `at_or_below`, the scan it replaced, and
 `build_dimension` against the copy whose modifier step judged every
-ordered pair of a bucket.
+ordered pair of a bucket.  `search` is checked against the same scan over
+random spaces, and `answer` against answering with the `search` that also
+walked the dimension's reduced edges below the anchors
+(`Dimension.descendants`, copied).
 
 `split_sentences` and `_inside_abbreviation` are the splitter that scanned
 the whole text before each candidate dot, copied unchanged together with
@@ -47,10 +50,11 @@ import re
 from collections import Counter
 from dataclasses import dataclass, replace
 from itertools import combinations
+from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
-from syntaxspace import corpus, evaluation
+from syntaxspace import corpus, evaluation, qa
 from syntaxspace import lexicon as lx
 from syntaxspace.corpus import (ACTIVE, NOUN_TAGS, PASSIVE_AGENTLESS,
                                 PASSIVE_CONVERTED, VERB_TAGS, _PUNCT_TAGS,
@@ -60,19 +64,22 @@ from syntaxspace.corpus import (ACTIVE, NOUN_TAGS, PASSIVE_AGENTLESS,
 from syntaxspace.evaluation import (BASELINE_METHODS, BaselineConfig,
                                     UnknownMethod)
 from syntaxspace.lexicon import ALL_MARKERS, FUNCTION_LEMMAS
-from syntaxspace.space import (_EVIDENCE_RANK, ClassNode, Dimension,
-                               _break_cycles, _shape,
-                               build_dimension, transitive_reduce)
+from syntaxspace.qa import QuestionSyntax
+from syntaxspace.space import (DIMENSIONS, _EVIDENCE_RANK, ClassNode,
+                               Dimension, ResourceSpace, _break_cycles,
+                               _shape, build_dimension, search,
+                               sentence_elements, transitive_reduce)
 from syntaxspace.subsume import (EQUAL, MODIFIER, RELATED, SUBCLASS,
                                  SUPERCLASS, SYNTACTIC, UNRELATED, EdgeSet,
                                  KindMismatch, SubclassEdge, SynonymTable,
                                  _as_action_np, _inner_np, at_or_below,
                                  clause_subclass, element_subclass,
                                  harvest_edges, object_group_relation,
-                                 verb_phrase_subclass)
+                                 reach, verb_phrase_subclass)
 from syntaxspace.syntax import (ADJECTIVE, ADVERB, NOUN, PREPOSITIONAL,
                                 PRONOUN, VERB, Adverbial, Clause, ObjectGroup,
-                                Phrase, canonical_key, display, match_marker)
+                                Phrase, SentenceSyntax, canonical_key, display,
+                                match_marker)
 
 from conftest import adjp, advp, np, pp, vp
 
@@ -1060,6 +1067,105 @@ def test_search_index_anchors_equal_the_scan(edges, syn):
             scan = {key for key, node in dim.nodes.items()
                     if at_or_below(node.element, query, edges, syn)}
             assert dim.index.anchors(query, syn) == scan, (query, len(members))
+
+
+# `search` as it was when it also walked the reduced edges below its
+# anchors: `Dimension.descendants`, copied unchanged but for taking the
+# children map that `build_dimension` filled as an argument.  With it in
+# place of `qa.search`, `candidate_search` is the one it was then.
+
+
+def descendants(children: dict[str, list[str]], keys: set[str]) -> set[str]:
+    return set(keys) | reach(children, keys)
+
+
+def ref_search(space: ResourceSpace, dimension: str, query) -> set[int]:
+    dim = space.dimensions[dimension]
+    if query is None:
+        return set(dim.covered)
+    children: dict[str, list[str]] = {}
+    for child, parent in dim.edges:
+        children.setdefault(parent, []).append(child)
+    keys = descendants(children, dim.index.anchors(query, space.synonyms))
+    return set().union(*(dim.postings[key] for key in keys))
+
+
+_SUBJECTS = [None] + _REL_NOUNS + NOUNS + _OTHERS[:2] + _CLAUSES
+_ACTIONS = VERBS + _REL_VERBS
+_PART_ADVERBIALS = _ADVERBIALS + _PLAIN_ADVERBIALS
+
+
+@st.composite
+def spaces(draw):
+    """A space of up to 10 sentences of one or two parts drawn from the
+    pools the harvested edges range over: modified verbs such as "run
+    quickly" lie modifier-below the child of a harvested vp edge."""
+    edges = draw(harvested())
+    syn = draw(SYNONYMS) or SynonymTable()
+    sentences = {}
+    for sid in range(1, draw(st.integers(1, 10)) + 1):
+        sentences[sid] = [SentenceSyntax(
+            sid, draw(st.sampled_from(_SUBJECTS)),
+            draw(st.sampled_from(_ACTIONS)), draw(st.sampled_from(GROUPS)),
+            tuple(draw(st.lists(st.sampled_from(_PART_ADVERBIALS),
+                                max_size=2))), part=part)
+            for part in range(draw(st.integers(1, 2)))]
+    items = {name: [] for name in DIMENSIONS}
+    for sid, parts in sentences.items():
+        for part in parts:
+            for name, elements in sentence_elements(part).items():
+                items[name].extend((sid, e) for e in elements)
+    dims = {name: build_dimension(name, items[name], edges)
+            for name in DIMENSIONS}
+    return ResourceSpace(dims, sentences, {}, [], edges, syn)
+
+
+@st.composite
+def questions(draw, parts):
+    """A question whose slots each hold the element of one of `parts` or one
+    drawn from the pools, so that some sentences answer it."""
+    part = draw(st.sampled_from(parts))
+
+    def pick(own, pool):
+        return own if draw(st.integers(0, 2)) else draw(st.sampled_from(pool))
+
+    gap = draw(st.sampled_from(("subject", "direct", "adverbial", "none")))
+    if gap == "subject":  # a type the answer must be strictly below
+        subject = draw(st.sampled_from((None, *NOUNS)))
+    else:
+        subject = pick(part.subject, _SUBJECTS) or np("model")
+    group = pick(part.object, GROUPS)
+    if gap == "direct" and group is not None:
+        group = replace(group, direct=draw(st.sampled_from((None, *NOUNS))))
+    advs = draw(st.lists(st.sampled_from(part.adverbials or _PART_ADVERBIALS),
+                         max_size=1))
+    return QuestionSyntax(
+        "general" if gap == "none" else "subject", "what", subject,
+        pick(part.action, _ACTIONS), group, tuple(advs), gap=gap,
+        adverbial_kinds=("time", "place") if gap == "adverbial" else ())
+
+
+@settings(max_examples=50, deadline=None)
+@given(spaces(), st.data())
+def test_search_reads_the_index_alone(space, data):
+    """`search` returns the sentences posted at the nodes `at_or_below`
+    accepts when every node is tested, and `answer` gives what it gave when
+    `search` also walked the dimension's edges below them: a sentence only
+    the walk reaches is one matching rejects."""
+    edges, syn = space.edge_set, space.synonyms
+    queries = (ELEMENTS + NOUNS + VERBS + _PLAIN_ADVERBIALS
+               + _OFF_DIMENSION)
+    for name, dim in space.dimensions.items():
+        for query in queries:
+            scan = set().union(*(
+                dim.postings[key] for key, node in dim.nodes.items()
+                if at_or_below(node.element, query, edges, syn)))
+            assert search(space, name, query) == scan, (name, query)
+    parts = [part for parts in space.sentences.values() for part in parts]
+    for q in data.draw(st.lists(questions(parts), min_size=1, max_size=10)):
+        got = qa.answer(space, q, k=20)
+        with mock.patch.object(qa, "search", ref_search):
+            assert got == qa.answer(space, q, k=20), q
 
 
 # `build_dimension` as it was when step 2a judged every node against every

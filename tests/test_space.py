@@ -5,6 +5,7 @@ import pytest
 from syntaxspace import corpus
 from syntaxspace import space as space_mod
 from syntaxspace.corpus import tag
+from syntaxspace.qa import answer
 from syntaxspace.space import (ClassNode, CycleDetected, Dimension,
                                ResourceSpace, _break_cycles, build_dimension,
                                build_space, check_normal_forms, coverage,
@@ -246,10 +247,29 @@ class TestSearchIndex:
         space = _subject_space([(1, apple), (2, berry), (3, cherry)], edges)
         dim = space.dimensions["subject"]
         assert len(dim.dropped_edges) == 1
-        _, parent, _ = dim.dropped_edges[0]
-        assert dim.descendants({parent}) == {parent}
+        child, parent, _ = dim.dropped_edges[0]
+        assert (child, parent) not in dim.edges
+        assert all(p != parent for _, p in dim.edges)  # nothing below it
         for query in (apple, berry, cherry):
             assert search(space, "subject", query) == {1, 2, 3}
+
+    def test_modifier_then_harvested_verb_path_is_not_searched(self):
+        # the action tree holds compute carefully -> compute (modifier) ->
+        # store (harvested), but at_or_below does not extend a harvested
+        # verb edge to phrases modifier-below its child, so matching
+        # rejects "carefully computes" for "stores" and search leaves it
+        # out: the dimension's edges are not walked
+        space = build_space(tag_corpus([
+            "The system carefully computes data.",
+            "The system computes data.", "The system stores data.",
+            "To compute data is to store data."]))
+        dim = space.dimensions["action"]
+        assert {("vp(compute|carefully)", "vp(compute|)"),
+                ("vp(compute|)", "vp(store|)")} <= dim.edges
+        assert search(space, "action", vp("store")) == {2, 3}
+        results = answer(space, tag("What stores data?"))
+        assert [(sid, j.matched["action"]) for sid, j in results] \
+            == [(3, "same"), (2, "subclass")]
 
     def test_query_work_does_not_grow_with_nodes(self, monkeypatch):
         # the same query over 20 and 200 unrelated noun heads, "to" clauses
