@@ -99,7 +99,8 @@ def load_gold_relations(path) -> set[tuple[str, str, str]]:
             if not (fields[0] and fields[1]):
                 raise ValueError(f"{path}:{lineno}: empty child or parent")
             for key in fields[:2]:
-                if not (key.startswith(KEY_PREFIXES) and key.endswith(")")):
+                if not (key.startswith(KEY_PREFIXES) and key.endswith(")")
+                        and "|" in key):
                     raise ValueError(f"{path}:{lineno}: {key!r} is not a "
                                      f"canonical key such as np(head|mods)")
             if fields[0] == fields[1]:

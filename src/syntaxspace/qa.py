@@ -18,9 +18,9 @@ from .corpus import TaggedSentence
 from .space import ResourceSpace, search
 from .subsume import (EQUAL, EdgeSet, SUBCLASS, SUPERCLASS, SynonymTable,
                       at_or_below, compare_elements)
-from .syntax import (Adverbial, Element, NEGATIVE, ObjectGroup, Phrase,
-                     SentenceSyntax, VERB, _Parser, _nominal_start,
-                     _verb_group_start)
+from .syntax import (Adverbial, Element, ObjectGroup, Phrase, SentenceSyntax,
+                     VERB, _Parser, _nominal_start, _verb_group_start,
+                     polarity_of)
 
 SUBJECT_Q = "subject"
 DIRECT_OBJECT_Q = "direct_object"
@@ -55,7 +55,6 @@ class QuestionSyntax:
     polarity: str = "affirmative"
     gap: str = "none"  # subject | direct | indirect | complement | adverbial | none
     adverbial_kinds: tuple[str, ...] = ()
-    raw: str = ""
 
 
 @dataclass
@@ -111,7 +110,6 @@ def parse_question(sentence: TaggedSentence) -> QuestionSyntax:
     else:
         raise NotAQuestion(f"cannot classify: {sentence.surface_text()!r}")
     q.adverbials = tuple(leading) + q.adverbials
-    q.raw = sentence.surface_text()
     return q
 
 
@@ -127,33 +125,35 @@ def _skip_aux(tokens, i, end):
     return i, negated, False
 
 
+def _parse_predicate(parser, i, end, negated=False,
+                     missing="no verb group in question"):
+    """Verb group, object group and trailing adverbials from i, as the
+    (action, object, adverbials, polarity) slots of a question; the action
+    loses its auxiliaries."""
+    action, i = parser.parse_verb_group(i, end)
+    if action is None:
+        raise NotAQuestion(missing)
+    group, i = parser.parse_object_group(i, end, action)
+    advs, i = parser.parse_trailing_adverbials(i, end)
+    return _strip_aux(action), group, tuple(advs), polarity_of(action, negated)
+
+
 def _parse_adverbial_question(parser, tokens, i, end, word):
     kinds = _ADVERBIAL_GAPS[word]
     i += 1
-    subject = None
-    # "how to build an extract?" form
+    # "how to build an extract?" form: affirmative whatever its verb group
     if i < end and tokens[i].pos == "TO":
-        action, j = parser.parse_verb_group(i + 1, end)
-        if action is None:
-            raise NotAQuestion("bare infinitive question without a verb")
-        group, j = parser.parse_object_group(j, end, action)
-        advs, j = parser.parse_trailing_adverbials(j, end)
-        return QuestionSyntax(ADVERBIAL_Q, word, None, _strip_aux(action),
-                              group, tuple(advs), "affirmative", "adverbial",
-                              kinds)
+        action, group, advs, _ = _parse_predicate(
+            parser, i + 1, end, missing="bare infinitive question without a verb")
+        return QuestionSyntax(ADVERBIAL_Q, word, None, action, group, advs,
+                              "affirmative", "adverbial", kinds)
     i, negated, had_aux = _skip_aux(tokens, i, end)
     if not had_aux:
         raise NotAQuestion(f"'{word}' question without auxiliary")
     subject, i = parser.parse_subject_element(i, end)
-    action, i = parser.parse_verb_group(i, end)
-    if action is None:
-        raise NotAQuestion("no verb group in question")
-    group, i = parser.parse_object_group(i, end, action)
-    advs, i = parser.parse_trailing_adverbials(i, end)
-    polarity = NEGATIVE if negated or set(action.pre) & lx.NEGATION_WORDS \
-        else "affirmative"
-    return QuestionSyntax(ADVERBIAL_Q, word, subject, _strip_aux(action),
-                          group, tuple(advs), polarity, "adverbial", kinds)
+    return QuestionSyntax(ADVERBIAL_Q, word, subject,
+                          *_parse_predicate(parser, i, end, negated),
+                          "adverbial", kinds)
 
 
 def _parse_wh_question(parser, tokens, i, end, word):
@@ -183,15 +183,8 @@ def _parse_wh_question(parser, tokens, i, end, word):
         return _parse_object_question(parser, tokens, i, end, word, type_np)
     # no inversion -> subject question
     if _verb_group_start(tokens, i):
-        action, j = parser.parse_verb_group(i, end)
-        if action is None:
-            raise NotAQuestion("no verb group in question")
-        group, j = parser.parse_object_group(j, end, action)
-        advs, j = parser.parse_trailing_adverbials(j, end)
-        polarity = NEGATIVE if set(action.pre) & lx.NEGATION_WORDS \
-            else "affirmative"
-        return QuestionSyntax(SUBJECT_Q, word, type_np, _strip_aux(action),
-                              group, tuple(advs), polarity, "subject")
+        return QuestionSyntax(SUBJECT_Q, word, type_np,
+                              *_parse_predicate(parser, i, end), "subject")
     raise NotAQuestion(f"unrecognized question shape after {word!r}")
 
 
@@ -203,8 +196,7 @@ def _parse_object_question(parser, tokens, i, end, word, type_np):
     action, i = parser.parse_verb_group(i, end)
     if action is None:
         raise NotAQuestion("no verb group in question")
-    polarity = NEGATIVE if negated or set(action.pre) & lx.NEGATION_WORDS \
-        else "affirmative"
+    polarity = polarity_of(action, negated)
     action = _strip_aux(action)
 
     present = None
@@ -256,15 +248,8 @@ def _parse_general_question(parser, tokens, i, end, word):
     subject, i = parser.parse_subject_element(i, end)
     if subject is None:
         raise NotAQuestion("general question without a subject")
-    action, i = parser.parse_verb_group(i, end)
-    if action is None:
-        raise NotAQuestion("no verb group in question")
-    group, i = parser.parse_object_group(i, end, action)
-    advs, i = parser.parse_trailing_adverbials(i, end)
-    polarity = NEGATIVE if negated or set(action.pre) & lx.NEGATION_WORDS \
-        else "affirmative"
-    return QuestionSyntax(GENERAL_Q, word, subject, _strip_aux(action), group,
-                          tuple(advs), polarity, "none")
+    return QuestionSyntax(GENERAL_Q, word, subject,
+                          *_parse_predicate(parser, i, end, negated), "none")
 
 
 def _strip_aux(action: Phrase) -> Phrase:

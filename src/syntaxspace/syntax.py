@@ -13,10 +13,11 @@ constituent span or recorded in the `unparsed` list.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import lexicon as lx
-from .corpus import NOUN_TAGS, TaggedSentence, Token, VERB_TAGS
+from .corpus import (FINITE_VERB_TAGS, NOUN_TAGS, TaggedSentence, Token,
+                     VERB_TAGS)
 
 NOUN = "noun"
 VERB = "verb"
@@ -27,9 +28,6 @@ PRONOUN = "pronoun"
 
 AFFIRMATIVE = "affirmative"
 NEGATIVE = "negative"
-
-ADVERBIAL_KINDS = ("time", "place", "method", "purpose", "reason",
-                   "condition", "unclassified")
 
 
 class ParseError(ValueError):
@@ -111,8 +109,6 @@ class SentenceSyntax:
     polarity: str = AFFIRMATIVE
     unparsed: tuple[int, ...] = ()
     part: int = 0
-    doc_id: str = ""
-    voice: str = "active"
 
     def constituent_spans(self) -> list[tuple[int, int]]:
         spans = []
@@ -185,7 +181,6 @@ _PUNCT = frozenset([".", ",", ":", "(", ")", "``", "''"])
 _NP_PRE_TAGS = frozenset(["JJ", "JJR", "JJS", "NN", "NNS", "NNP", "NNPS",
                           "CD", "VBG", "VBN", "PRP$"])
 _DET_LIKE = frozenset(["DT", "PDT"])
-_FINITE_TAGS = frozenset(["VBZ", "VBP", "VBD", "MD"])
 
 
 def _is_punct(tok: Token) -> bool:
@@ -226,8 +221,30 @@ def _verb_group_start(tokens, i) -> bool:
     return False
 
 
+def _infinitive_start(tokens, i, end) -> bool:
+    """A "to" followed by a verb at i."""
+    return i + 1 < end and tokens[i].pos == "TO" \
+        and tokens[i + 1].pos in VERB_TAGS
+
+
 def _finite_verb_start(tokens, i) -> bool:
-    return i < len(tokens) and tokens[i].pos in _FINITE_TAGS
+    return i < len(tokens) and tokens[i].pos in FINITE_VERB_TAGS
+
+
+def _noun_kind(head: str, default: str | None) -> str | None:
+    """The adverbial kind a head noun decides: time or place, else
+    `default`."""
+    if head in lx.TIME_NOUNS or lx.is_year(head):
+        return "time"
+    return "place" if head in lx.PLACE_NOUNS else default
+
+
+def polarity_of(action: Phrase, negated: bool = False) -> str:
+    """Negative when the action's pre-head (or an inverted auxiliary of a
+    question, `negated`) carries a negation word."""
+    if negated or not lx.NEGATION_WORDS.isdisjoint(action.pre):
+        return NEGATIVE
+    return AFFIRMATIVE
 
 
 # ---------------------------------------------------------------------------
@@ -257,14 +274,15 @@ def classify_marker(marker: str, content: Element | None,
         return "unclassified"
     if len(kinds) == 1:
         return kinds[0]
-    head = content.head if isinstance(content, Phrase) else None
-    if head and (head in lx.TIME_NOUNS or lx.is_year(head)) and "time" in kinds:
+    noun_kind = _noun_kind(content.head, None) \
+        if isinstance(content, Phrase) else None
+    if noun_kind == "time" and "time" in kinds:
         return "time"
     if has_finite:
         for kind in ("condition", "reason"):
             if kind in kinds:
                 return kind
-    if head and head in lx.PLACE_NOUNS and "place" in kinds:
+    if noun_kind == "place" and "place" in kinds:
         return "place"
     return kinds[0]
 
@@ -285,9 +303,14 @@ class _Parser:
         """Parse a noun phrase starting at i; returns (Phrase, next_i) or
         (None, i).
 
-        `attach_pps` makes every trailing preposition attach as post-head
-        (used before the verb); otherwise only of/about attach and other
-        prepositions are left for the adverbial layer.
+        Tails after the head fold into the post-head: of/about, "such as",
+        "including", "and other", coordination and "A, B, and C" items each
+        through one recursive parse of an inner noun phrase, relative
+        clauses as flat lemmas.  `attach_pps` makes every trailing
+        preposition attach as post-head (used before the verb); otherwise
+        only of/about attach and other prepositions are left for the
+        adverbial layer.  `subject_position` keeps coordination inside the
+        phrase even before a finite verb.
         """
         tokens = self.tokens
         start = i
@@ -320,108 +343,75 @@ class _Parser:
             i = self._skip_parenthetical(i, end)
         while i < end:
             tok = tokens[i]
+            # A fold parses an inner noun phrase and appends its words to the
+            # post-head: (connector lemmas kept, where the inner phrase
+            # starts, whether it parses in subject position, whether a finite
+            # verb after it ends this phrase).
             if tok.pos == "IN" and tok.lemma in lx.NP_ATTACH_PREPOSITIONS:
                 if i + 1 < end and tokens[i + 1].pos == "VBG":
-                    clause, j = self._parse_gerund_clause(i + 1, end)
+                    clause, j = self._parse_verb_clause(i + 1, end)
                     if clause is None:
                         break
                     post.append(tok.lemma)
                     post.extend(self._flatten_lemmas(i + 1, j))
                     i = j
                     continue
-                inner, j = self.parse_np(i + 1, end)
-                if inner is None:
-                    break
-                post.append(tok.lemma)
-                post.extend(inner.pre + (inner.head,) + inner.post)
-                i = j
-                continue
-            if attach_pps and tok.pos == "IN" and tok.lemma in lx.PREPOSITIONS \
+                fold = (tok.lemma,), i + 1, False, False
+            elif attach_pps and tok.pos == "IN" and tok.lemma in lx.PREPOSITIONS \
                     and _nominal_start(tokens, i + 1):
-                inner, j = self.parse_np(i + 1, end)
-                if inner is None:
-                    break
-                post.append(tok.lemma)
-                post.extend(inner.pre + (inner.head,) + inner.post)
-                i = j
-                continue
+                fold = (tok.lemma,), i + 1, False, False
             # hypernym-pattern tails stay inside the phrase so that the
             # sentence parse is not interrupted: "algorithms such as LexRank"
-            if tok.lemma == "such" and i + 1 < end and tokens[i + 1].lemma == "as" \
-                    and _nominal_start(tokens, i + 2):
-                inner, j = self.parse_np(i + 2, end,
-                                         subject_position=subject_position)
-                if inner is None:
-                    break
-                post.extend(("such", "as") + inner.pre + (inner.head,) + inner.post)
-                i = j
-                continue
-            if tok.lemma == "include" and tok.pos == "VBG" \
+            elif tok.lemma == "such" and i + 1 < end \
+                    and tokens[i + 1].lemma == "as" and _nominal_start(tokens, i + 2):
+                fold = ("such", "as"), i + 2, subject_position, False
+            elif tok.lemma == "include" and tok.pos == "VBG" \
                     and _nominal_start(tokens, i + 1):
-                inner, j = self.parse_np(i + 1, end)
-                if inner is None:
-                    break
-                post.extend(("include",) + inner.pre + (inner.head,) + inner.post)
-                i = j
-                continue
-            if tok.pos == "CC" and i + 1 < end and tokens[i + 1].lemma == "other" \
-                    and _nominal_start(tokens, i + 1):
-                inner, j = self.parse_np(i + 1, end)
-                if inner is None:
-                    break
-                post.extend((tok.lemma,) + inner.pre + (inner.head,) + inner.post)
-                i = j
-                continue
-            # plain coordination: kept inside one phrase; in object position
-            # a following finite verb means sentence-level coordination
-            if tok.pos == "CC" and _nominal_start(tokens, i + 1):
-                inner, j = self.parse_np(i + 1, end,
-                                         subject_position=subject_position)
-                if inner is None:
-                    break
-                if not subject_position and _finite_verb_start(tokens, j):
-                    break
-                post.extend((tok.lemma,) + inner.pre + (inner.head,) + inner.post)
-                i = j
-                continue
+                fold = ("include",), i + 1, False, False
+            # "and other" is a pattern tail; plain coordination is kept
+            # inside one phrase, but in object position a following finite
+            # verb means sentence-level coordination
+            elif tok.pos == "CC" and _nominal_start(tokens, i + 1):
+                plain = tokens[i + 1].lemma != "other"
+                fold = ((tok.lemma,), i + 1, subject_position and plain,
+                        plain and not subject_position)
             # comma inside an "A, B, and C" list: consume the next item; a
             # comma splice ("..., the researcher wins") stays a boundary
-            if tok.pos == "," and self._list_continues(i + 1, end):
+            elif tok.pos == "," and self._list_continues(i + 1, end):
                 if _nominal_start(tokens, i + 1):
-                    inner, j = self.parse_np(i + 1, end,
-                                             subject_position=subject_position)
-                    if inner is None:
-                        break
-                    post.extend(inner.pre + (inner.head,) + inner.post)
-                    i = j
-                    continue
-                if i + 1 < end and tokens[i + 1].pos == "CC":
+                    fold = (), i + 1, subject_position, False
+                elif i + 1 < end and tokens[i + 1].pos == "CC":
                     i += 1  # ", and C": the conjunction branch takes over
                     continue
-                break
+                else:
+                    break
             # restrictive relative: "dogs that guard houses"
-            if tok.lemma == "that" and i + 1 < end \
+            elif tok.lemma == "that" and i + 1 < end \
                     and _verb_group_start(tokens, i + 1):
                 j = i + 1
-                flat = ["that"]
                 while j < end and not _is_punct(tokens[j]) \
                         and match_marker(tokens, j) is None:
-                    flat.append(tokens[j].lemma)
                     j += 1
-                post.extend(x for x in flat if x not in lx.ARTICLES)
+                post.extend(self._flatten_lemmas(i, j))
                 i = j
                 continue
             # non-restrictive tail: ", which is relevant ..."
-            if tok.pos == "," and i + 1 < end and tokens[i + 1].pos in ("WDT", "WP"):
+            elif tok.pos == "," and i + 1 < end \
+                    and tokens[i + 1].pos in ("WDT", "WP"):
                 j = i + 1
-                flat = []
                 while j < end and not _is_punct(tokens[j]):
-                    flat.append(tokens[j].lemma)
                     j += 1
-                post.extend(x for x in flat if x not in lx.ARTICLES)
+                post.extend(self._flatten_lemmas(i + 1, j))
                 i = j
                 continue
-            break
+            else:
+                break
+            keep, j, inner_subject, stop_at_finite = fold
+            inner, j = self.parse_np(j, end, subject_position=inner_subject)
+            if inner is None or stop_at_finite and _finite_verb_start(tokens, j):
+                break
+            post.extend(keep + inner.pre + (inner.head,) + inner.post)
+            i = j
         return Phrase(NOUN, head, tuple(pre), tuple(post), (start, i)), i
 
     def _flatten_lemmas(self, start: int, end: int) -> list[str]:
@@ -519,10 +509,7 @@ class _Parser:
             if content is not None:
                 kind = classify_marker(marker, content, has_finite)
                 if isinstance(content, Phrase) and content.kind == PREPOSITIONAL:
-                    if content.head in lx.TIME_NOUNS or lx.is_year(content.head):
-                        kind = "time"
-                    elif content.head in lx.PLACE_NOUNS:
-                        kind = "place"
+                    kind = _noun_kind(content.head, kind)
                 return Adverbial(kind, content, marker, (start, k)), k
         if i >= end:
             return None, start
@@ -533,15 +520,14 @@ class _Parser:
             return Adverbial("method", phrase, None, (i, i + 1)), i + 1
         # method verb phrase without preposition: "using clustering algorithm"
         if tok.pos == "VBG" and tok.lemma in lx.METHOD_VERBS:
-            clause, j = self._parse_gerund_clause(i, end)
+            clause, j = self._parse_verb_clause(i, end)
             if clause is not None:
                 return Adverbial("method", clause, None, (start, j)), j
         # "to" + verb: purpose clause ("to select the relevance sentences")
-        if tok.pos == "TO" and i + 1 < end and tokens[i + 1].pos in VERB_TAGS:
-            clause, j = self._parse_infinitive_clause(i + 1, end, lead="to")
+        if _infinitive_start(tokens, i, end):
+            clause, j = self._parse_verb_clause(i, end, "to",
+                                                stop_at_finite=False)
             if clause is not None:
-                clause = Clause("to", clause.subject, clause.action,
-                                clause.object, clause.adverbials, (start, j))
                 return Adverbial("purpose", clause, "to", (start, j)), j
         # generic preposition + NP: unclassified unless the noun decides it
         if tok.pos == "IN" and tok.lemma in lx.PREPOSITIONS \
@@ -550,17 +536,12 @@ class _Parser:
             if inner is not None:
                 pp = Phrase(PREPOSITIONAL, inner.head, (tok.lemma,) + inner.pre,
                             inner.post, (start, j))
-                kind = "unclassified"
-                if inner.head in lx.TIME_NOUNS or lx.is_year(inner.head):
-                    kind = "time"
-                elif inner.head in lx.PLACE_NOUNS:
-                    kind = "place"
+                kind = _noun_kind(inner.head, "unclassified")
                 return Adverbial(kind, pp, tok.lemma, (start, j)), j
         # bare time noun phrase: "next week"
         if _nominal_start(tokens, i):
             inner, j = self.parse_np(i, end)
-            if inner is not None and (inner.head in lx.TIME_NOUNS
-                                      or lx.is_year(inner.head)):
+            if inner is not None and _noun_kind(inner.head, None) == "time":
                 return Adverbial("time", inner, None, (start, j)), j
         return None, start
 
@@ -569,11 +550,9 @@ class _Parser:
         tokens = self.tokens
         if i >= end or _is_punct(tokens[i]):
             return None, i, False
-        if tokens[i].pos == "TO" and i + 1 < end and tokens[i + 1].pos in VERB_TAGS:
-            clause, k = self._parse_infinitive_clause(i + 1, end, lead=marker)
-            return clause, k, False
-        if tokens[i].pos in VERB_TAGS and tokens[i].pos == "VBG":
-            clause, k = self._parse_gerund_clause(i, end, lead=marker)
+        if tokens[i].pos == "VBG" or _infinitive_start(tokens, i, end):
+            clause, k = self._parse_verb_clause(
+                i, end, marker, stop_at_finite=tokens[i].pos == "VBG")
             return clause, k, False
         if _verb_group_start(tokens, i):
             clause, k = self._parse_clause_body(i, end, lead=marker)
@@ -592,24 +571,21 @@ class _Parser:
 
     # -- clause bodies -----------------------------------------------------
 
-    def _parse_infinitive_clause(self, i: int, end: int, lead: str = "to",
-                                 stop_at_finite: bool = False):
-        start = i - 1 if i > 0 and self.tokens[i - 1].pos == "TO" else i
+    def _parse_verb_clause(self, i: int, end: int, lead: str | None = None,
+                           stop_at_finite: bool = True):
+        """Subjectless clause from i: an infinitive ("to select the
+        sentences", whose span takes in the "to") or a gerund clause
+        ("ranking the sentences").  The object stops at a finite verb; the
+        trailing adverbials do so when `stop_at_finite` is set."""
+        start = i
+        if self.tokens[i].pos == "TO":
+            i += 1
         action, i = self.parse_verb_group(i, end)
         if action is None:
             return None, start
         obj, i = self.parse_object_element(i, end, stop_at_finite=True)
         advs, i = self.parse_trailing_adverbials(i, end,
                                                  stop_at_finite=stop_at_finite)
-        return Clause(lead, None, action, obj, tuple(advs), (start, i)), i
-
-    def _parse_gerund_clause(self, i: int, end: int, lead: str | None = None):
-        start = i
-        action, i = self.parse_verb_group(i, end)
-        if action is None:
-            return None, start
-        obj, i = self.parse_object_element(i, end, stop_at_finite=True)
-        advs, i = self.parse_trailing_adverbials(i, end, stop_at_finite=True)
         return Clause(lead, None, action, obj, tuple(advs), (start, i)), i
 
     def _parse_clause_body(self, i: int, end: int, lead: str | None,
@@ -641,30 +617,19 @@ class _Parser:
         if i >= end:
             return None, i
         tok = tokens[i]
-        if tok.pos == "TO" and i + 1 < end and tokens[i + 1].pos in VERB_TAGS:
-            clause, j = self._parse_infinitive_clause(i + 1, end, lead="to",
-                                                      stop_at_finite=True)
+        if _infinitive_start(tokens, i, end) \
+                or tok.pos == "VBG" and not _nominal_start(tokens, i):
+            clause, j = self._parse_verb_clause(
+                i, end, "to" if tok.pos == "TO" else None)
             if clause is not None:
                 return clause, j
-        if tok.pos == "VBG" and not _nominal_start(tokens, i):
-            clause, j = self._parse_gerund_clause(i, end)
-            if clause is not None:
-                return clause, j
-        if tok.lemma in ("that", "whether") and tok.pos == "IN" \
+        if tok.pos in ("WP", "WDT", "WP$", "WRB") \
+                or tok.lemma in ("that", "whether") and tok.pos == "IN" \
                 and not (i + 1 < end and tokens[i + 1].pos in NOUN_TAGS):
             clause, j = self._parse_clause_body(i + 1, end, lead=tok.lemma,
                                                 stop_before_main=True)
             if clause is not None:
-                clause = Clause(clause.lead, clause.subject, clause.action,
-                                clause.object, clause.adverbials, (i, j))
-                return clause, j
-        if tok.pos in ("WP", "WDT", "WP$") or (tok.pos == "WRB"):
-            clause, j = self._parse_clause_body(i + 1, end, lead=tok.lemma,
-                                                stop_before_main=True)
-            if clause is not None:
-                clause = Clause(clause.lead, clause.subject, clause.action,
-                                clause.object, clause.adverbials, (i, j))
-                return clause, j
+                return replace(clause, span=(i, j)), j
         return self.parse_np(i, end, attach_pps=True, subject_position=True)
 
     # -- objects -----------------------------------------------------------
@@ -683,13 +648,11 @@ class _Parser:
                          and not self._clause_follows(i + 1, end)):
             clause, j = self._parse_clause_body(i + 1, end, lead=tok.lemma)
             if clause is not None:
-                clause = Clause(clause.lead, clause.subject, clause.action,
-                                clause.object, clause.adverbials, (i, j))
-                return clause, j
-        if tok.pos == "TO" and i + 1 < end and tokens[i + 1].pos in VERB_TAGS:
-            return self._parse_infinitive_clause(i + 1, end)
+                return replace(clause, span=(i, j)), j
+        if _infinitive_start(tokens, i, end):
+            return self._parse_verb_clause(i, end, "to", stop_at_finite=False)
         if tok.pos == "VBG" and not _nominal_start(tokens, i):
-            return self._parse_gerund_clause(i, end)
+            return self._parse_verb_clause(i, end)
         if _nominal_start(tokens, i):
             return self.parse_np(i, end)
         return None, i
@@ -716,8 +679,8 @@ class _Parser:
                 and _nominal_start(tokens, i + 1):
             prep = tokens[i].lemma
             indirect, j = self.parse_np(i + 1, end)
-            if indirect is not None and not (
-                    indirect.head in lx.TIME_NOUNS or lx.is_year(indirect.head)):
+            if indirect is not None \
+                    and _noun_kind(indirect.head, None) != "time":
                 return ObjectGroup(first, indirect, None, "after_preposition",
                                    prep, (start, j)), j
         # adjective complement: "makes results excellent"; an adjective that
@@ -775,8 +738,7 @@ class _Parser:
             starts_pp = tok.pos == "IN" and tok.lemma in lx.PREPOSITIONS
             # "to select ...," with a comma is a purpose adverbial; without
             # one the infinitive is the sentence subject
-            starts_to = tok.pos == "TO" and i + 1 < end \
-                and tokens[i + 1].pos in VERB_TAGS \
+            starts_to = _infinitive_start(tokens, i, end) \
                 and self._find_comma(i, end) is not None
             if not (starts_marker or starts_pp or starts_to):
                 break
@@ -891,17 +853,14 @@ def _parse_one(parser: _Parser, sentence: TaggedSentence, i: int, end: int,
         raise NoFiniteVerb(
             f"sentence {sentence.sentence_id}: no verb group found")
 
-    polarity = NEGATIVE if set(action.pre) & lx.NEGATION_WORDS else AFFIRMATIVE
     syntax = SentenceSyntax(
         sentence_id=sentence.sentence_id,
         subject=subject,
         action=action,
         object=obj,
         adverbials=tuple(leading) + tuple(trailing),
-        polarity=polarity,
+        polarity=polarity_of(action),
         part=part,
-        doc_id=sentence.doc_id,
-        voice=sentence.voice,
     )
     return syntax, i
 

@@ -68,6 +68,13 @@ class TestPipeline:
         assert code == 0
         assert out == (DATA / "short_query.txt").read_text()
 
+    def test_dump_parse_matches_golden_file(self, tmp_path, capsys):
+        demo = pathlib.Path(__file__).parent.parent / "demo" / "short.txt"
+        run(capsys, "ingest", demo, "-o", tmp_path / "short.tsv")
+        code, out, _ = run(capsys, "dump-parse", tmp_path / "short.tsv")
+        assert code == 0
+        assert out == (DATA / "short_parse.txt").read_text()
+
     def test_stats(self, workspace, capsys):
         _, space_snap = build_short(workspace, capsys)
         code, out, _ = run(capsys, "stats", space_snap)
@@ -302,6 +309,10 @@ MALFORMED = {
         "np(lexrank|)\tnp(algorithm|unsupervised)\tsubject\n"
         "lexrank\talgorithm\tsubject\n",
         2, lambda snap, bad: ["eval", "relations", snap, bad]),
+    # every canonical key holds a "|": np(lexrank) names no node
+    "gold_relations_bar": (
+        "np(lexrank)\tnp(algorithm|unsupervised)\tsubject\n",
+        1, lambda snap, bad: ["eval", "relations", snap, bad]),
     "gold_answers": (
         f"Q: {SHORT_QUESTION}\nA: 1\n\nA: first\n",
         4, lambda snap, bad: ["eval", "qa", snap, bad]),

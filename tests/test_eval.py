@@ -262,6 +262,8 @@ class TestGoldLoaders:
          "'lexrank' is not a canonical key such as np(head|mods)"),
         ("np(a|)\tnp(b|\tsubject\n", 1,
          "'np(b|' is not a canonical key such as np(head|mods)"),
+        ("np(lexrank)\tnp(algorithm|unsupervised)\tsubject\n", 1,
+         "'np(lexrank)' is not a canonical key such as np(head|mods)"),
         ("np(a|)\tnp(a|)\tsubject\n", 1, "child equals parent"),
         ("# pairs\nvp(c|)\tvp(d|)\taction\nvp(c|)\tvp(c|)\taction\n", 3,
          "child equals parent"),

@@ -2,7 +2,8 @@ import pytest
 
 from syntaxspace import corpus
 from syntaxspace.corpus import tag
-from syntaxspace.syntax import (Adverbial, Clause, NoFiniteVerb, Phrase,
+from syntaxspace.syntax import (NOUN, PRONOUN, VERB, Adverbial, Clause,
+                                NoFiniteVerb, ObjectGroup, Phrase,
                                 canonical_key, dump_parse, parse_sentence,
                                 parse_sentence_parts, _Parser)
 
@@ -110,6 +111,80 @@ class TestParseSentence:
         assert len(parts) == 1
         assert parts[0].subject.head == "lexrank"
         assert "textrank" in parts[0].subject.post
+
+
+def _np(head, pre=(), post=(), span=(0, 0)):
+    return Phrase(NOUN, head, pre, post, span)
+
+
+def _vp(head, span):
+    return Phrase(VERB, head, (), (), span)
+
+
+class TestConstructions:
+    """One sentence per construction; each assertion pins a whole element,
+    spans included."""
+
+    def test_including_tail(self):
+        parsed = parse_sentence(tag(
+            "The system uses algorithms (graphs) including LexRank.", 1))
+        assert parsed.object == ObjectGroup(
+            _np("algorithm", (), ("include", "lexrank"), (3, 9)), span=(3, 9))
+
+    def test_comma_list(self):
+        parsed = parse_sentence(tag(
+            "LexRank, TextRank, and SumBasic build extracts.", 1))
+        assert parsed.subject == _np(
+            "lexrank", (), ("textrank", "and", "sumbasic"), (0, 6))
+
+    @pytest.mark.parametrize("lead", ["that", "whether"])
+    def test_clause_subject_with_lead(self, lead):
+        parsed = parse_sentence(tag(
+            f"{lead.capitalize()} the algorithm builds an extract shows the value.", 1))
+        assert parsed.subject == Clause(
+            lead, _np("algorithm", span=(1, 3)), _vp("build", (3, 4)),
+            _np("extract", span=(4, 6)), (), (0, 6))
+        assert parsed.action == _vp("show", (6, 7))
+
+    def test_gerund_subject(self):
+        parsed = parse_sentence(tag(
+            "Ranking the sentences builds the summary.", 1))
+        assert parsed.subject == Clause(
+            None, None, _vp("rank", (0, 1)), _np("sentence", span=(1, 3)),
+            (), (0, 3))
+
+    def test_using_method_adverbial(self):
+        parsed = parse_sentence(tag(
+            "The system builds it using the clustering algorithm.", 1))
+        clause = Clause(None, None, _vp("use", (4, 5)),
+                        _np("algorithm", ("clustering",), span=(5, 8)),
+                        (), (4, 8))
+        assert parsed.adverbials == (Adverbial("method", clause, None, (4, 8)),)
+
+    def test_bare_time_noun_phrase(self):
+        parsed = parse_sentence(tag(
+            "The team builds the model quickly next week.", 1))
+        assert parsed.adverbials[1] == Adverbial(
+            "time", _np("week", ("next",), span=(6, 8)), None, (6, 8))
+
+    def test_marker_with_infinitive_content(self):
+        parsed = parse_sentence(tag(
+            "The system ranks them as to build an extract.", 1))
+        clause = Clause("as", None, _vp("build", (6, 7)),
+                        _np("extract", span=(7, 9)), (), (5, 9))
+        assert parsed.adverbials == (Adverbial("reason", clause, "as", (4, 9)),)
+
+    def test_call_complement(self):
+        parsed = parse_sentence(tag("Researchers call it LexRank.", 1))
+        assert parsed.object == ObjectGroup(
+            Phrase(PRONOUN, "it", (), (), (2, 3)), None,
+            _np("lexrank", span=(3, 4)), span=(2, 4))
+
+    def test_gerund_object(self):
+        parsed = parse_sentence(tag("The system needs ranking the sentences.", 1))
+        assert parsed.object == ObjectGroup(Clause(
+            None, None, _vp("rank", (3, 4)), _np("sentence", span=(4, 6)),
+            (), (3, 6)), span=(3, 6))
 
 
 class TestParseAction:
