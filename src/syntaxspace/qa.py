@@ -263,38 +263,52 @@ def _strip_aux(action: Phrase) -> Phrase:
 
 
 # ---------------------------------------------------------------------------
+# Slots
+# ---------------------------------------------------------------------------
+
+# The slots of a syntax tuple: the name an answer judgment gives each, the
+# gap that asks for it and the dimension that holds it.
+_SLOTS = (("subject", "subject", "subject"), ("action", None, "action"),
+          ("object.direct", "direct", "object"),
+          ("object.indirect", "indirect", "object"),
+          ("object.complement", "complement", "object"))
+_GAP_DIMENSIONS = {gap: dim for _, gap, dim in _SLOTS if gap is not None}
+
+
+def _slot_elements(t) -> tuple:
+    """The elements of a sentence or question in the order of `_SLOTS`;
+    without an object group its three slots are None."""
+    group = t.object
+    if group is None:
+        return t.subject, t.action, None, None, None
+    return t.subject, t.action, group.direct, group.indirect, group.complement
+
+
+# ---------------------------------------------------------------------------
 # Candidate retrieval
 # ---------------------------------------------------------------------------
 
 
 def candidate_search(space: ResourceSpace, q: QuestionSyntax) -> set[int]:
-    """Intersect dimension searches over the question's non-gap slots.
+    """Intersect dimension searches over the question's subject, action,
+    direct object and adverbials.
 
-    A gap slot with no type constraint contributes its dimension root when
-    the answer grammar requires the element to be present (subject and
-    object questions).
+    A dimension whose slot the question leaves empty is searched from its
+    root when the gap lies in it, since the answer grammar requires the
+    element to be present: a subject gap in the subject dimension, and a
+    direct, indirect or complement gap in the object dimension.
     """
+    gap_dimension = _GAP_DIMENSIONS.get(q.gap)
     ids: set[int] | None = None
-
-    def narrow(found: set[int]):
-        nonlocal ids
-        ids = found if ids is None else ids & found
-
-    if q.subject is not None:
-        narrow(search(space, "subject", q.subject))
-    elif q.gap == "subject":
-        narrow(search(space, "subject", None))
-    if q.action is not None:
-        narrow(search(space, "action", q.action))
-    if q.object is not None and q.object.direct is not None:
-        narrow(search(space, "object", q.object.direct))
-    elif q.gap in ("direct", "indirect", "complement"):
-        narrow(search(space, "object", None))
+    # a dimension's first slot: the object is searched by its direct object
+    for (_, _, dimension), element in zip(_SLOTS[:3], _slot_elements(q)):
+        if element is not None or dimension == gap_dimension:
+            found = search(space, dimension, element)
+            ids = found if ids is None else ids & found
     for adverbial in q.adverbials:
-        narrow(search(space, "adverbial", adverbial))
-    if ids is None:
-        ids = set(space.sentences)
-    return ids
+        found = search(space, "adverbial", adverbial)
+        ids = found if ids is None else ids & found
+    return set(space.sentences) if ids is None else ids
 
 
 # ---------------------------------------------------------------------------
@@ -313,49 +327,25 @@ def match_answer(q: QuestionSyntax, s: SentenceSyntax,
     specific.  Polarity disagreement is a ranking penalty, not a filter.
     """
     matched: dict[str, str] = {}
-    ok = True
-
-    def slot(name: str, answer_elem, question_elem, gap: bool):
-        nonlocal ok
-        if question_elem is None and not gap:
-            return
-        if gap:
-            if answer_elem is None:
-                matched[name] = "missing"
-                ok = False
-                return
-            if question_elem is not None:
-                rel = at_or_below(answer_elem, question_elem, edges, syn)
-                if rel != SUBCLASS:
-                    matched[name] = "mismatch"
-                    ok = False
-                    return
-            matched[name] = "gap_filled"
-            return
-        if answer_elem is None:
+    for (name, gap, _), found, asked in zip(_SLOTS, _slot_elements(s),
+                                            _slot_elements(q)):
+        is_gap = gap == q.gap
+        if asked is None and not is_gap:
+            continue
+        if found is None:
             matched[name] = "missing"
-            ok = False
-            return
-        rel = at_or_below(answer_elem, question_elem, edges, syn)
-        if rel == EQUAL:
-            matched[name] = _same_or_synonym(answer_elem, question_elem, syn)
-        elif rel == SUBCLASS:
-            matched[name] = "subclass"
+        elif asked is None:
+            matched[name] = "gap_filled"
         else:
-            matched[name] = "mismatch"
-            ok = False
-
-    slot("subject", s.subject, q.subject, gap=q.gap == "subject")
-    slot("action", s.action, q.action, gap=False)
-
-    q_group = q.object or ObjectGroup(None)  # type: ignore[arg-type]
-    s_group = s.object
-    slot("object.direct", s_group.direct if s_group else None,
-         q_group.direct if q.object else None, gap=q.gap == "direct")
-    slot("object.indirect", s_group.indirect if s_group else None,
-         q_group.indirect if q.object else None, gap=q.gap == "indirect")
-    slot("object.complement", s_group.complement if s_group else None,
-         q_group.complement if q.object else None, gap=q.gap == "complement")
+            rel = at_or_below(found, asked, edges, syn)
+            if rel == EQUAL and not is_gap:
+                # equal phrases differ in their heads only as synonym verbs
+                synonym = isinstance(found, Phrase) and found.head != asked.head
+                matched[name] = "synonym" if synonym else "same"
+            elif rel == SUBCLASS:
+                matched[name] = "gap_filled" if is_gap else "subclass"
+            else:
+                matched[name] = "mismatch"
 
     remaining = list(s.adverbials)
     for idx, q_adv in enumerate(q.adverbials):
@@ -370,36 +360,19 @@ def match_answer(q: QuestionSyntax, s: SentenceSyntax,
                     break
         if hit is None:
             matched[f"adverbial[{idx}]"] = "missing"
-            ok = False
         else:
             remaining.pop(hit[0])
             matched[f"adverbial[{idx}]"] = hit[1]
     if q.gap == "adverbial":
-        filler = next((a for a in remaining if a.kind in q.adverbial_kinds),
-                      None)
-        if filler is None:
-            matched["adverbial*"] = "missing"
-            ok = False
-        else:
-            matched["adverbial*"] = "gap_filled"
+        filled = any(a.kind in q.adverbial_kinds for a in remaining)
+        matched["adverbial*"] = "gap_filled" if filled else "missing"
 
+    ok = not {"missing", "mismatch"} & set(matched.values())
     penalty = 0 if s.polarity == q.polarity else 1
     strict = sum(1 for outcome in matched.values() if outcome == "subclass")
-    affirmed = None
-    if q.kind == GENERAL_Q:
-        affirmed = ok and penalty == 0
+    affirmed = ok and penalty == 0 if q.kind == GENERAL_Q else None
     return AnswerJudgment(s.sentence_id, ok, matched, penalty, strict,
                           affirmed)
-
-
-def _same_or_synonym(answer_elem, question_elem, syn) -> str:
-    if syn is not None and isinstance(answer_elem, Phrase) \
-            and isinstance(question_elem, Phrase) \
-            and answer_elem.kind == VERB \
-            and answer_elem.head != question_elem.head \
-            and syn.related(answer_elem.head, question_elem.head):
-        return "synonym"
-    return "same"
 
 
 # ---------------------------------------------------------------------------
@@ -433,17 +406,8 @@ def answer(space: ResourceSpace, question: TaggedSentence | QuestionSyntax,
 # ---------------------------------------------------------------------------
 
 
-def _slot_pairs(a, b):
-    yield a.subject, b.subject
-    yield a.action, b.action
-    ga, gb = a.object, b.object
-    yield (ga.direct if ga else None), (gb.direct if gb else None)
-    yield (ga.indirect if ga else None), (gb.indirect if gb else None)
-    yield (ga.complement if ga else None), (gb.complement if gb else None)
-
-
 def _any_pair_related(a, b, edges, syn) -> bool:
-    for e1, e2 in _slot_pairs(a, b):
+    for e1, e2 in zip(_slot_elements(a), _slot_elements(b)):
         if e1 is None or e2 is None:
             continue
         if compare_elements(e1, e2, edges, syn) in (EQUAL, SUBCLASS, SUPERCLASS):

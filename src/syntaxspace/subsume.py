@@ -66,8 +66,10 @@ class SynonymTable:
                 if not line or line.startswith("#"):
                     continue
                 fields = line.split("\t")
-                if len(fields) < 2:
-                    raise ValueError(f"{path}:{lineno}: expected two lemmas")
+                # a lemma is one word: an empty or spaced field never applies
+                if len(fields) != 2 or any(f.split() != [f] for f in fields):
+                    raise ValueError(f"{path}:{lineno}: expected two lemmas "
+                                     f"separated by one tab")
                 pairs.append((fields[0], fields[1]))
         return cls(pairs)
 
@@ -85,25 +87,28 @@ class EdgeSet:
     """Harvested subclass edges, the representative element per key, and
     their closure, all built by the constructor and never changed after.
 
-    Conflicting directions (both a<b and b<a harvested) are dropped and
-    logged so that antisymmetry holds downstream.
+    A pair harvested in both directions (a<b and b<a), in any order and
+    any number of times, keeps neither, so that antisymmetry holds
+    downstream; `dropped` logs it once, in the direction seen second.
+    Otherwise a pair keeps its first edge.
     """
 
     def __init__(self, triples=()):
-        self.edges: dict[tuple[str, str], SubclassEdge] = {}
+        first: dict[tuple[str, str], SubclassEdge] = {}
         self.elements: dict[str, Element] = {}
         self.dropped: list[tuple[str, str]] = []
         for edge, child, parent in triples:
-            pair, reverse = (edge.child, edge.parent), (edge.parent, edge.child)
-            if edge.child == edge.parent or pair in self.edges:
+            if edge.child == edge.parent:
                 continue
-            if reverse in self.edges:
-                del self.edges[reverse]
-                self.dropped.append(pair)
-                continue
-            self.edges[pair] = edge
             self.elements.setdefault(edge.child, child)
             self.elements.setdefault(edge.parent, parent)
+            pair = (edge.child, edge.parent)
+            if pair not in first:
+                first[pair] = edge
+                if pair[::-1] in first:
+                    self.dropped.append(pair)
+        self.edges = {pair: edge for pair, edge in first.items()
+                      if pair[::-1] not in first}
         self._parents: dict[str, set[str]] = {}
         self._np_children: dict[str, set[str]] = {}  # head -> child keys
         for edge in self.edges.values():
@@ -286,11 +291,7 @@ def clause_subclass(c1: Clause, c2: Clause, edges: EdgeSet | None = None,
     """Equal lead words plus the component-wise product order."""
     if not (isinstance(c1, Clause) and isinstance(c2, Clause)):
         raise KindMismatch("clause_subclass expects clauses")
-    if c1.lead != c2.lead:
-        return False
-    return _tuple_subclass((c1.subject, c2.subject), (c1.action, c2.action),
-                           (c1.object, c2.object), c1.adverbials,
-                           c2.adverbials, edges, syn, object_as_group=False)
+    return c1.lead == c2.lead and _tuple_subclass(c1, c2, edges, syn)
 
 
 # ---------------------------------------------------------------------------
@@ -327,19 +328,18 @@ def _adverbial_pairs(advs1, advs2, edges, syn):
     return relations, len(remaining)
 
 
-def _tuple_subclass(subj_pair, act_pair, obj_pair, advs1, advs2, edges, syn,
-                    object_as_group: bool) -> bool:
+def _tuple_subclass(t1, t2, edges, syn) -> bool:
+    """The product order of two clauses, sentences or questions over
+    subject, action, object and adverbials.  A clause's object is one
+    element; a sentence's or question's is an ObjectGroup or None."""
     relations = [
-        _optional(at_or_below, subj_pair[0], subj_pair[1], edges, syn),
-        _optional(at_or_below, act_pair[0], act_pair[1], edges, syn),
+        _optional(at_or_below, t1.subject, t2.subject, edges, syn),
+        _optional(at_or_below, t1.action, t2.action, edges, syn),
+        _optional(at_or_below, t1.object, t2.object, edges, syn)
+        if isinstance(t1, Clause)
+        else object_group_relation(t1.object, t2.object, edges, syn),
     ]
-    if object_as_group:
-        relations.append(object_group_relation(obj_pair[0], obj_pair[1],
-                                               edges, syn))
-    else:
-        relations.append(_optional(at_or_below, obj_pair[0], obj_pair[1],
-                                   edges, syn))
-    adv = _adverbial_pairs(advs1, advs2, edges, syn)
+    adv = _adverbial_pairs(t1.adverbials, t2.adverbials, edges, syn)
     if adv is None:
         return False
     pair_relations, extra = adv
@@ -354,20 +354,15 @@ def sentence_subclass(s1: SentenceSyntax, s2: SentenceSyntax,
                       syn: SynonymTable | None = None) -> bool:
     """Component-wise same-or-subclass with n>=m adverbials and at least
     one strictly more specific pair (an extra adverbial counts)."""
-    return _tuple_subclass((s1.subject, s2.subject), (s1.action, s2.action),
-                           (s1.object, s2.object), s1.adverbials,
-                           s2.adverbials, edges, syn, object_as_group=True)
+    return _tuple_subclass(s1, s2, edges, syn)
 
 
 def question_subclass(q1, q2, edges: EdgeSet | None = None,
                       syn: SynonymTable | None = None) -> bool:
     """The sentence comparison plus equal interrogative words (and
     question kinds)."""
-    if q1.interrogative != q2.interrogative or q1.kind != q2.kind:
-        return False
-    return _tuple_subclass((q1.subject, q2.subject), (q1.action, q2.action),
-                           (q1.object, q2.object), q1.adverbials,
-                           q2.adverbials, edges, syn, object_as_group=True)
+    return (q1.interrogative == q2.interrogative and q1.kind == q2.kind
+            and _tuple_subclass(q1, q2, edges, syn))
 
 
 def object_group_relation(g1: ObjectGroup | None, g2: ObjectGroup | None,

@@ -68,6 +68,19 @@ class TestPipeline:
         assert code == 0
         assert out == (DATA / "short_query.txt").read_text()
 
+    def test_query_explain_matches_golden_file(self, tmp_path, capsys):
+        demo = pathlib.Path(__file__).parent.parent / "demo" / "short.txt"
+        run(capsys, "ingest", demo, "-o", tmp_path / "short.tsv")
+        run(capsys, "build", tmp_path / "short.tsv", "-o", tmp_path / "s")
+        out = ""
+        for line in (DATA / "short_gold.txt").read_text().splitlines():
+            if line.startswith("Q: "):
+                code, answers, _ = run(capsys, "query", tmp_path / "s",
+                                       line[3:], "--explain")
+                assert code == 0
+                out += answers
+        assert out == (DATA / "short_explain.txt").read_text()
+
     def test_dump_parse_matches_golden_file(self, tmp_path, capsys):
         demo = pathlib.Path(__file__).parent.parent / "demo" / "short.txt"
         run(capsys, "ingest", demo, "-o", tmp_path / "short.tsv")
@@ -319,6 +332,16 @@ MALFORMED = {
     "synonyms": (
         "# lemma pairs\nbuild\tconstruct\nmake\n",
         3, lambda snap, bad: ["--synonyms", bad, "stats", snap]),
+    # a row applies only as one lemma, a tab and one lemma
+    "synonyms_three_fields": (
+        "build\tconstruct\nmake\tform\tshape\n",
+        2, lambda snap, bad: ["--synonyms", bad, "stats", snap]),
+    "synonyms_empty_field": (
+        "build\t\tconstruct\n",
+        1, lambda snap, bad: ["--synonyms", bad, "stats", snap]),
+    "synonyms_phrase": (
+        "build\tconstruct\nbuild fast\tconstruct\n",
+        2, lambda snap, bad: ["--synonyms", bad, "stats", snap]),
 }
 
 

@@ -19,7 +19,9 @@ against testing every node with `at_or_below`, the scan it replaced, and
 ordered pair of a bucket.  `search` is checked against the same scan over
 random spaces, and `answer` against answering with the `search` that also
 walked the dimension's reduced edges below the anchors
-(`Dimension.descendants`, copied).
+(`Dimension.descendants`, copied).  `candidate_search` and `match_answer`
+are checked against the copies that wrote the subject, action and object
+slots out by hand, one branch or `slot()` call each.
 
 `split_sentences` and `_inside_abbreviation` are the splitter that scanned
 the whole text before each candidate dot, copied unchanged together with
@@ -64,7 +66,7 @@ from syntaxspace.corpus import (ACTIVE, NOUN_TAGS, PASSIVE_AGENTLESS,
 from syntaxspace.evaluation import (BASELINE_METHODS, BaselineConfig,
                                     UnknownMethod)
 from syntaxspace.lexicon import ALL_MARKERS, FUNCTION_LEMMAS
-from syntaxspace.qa import QuestionSyntax
+from syntaxspace.qa import GENERAL_Q, AnswerJudgment, QuestionSyntax
 from syntaxspace.space import (DIMENSIONS, _EVIDENCE_RANK, ClassNode,
                                Dimension, ResourceSpace, _break_cycles,
                                _shape, build_dimension, search,
@@ -1120,6 +1122,9 @@ def spaces(draw):
     return ResourceSpace(dims, sentences, {}, [], edges, syn)
 
 
+_OBJECT_GAPS = ("direct", "indirect", "complement")
+
+
 @st.composite
 def questions(draw, parts):
     """A question whose slots each hold the element of one of `parts` or one
@@ -1129,14 +1134,16 @@ def questions(draw, parts):
     def pick(own, pool):
         return own if draw(st.integers(0, 2)) else draw(st.sampled_from(pool))
 
-    gap = draw(st.sampled_from(("subject", "direct", "adverbial", "none")))
+    gap = draw(st.sampled_from(("subject", *_OBJECT_GAPS, "adverbial",
+                                "none")))
     if gap == "subject":  # a type the answer must be strictly below
         subject = draw(st.sampled_from((None, *NOUNS)))
     else:
         subject = pick(part.subject, _SUBJECTS) or np("model")
     group = pick(part.object, GROUPS)
-    if gap == "direct" and group is not None:
-        group = replace(group, direct=draw(st.sampled_from((None, *NOUNS))))
+    if gap in _OBJECT_GAPS and group is not None:  # untyped or typed
+        group = replace(group, **{gap: draw(st.one_of(
+            st.none(), st.sampled_from(NOUNS + [adjp("fast")])))})
     advs = draw(st.lists(st.sampled_from(part.adverbials or _PART_ADVERBIALS),
                          max_size=1))
     return QuestionSyntax(
@@ -1166,6 +1173,177 @@ def test_search_reads_the_index_alone(space, data):
         got = qa.answer(space, q, k=20)
         with mock.patch.object(qa, "search", ref_search):
             assert got == qa.answer(space, q, k=20), q
+
+
+# `candidate_search` and `match_answer` as they were when each wrote the
+# subject, action and object slots out by hand, copied unchanged but for
+# their names and for `_same_or_synonym`, which `match_answer` called.
+
+
+def ref_candidate_search(space: ResourceSpace, q: QuestionSyntax) -> set[int]:
+    """Intersect dimension searches over the question's non-gap slots.
+
+    A gap slot with no type constraint contributes its dimension root when
+    the answer grammar requires the element to be present (subject and
+    object questions).
+    """
+    ids: set[int] | None = None
+
+    def narrow(found: set[int]):
+        nonlocal ids
+        ids = found if ids is None else ids & found
+
+    if q.subject is not None:
+        narrow(search(space, "subject", q.subject))
+    elif q.gap == "subject":
+        narrow(search(space, "subject", None))
+    if q.action is not None:
+        narrow(search(space, "action", q.action))
+    if q.object is not None and q.object.direct is not None:
+        narrow(search(space, "object", q.object.direct))
+    elif q.gap in ("direct", "indirect", "complement"):
+        narrow(search(space, "object", None))
+    for adverbial in q.adverbials:
+        narrow(search(space, "adverbial", adverbial))
+    if ids is None:
+        ids = set(space.sentences)
+    return ids
+
+
+def ref_match_answer(q: QuestionSyntax, s: SentenceSyntax,
+                     edges: EdgeSet | None = None,
+                     syn: SynonymTable | None = None) -> AnswerJudgment:
+    """Check one candidate sentence against the answer pattern for q.
+
+    Every question slot must be matched by the same element, a synonym
+    (action heads only) or a subclass; the asked slot must be present, and
+    when the question constrains its type the answer must be strictly more
+    specific.  Polarity disagreement is a ranking penalty, not a filter.
+    """
+    matched: dict[str, str] = {}
+    ok = True
+
+    def slot(name: str, answer_elem, question_elem, gap: bool):
+        nonlocal ok
+        if question_elem is None and not gap:
+            return
+        if gap:
+            if answer_elem is None:
+                matched[name] = "missing"
+                ok = False
+                return
+            if question_elem is not None:
+                rel = at_or_below(answer_elem, question_elem, edges, syn)
+                if rel != SUBCLASS:
+                    matched[name] = "mismatch"
+                    ok = False
+                    return
+            matched[name] = "gap_filled"
+            return
+        if answer_elem is None:
+            matched[name] = "missing"
+            ok = False
+            return
+        rel = at_or_below(answer_elem, question_elem, edges, syn)
+        if rel == EQUAL:
+            matched[name] = _same_or_synonym(answer_elem, question_elem, syn)
+        elif rel == SUBCLASS:
+            matched[name] = "subclass"
+        else:
+            matched[name] = "mismatch"
+            ok = False
+
+    slot("subject", s.subject, q.subject, gap=q.gap == "subject")
+    slot("action", s.action, q.action, gap=False)
+
+    q_group = q.object or ObjectGroup(None)  # type: ignore[arg-type]
+    s_group = s.object
+    slot("object.direct", s_group.direct if s_group else None,
+         q_group.direct if q.object else None, gap=q.gap == "direct")
+    slot("object.indirect", s_group.indirect if s_group else None,
+         q_group.indirect if q.object else None, gap=q.gap == "indirect")
+    slot("object.complement", s_group.complement if s_group else None,
+         q_group.complement if q.object else None, gap=q.gap == "complement")
+
+    remaining = list(s.adverbials)
+    for idx, q_adv in enumerate(q.adverbials):
+        hit = None
+        for pos, cand in enumerate(remaining):
+            if cand.kind != q_adv.kind:
+                continue
+            rel = at_or_below(cand.content, q_adv.content, edges, syn)
+            if rel is not None:
+                hit = (pos, "same" if rel == EQUAL else "subclass")
+                if rel == EQUAL:
+                    break
+        if hit is None:
+            matched[f"adverbial[{idx}]"] = "missing"
+            ok = False
+        else:
+            remaining.pop(hit[0])
+            matched[f"adverbial[{idx}]"] = hit[1]
+    if q.gap == "adverbial":
+        filler = next((a for a in remaining if a.kind in q.adverbial_kinds),
+                      None)
+        if filler is None:
+            matched["adverbial*"] = "missing"
+            ok = False
+        else:
+            matched["adverbial*"] = "gap_filled"
+
+    penalty = 0 if s.polarity == q.polarity else 1
+    strict = sum(1 for outcome in matched.values() if outcome == "subclass")
+    affirmed = None
+    if q.kind == GENERAL_Q:
+        affirmed = ok and penalty == 0
+    return AnswerJudgment(s.sentence_id, ok, matched, penalty, strict,
+                          affirmed)
+
+
+def _same_or_synonym(answer_elem, question_elem, syn) -> str:
+    if syn is not None and isinstance(answer_elem, Phrase) \
+            and isinstance(question_elem, Phrase) \
+            and answer_elem.kind == VERB \
+            and answer_elem.head != question_elem.head \
+            and syn.related(answer_elem.head, question_elem.head):
+        return "synonym"
+    return "same"
+
+
+def _recording(fn, calls):
+    def recorded(*args):
+        calls.append(args)
+        return fn(*args)
+    return recorded
+
+
+@settings(max_examples=50, deadline=None)
+@given(spaces(), st.data())
+def test_slot_walk_matches_reference(space, data):
+    """`candidate_search` gives the reference's candidates from the same
+    `search` calls in the same order, and `match_answer` the whole
+    judgment, `matched` in the same order, from the same `at_or_below`
+    calls, with the space's synonym table and without one."""
+    parts = [part for parts in space.sentences.values() for part in parts]
+    for q in data.draw(st.lists(questions(parts), min_size=1, max_size=10)):
+        got_calls, ref_calls = [], []
+        with mock.patch.object(qa, "search", _recording(search, got_calls)):
+            got = qa.candidate_search(space, q)
+        with mock.patch.dict(globals(), search=_recording(search, ref_calls)):
+            assert got == ref_candidate_search(space, q), q
+        assert got_calls == ref_calls, q
+        for syn in (None, space.synonyms):
+            for part in parts:
+                got_calls, ref_calls = [], []
+                with mock.patch.object(qa, "at_or_below",
+                                       _recording(at_or_below, got_calls)):
+                    got = qa.match_answer(q, part, space.edge_set, syn)
+                with mock.patch.dict(globals(), at_or_below=_recording(
+                        at_or_below, ref_calls)):
+                    ref = ref_match_answer(q, part, space.edge_set, syn)
+                assert got == ref, (q, part)
+                assert list(got.matched) == list(ref.matched), (q, part)
+                assert got_calls == ref_calls, (q, part)
 
 
 # `build_dimension` as it was when step 2a judged every node against every

@@ -2,14 +2,16 @@ import pytest
 
 from syntaxspace import corpus, qa
 from syntaxspace.corpus import tag
-from syntaxspace.qa import (AnswerJudgment, NotAQuestion, answer,
-                            candidate_search, match_answer, parse_question,
-                            question_relevant, sentence_relevant)
+from syntaxspace.qa import (AnswerJudgment, NotAQuestion, QuestionSyntax,
+                            answer, candidate_search, match_answer,
+                            parse_question, question_relevant,
+                            sentence_relevant)
 from syntaxspace.space import build_space
 from syntaxspace.subsume import SynonymTable
-from syntaxspace.syntax import display, parse_sentence
+from syntaxspace.syntax import (Adverbial, SentenceSyntax, display,
+                                parse_sentence)
 
-from conftest import SHORT_QUESTION, tag_corpus
+from conftest import SHORT_QUESTION, np, pp, tag_corpus, vp
 
 
 def q(text):
@@ -184,6 +186,20 @@ class TestMatchAnswer:
         judgment = match_answer(question, sentence, syn=syn)
         assert judgment.accepted
         assert judgment.matched["action"] == "synonym"
+
+    def test_equal_adverbial_after_a_subclass_one_wins(self):
+        # "in the chemistry lab" is below "in the lab", but the later equal
+        # adverbial is the one paired
+        place = Adverbial("place", pp("in", "lab"))
+        question = QuestionSyntax("general", "do", np("curie"), vp("win"),
+                                  None, (place,))
+        sentence = SentenceSyntax(
+            1, np("curie"), vp("win"), None,
+            (Adverbial("place", pp("in", "lab", "chemistry")), place))
+        judgment = match_answer(question, sentence)
+        assert judgment.accepted
+        assert judgment.matched["adverbial[0]"] == "same"
+        assert judgment.strict_count == 0
 
     def test_general_affirmed_flag(self):
         question = q("does unsupervised algorithm need labelled data?")

@@ -14,8 +14,9 @@ from syntaxspace.subsume import (EQUAL, KindMismatch, RELATED, SUBCLASS,
                                  verb_phrase_subclass)
 from syntaxspace.syntax import (Clause, canonical_key, parse_sentence)
 from syntaxspace.qa import parse_question
+from syntaxspace.space import build_space
 
-from conftest import adjp, advp, np, pp, vp
+from conftest import adjp, advp, np, pp, tag_corpus, vp
 
 
 def parse(text, sid=1):
@@ -217,6 +218,22 @@ class TestScanPatterns:
         edges = harvest("a cat is an animal", "an animal is a cat")
         assert len(edges) == 0
         assert edges.dropped
+
+    def test_third_sighting_does_not_restore_a_conflict(self):
+        edges = harvest("a cat is an animal", "an animal is a cat",
+                        "a cat is an animal")
+        assert len(edges) == 0
+        assert edges.dropped == [("np(animal|)", "np(cat|)")]
+
+    def test_conflict_holds_across_the_parts_of_a_sentence(self):
+        # each part of the second sentence scans its list pattern again
+        space = build_space(tag_corpus([
+            "The algorithm is a LexRank.",
+            "Algorithms such as LexRank rank sentences, and the team "
+            "builds models."]))
+        assert len(space.sentences[2]) == 2
+        assert len(space.edge_set) == 0
+        assert space.edge_set.dropped == [("np(lexrank|)", "np(algorithm|)")]
 
     def test_infinitive_vp_pattern(self):
         edges = harvest("to sprint is to run")
