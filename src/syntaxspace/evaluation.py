@@ -116,7 +116,9 @@ def load_gold_relations(path) -> set[tuple[str, str, str]]:
 
 def qa_precision(gold: dict[str, set[int]], system: dict[str, list[int]],
                  k: int = 5):
-    """Micro-averaged precision: correct returned / total returned."""
+    """Micro-averaged precision, correct / returned, over top k >= 1."""
+    if k < 1:
+        raise ValueError(f"k must be >= 1, not {k}")
     correct = 0
     returned = 0
     for question, answers in system.items():

@@ -15,12 +15,12 @@ from dataclasses import dataclass, field
 
 from . import lexicon as lx
 from .corpus import TaggedSentence
-from .space import ResourceSpace, search
+from .space import ResourceSpace, search  # noqa: F401 (callers rebind it)
 from .subsume import (EQUAL, EdgeSet, SUBCLASS, SUPERCLASS, SynonymTable,
-                      at_or_below, compare_elements)
+                      at_or_below, compare_elements, same_class)
 from .syntax import (Adverbial, Element, ObjectGroup, Phrase, SentenceSyntax,
                      VERB, _Parser, _nominal_start, _verb_group_start,
-                     polarity_of)
+                     canonical_key, polarity_of)
 
 SUBJECT_Q = "subject"
 DIRECT_OBJECT_Q = "direct_object"
@@ -289,25 +289,36 @@ def _slot_elements(t) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def candidate_search(space: ResourceSpace, q: QuestionSyntax) -> set[int]:
-    """Intersect dimension searches over the question's subject, action,
-    direct object and adverbials.
+def candidate_search(space: ResourceSpace, q: QuestionSyntax,
+                     anchors: dict | None = None) -> set[int]:
+    """Intersect the `SearchIndex` reads (with the space's synonyms) of the
+    question's subject, action, direct object and adverbials; `anchors`
+    gets each read slot's anchor keys under the slot's name.
 
-    A dimension whose slot the question leaves empty is searched from its
-    root when the gap lies in it, since the answer grammar requires the
-    element to be present: a subject gap in the subject dimension, and a
-    direct, indirect or complement gap in the object dimension.
+    A gap slot the question leaves empty keeps, last, the sentences its
+    dimension covers, since the answer grammar requires the element: a
+    subject gap in the subject dimension, and a direct, indirect or
+    complement gap in the object dimension.
     """
-    gap_dimension = _GAP_DIMENSIONS.get(q.gap)
+    root = _GAP_DIMENSIONS.get(q.gap)
     ids: set[int] | None = None
     # a dimension's first slot: the object is searched by its direct object
-    for (_, _, dimension), element in zip(_SLOTS[:3], _slot_elements(q)):
-        if element is not None or dimension == gap_dimension:
-            found = search(space, dimension, element)
-            ids = found if ids is None else ids & found
-    for adverbial in q.adverbials:
-        found = search(space, "adverbial", adverbial)
+    for (name, _, dimension), element in [
+            *zip(_SLOTS[:3], _slot_elements(q)),
+            *(((f"adverbial[{idx}]", None, "adverbial"), adverbial)
+              for idx, adverbial in enumerate(q.adverbials))]:
+        if element is None:
+            continue
+        root = None if dimension == root else root
+        dim = space.dimensions[dimension]
+        keys = dim.index.anchors(element, space.synonyms)
+        if anchors is not None:
+            anchors[name] = keys
+        found = set().union(*(dim.postings[key] for key in keys))
         ids = found if ids is None else ids & found
+    if root is not None:  # the root's sentences, intersected last
+        covered = space.dimensions[root].covered
+        ids = set(covered) if ids is None else ids & covered
     return set(space.sentences) if ids is None else ids
 
 
@@ -316,15 +327,26 @@ def candidate_search(space: ResourceSpace, q: QuestionSyntax) -> set[int]:
 # ---------------------------------------------------------------------------
 
 
+def _read_slot(found, asked, keys, syn) -> str | None:
+    """`at_or_below` of a searched slot, read from its anchor keys."""
+    key = canonical_key(found)
+    if key not in keys:
+        return None
+    return EQUAL if same_class(found, asked, syn, key) else SUBCLASS
+
+
 def match_answer(q: QuestionSyntax, s: SentenceSyntax,
                  edges: EdgeSet | None = None,
-                 syn: SynonymTable | None = None) -> AnswerJudgment:
+                 syn: SynonymTable | None = None,
+                 anchors: dict | None = None) -> AnswerJudgment:
     """Check one candidate sentence against the answer pattern for q.
 
     Every question slot must be matched by the same element, a synonym
     (action heads only) or a subclass; the asked slot must be present, and
     when the question constrains its type the answer must be strictly more
     specific.  Polarity disagreement is a ranking penalty, not a filter.
+    A slot in `anchors` (from `candidate_search`, with the same edges and
+    synonyms) is read from its anchor keys; the others ask `at_or_below`.
     """
     matched: dict[str, str] = {}
     for (name, gap, _), found, asked in zip(_SLOTS, _slot_elements(s),
@@ -337,7 +359,9 @@ def match_answer(q: QuestionSyntax, s: SentenceSyntax,
         elif asked is None:
             matched[name] = "gap_filled"
         else:
-            rel = at_or_below(found, asked, edges, syn)
+            keys = anchors.get(name) if anchors else None
+            rel = at_or_below(found, asked, edges, syn) if keys is None \
+                else _read_slot(found, asked, keys, syn)
             if rel == EQUAL and not is_gap:
                 # equal phrases differ in their heads only as synonym verbs
                 synonym = isinstance(found, Phrase) and found.head != asked.head
@@ -349,11 +373,13 @@ def match_answer(q: QuestionSyntax, s: SentenceSyntax,
 
     remaining = list(s.adverbials)
     for idx, q_adv in enumerate(q.adverbials):
+        keys = anchors.get(f"adverbial[{idx}]") if anchors else None
         hit = None
         for pos, cand in enumerate(remaining):
             if cand.kind != q_adv.kind:
                 continue
-            rel = at_or_below(cand.content, q_adv.content, edges, syn)
+            rel = at_or_below(cand.content, q_adv.content, edges, syn) \
+                if keys is None else _read_slot(cand, q_adv, keys, syn)
             if rel is not None:
                 hit = (pos, "same" if rel == EQUAL else "subclass")
                 if rel == EQUAL:
@@ -382,16 +408,20 @@ def match_answer(q: QuestionSyntax, s: SentenceSyntax,
 
 def answer(space: ResourceSpace, question: TaggedSentence | QuestionSyntax,
            k: int = 5) -> list[tuple[int, AnswerJudgment]]:
-    """parse -> candidate search -> pattern match -> rank -> truncate."""
+    """parse -> candidate search -> pattern match -> rank -> top k >= 1."""
+    if k < 1:
+        raise ValueError(f"k must be >= 1, not {k}")
     if isinstance(question, QuestionSyntax):
         q = question
     else:
         q = parse_question(question)
     judgments: list[AnswerJudgment] = []
-    for sid in sorted(candidate_search(space, q)):
+    anchors: dict = {}
+    for sid in sorted(candidate_search(space, q, anchors=anchors)):
         best = None
         for part in space.sentences.get(sid, ()):
-            judgment = match_answer(q, part, space.edge_set, space.synonyms)
+            judgment = match_answer(q, part, space.edge_set, space.synonyms,
+                                    anchors=anchors)
             if judgment.accepted and (best is None
                                       or judgment.score < best.score):
                 best = judgment
@@ -407,20 +437,12 @@ def answer(space: ResourceSpace, question: TaggedSentence | QuestionSyntax,
 
 
 def _any_pair_related(a, b, edges, syn) -> bool:
-    for e1, e2 in zip(_slot_elements(a), _slot_elements(b)):
-        if e1 is None or e2 is None:
-            continue
-        if compare_elements(e1, e2, edges, syn) in (EQUAL, SUBCLASS, SUPERCLASS):
-            return True
-    by_kind: dict[str, list] = {}
-    for adv in b.adverbials:
-        by_kind.setdefault(adv.kind, []).append(adv)
-    for adv in a.adverbials:
-        for cand in by_kind.get(adv.kind, ()):
-            rel = compare_elements(adv.content, cand.content, edges, syn)
-            if rel in (EQUAL, SUBCLASS, SUPERCLASS):
-                return True
-    return False
+    pairs = [pair for pair in zip(_slot_elements(a), _slot_elements(b))
+             if None not in pair]
+    pairs += [(x.content, y.content) for x in a.adverbials
+              for y in b.adverbials if x.kind == y.kind]
+    return any(compare_elements(e1, e2, edges, syn)
+               in (EQUAL, SUBCLASS, SUPERCLASS) for e1, e2 in pairs)
 
 
 def question_relevant(q1: QuestionSyntax, q2: QuestionSyntax,

@@ -17,7 +17,7 @@ subclass, and at least one pair must be strictly more specific.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .corpus import TaggedSentence
 from .syntax import (ADJECTIVE, ADVERB, Adverbial, Clause, Element, NOUN,
@@ -310,15 +310,13 @@ def _adverbial_pairs(advs1, advs2, edges, syn):
     remaining = list(advs1)
     relations = []
     for target in advs2:
-        best_idx = None
-        best_rel = None
+        best_idx = best_rel = None
         for idx, cand in enumerate(remaining):
             if cand.kind != target.kind:
                 continue
             rel = at_or_below(cand.content, target.content, edges, syn)
-            if rel is not None:
-                if best_idx is None or (best_rel == SUBCLASS and rel == EQUAL):
-                    best_idx, best_rel = idx, rel
+            if rel is not None and (best_idx is None or rel == EQUAL):
+                best_idx, best_rel = idx, rel
                 if rel == EQUAL:
                     break
         if best_idx is None:
@@ -392,31 +390,48 @@ def object_group_relation(g1: ObjectGroup | None, g2: ObjectGroup | None,
 # ---------------------------------------------------------------------------
 
 
+def same_class(e1, e2, syn: SynonymTable | None = None,
+               key1: str | None = None) -> bool:
+    """`at_or_below`'s Equal: equal canonical keys (`key1` is e1's, if
+    known), but pronouns by their head, verbs of one or synonym heads by
+    their modifier multisets and adverbials of one kind by their contents."""
+    if isinstance(e1, Phrase):
+        if not isinstance(e2, Phrase) or e1.kind != e2.kind:
+            return False
+        if e1.kind == VERB:
+            return _action_at_or_below(e1, e2, None, syn) == EQUAL
+        if e1.kind == PRONOUN or e1.head != e2.head:  # a key embeds its head
+            return e1.head == e2.head
+    elif isinstance(e1, Adverbial):
+        return (isinstance(e2, Adverbial) and e1.kind == e2.kind
+                and same_class(e1.content, e2.content, syn))
+    return (key1 or canonical_key(e1)) == canonical_key(e2)
+
+
 def at_or_below(e1, e2, edges: EdgeSet | None = None,
                 syn: SynonymTable | None = None) -> str | None:
-    """Equal when e1 is the same as e2, Subclass when e1 is strictly below
-    e2, otherwise None (also across kinds).  One direction only."""
+    """Equal when `same_class`, Subclass when e1 is strictly below e2,
+    otherwise None (also across kinds).  One direction only."""
     if isinstance(e1, Phrase):
         if not isinstance(e2, Phrase) or e1.kind != e2.kind:
             return None
         if e1.kind == VERB:
             return _action_at_or_below(e1, e2, edges, syn)
-        if e1.kind == PRONOUN:
-            return EQUAL if e1.head == e2.head else None
-        # a phrase key embeds the head, so different heads are never equal
-        if e1.head == e2.head and canonical_key(e1) == canonical_key(e2):
+        if same_class(e1, e2, syn):
             return EQUAL
         if e1.kind == NOUN:
             below = _np_reaches(e1, e2, edges)
         elif e1.kind == PREPOSITIONAL:
             below = prep_phrase_subclass(e1, e2, edges)
+        elif e1.kind == PRONOUN:
+            below = False
         else:  # adjective / adverb phrases: plain modifier rule
             below = phrase_subclass(e1, e2)
         return SUBCLASS if below else None
     if isinstance(e1, Clause):
         if not isinstance(e2, Clause):
             return None
-        if canonical_key(e1) == canonical_key(e2):
+        if same_class(e1, e2):
             return EQUAL
         return SUBCLASS if clause_subclass(e1, e2, edges, syn) else None
     if isinstance(e1, Adverbial) and isinstance(e2, Adverbial) \
@@ -475,11 +490,8 @@ def scan_syntactic_patterns(sentence: TaggedSentence,
     Verb-phrase pattern: "to X is to Y".
     Returns (edge, child element, parent element) triples.
     """
-    out = []
-    out.extend(_scan_copula(sentence, parsed))
-    out.extend(_scan_list_patterns(sentence))
-    out.extend(_scan_infinitive_pattern(parsed, sentence.sentence_id))
-    return out
+    return (_scan_copula(sentence, parsed) + _scan_list_patterns(sentence)
+            + _scan_infinitive_pattern(parsed, sentence.sentence_id))
 
 
 def _scan_copula(sentence, parsed):
@@ -491,9 +503,8 @@ def _scan_copula(sentence, parsed):
     if group is None or group.indirect is not None or group.complement is not None:
         return []
     predicate = group.direct
-    if not (isinstance(subject, Phrase) and subject.kind == NOUN):
-        return []
-    if not (isinstance(predicate, Phrase) and predicate.kind == NOUN):
+    if not all(isinstance(x, Phrase) and x.kind == NOUN
+               for x in (subject, predicate)):
         return []
     tokens = sentence.tokens
     det = tokens[predicate.span[0]].lemma if predicate.span[0] < len(tokens) else ""
@@ -503,29 +514,20 @@ def _scan_copula(sentence, parsed):
     )
     if det not in ("a", "an") and not head_plural:
         return []
-    parent = _strip_relative(predicate)
-    child = _strip_pattern_tails(subject)
+    # the pattern parent is the bare nominal ("dogs that guard" -> "dogs")
+    parent = _cut_post(predicate, "that")
+    child = _cut_post(subject, "such", "include")
     edge = SubclassEdge(canonical_key(child), canonical_key(parent), "np",
                         SYNTACTIC, sentence.sentence_id)
     return [(edge, child, parent)]
 
 
-def _strip_relative(phrase: Phrase) -> Phrase:
-    """Drop a flattened "that ..." relative from the post-head: the pattern
-    parent is the bare nominal ("dogs that guard" -> "dogs")."""
-    if "that" in phrase.post:
-        cut = phrase.post.index("that")
-        return Phrase(phrase.kind, phrase.head, phrase.pre, phrase.post[:cut],
-                      phrase.span)
-    return phrase
-
-
-def _strip_pattern_tails(phrase: Phrase) -> Phrase:
-    for marker in ("such", "include"):
+def _cut_post(phrase: Phrase, *markers: str) -> Phrase:
+    """Cut a flattened relative or pattern tail at the first marker held."""
+    for marker in markers:
         if marker in phrase.post:
-            cut = phrase.post.index(marker)
-            return Phrase(phrase.kind, phrase.head, phrase.pre,
-                          phrase.post[:cut], phrase.span)
+            return replace(phrase,
+                           post=phrase.post[:phrase.post.index(marker)])
     return phrase
 
 
@@ -534,18 +536,14 @@ def _scan_list_patterns(sentence):
     parser = _Parser(tokens)
     out = []
     for i, tok in enumerate(tokens):
-        # "NP_parent such as NP_child (, NP_child)*"
-        if tok.lemma == "such" and i + 1 < len(tokens) \
-                and tokens[i + 1].lemma == "as":
+        # "NP_parent such as / including NP_child (, NP_child)*"
+        such_as = tok.lemma == "such" and i + 1 < len(tokens) \
+            and tokens[i + 1].lemma == "as"
+        if such_as or (tok.lemma == "include" and tok.pos == "VBG"):
             parent = _np_ending_before(parser, tokens, i)
             if parent is not None:
-                for child in _np_list(parser, tokens, i + 2):
-                    out.append(_np_edge(child, parent, sentence.sentence_id))
-        # "NP_parent including NP_child ..."
-        elif tok.lemma == "include" and tok.pos == "VBG":
-            parent = _np_ending_before(parser, tokens, i)
-            if parent is not None:
-                for child in _np_list(parser, tokens, i + 1):
+                for child in _np_list(parser, tokens,
+                                      i + 2 if such_as else i + 1):
                     out.append(_np_edge(child, parent, sentence.sentence_id))
         # "NP_child and other NP_parent"
         elif tok.pos == "CC" and i + 1 < len(tokens) \
@@ -558,8 +556,8 @@ def _scan_list_patterns(sentence):
 
 
 def _np_edge(child: Phrase, parent: Phrase, sid: int):
-    child = _strip_pattern_tails(child)
-    parent = _strip_pattern_tails(parent)
+    child = _cut_post(child, "such", "include")
+    parent = _cut_post(parent, "such", "include")
     edge = SubclassEdge(canonical_key(child), canonical_key(parent), "np",
                         SYNTACTIC, sid)
     return edge, child, parent
@@ -610,15 +608,10 @@ def _scan_infinitive_pattern(parsed, sid):
     """"to VP_child is to VP_parent": an edge between the two action keys."""
     if parsed is None or parsed.action is None or parsed.action.head != "be":
         return []
-    subj, group = parsed.subject, parsed.object
-    if not (isinstance(subj, Clause) and subj.lead == "to" and subj.action):
-        return []
-    if group is None or not isinstance(group.direct, Clause):
-        return []
-    obj = group.direct
-    if obj.lead != "to" or obj.action is None:
-        return []
-    if canonical_key(subj.object) != canonical_key(obj.object):
+    subj, obj = parsed.subject, parsed.object and parsed.object.direct
+    if not all(isinstance(c, Clause) and c.lead == "to" and c.action
+               for c in (subj, obj)) \
+            or canonical_key(subj.object) != canonical_key(obj.object):
         return []
     edge = SubclassEdge(canonical_key(subj.action), canonical_key(obj.action),
                         "vp", SYNTACTIC, sid)

@@ -81,6 +81,27 @@ class TestPipeline:
                 out += answers
         assert out == (DATA / "short_explain.txt").read_text()
 
+    def test_query_explain_with_synonyms_matches_golden_file(self, tmp_path,
+                                                             capsys):
+        # synonym, gap_filled through a harvested edge, same, adverbial[0]
+        # and affirmed
+        demo = pathlib.Path(__file__).parent.parent / "demo" / "short.txt"
+        run(capsys, "ingest", demo, "-o", tmp_path / "short.tsv")
+        run(capsys, "build", tmp_path / "short.tsv", "-o", tmp_path / "s")
+        syn = tmp_path / "synonyms.tsv"
+        syn.write_text("build\tconstruct\n")
+        out = ""
+        for question in ("What constructs an extract?",
+                         "What algorithm builds an extract?",
+                         "What does LexRank build?",
+                         "Does supervised algorithm build an extract by "
+                         "classifying sentences?"):
+            code, answers, _ = run(capsys, "--synonyms", syn, "query",
+                                   tmp_path / "s", question, "--explain")
+            assert code == 0
+            out += answers
+        assert out == (DATA / "short_explain_synonyms.txt").read_text()
+
     def test_dump_parse_matches_golden_file(self, tmp_path, capsys):
         demo = pathlib.Path(__file__).parent.parent / "demo" / "short.txt"
         run(capsys, "ingest", demo, "-o", tmp_path / "short.tsv")

@@ -88,6 +88,12 @@ class TestQAPrecision:
         precision, _, _ = qa_precision({"q": {1}}, {"q": []})
         assert precision is None
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one_is_rejected(self, k):
+        # a cut at k = -1 would score 2 of the 3 returned answers
+        with pytest.raises(ValueError):
+            qa_precision({"q": {1, 2, 3}}, {"q": [1, 2, 3]}, k=k)
+
 
 @pytest.fixture(scope="module")
 def short_lemmas():

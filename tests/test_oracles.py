@@ -17,11 +17,13 @@ The anchors that a dimension's `SearchIndex` gives `search` are checked
 against testing every node with `at_or_below`, the scan it replaced, and
 `build_dimension` against the copy whose modifier step judged every
 ordered pair of a bucket.  `search` is checked against the same scan over
-random spaces, and `answer` against answering with the `search` that also
-walked the dimension's reduced edges below the anchors
-(`Dimension.descendants`, copied).  `candidate_search` and `match_answer`
-are checked against the copies that wrote the subject, action and object
-slots out by hand, one branch or `slot()` call each.
+random spaces.  `candidate_search` and `match_answer` are checked against
+the copies that wrote the subject, action and object slots out by hand,
+one branch or `slot()` call each, and asked `at_or_below` of every slot;
+`answer`, which reads the searched slots from the anchors, against the
+answers those copies give, also with the `search` that walked the
+dimension's reduced edges below the anchors (`Dimension.descendants`,
+copied).
 
 `split_sentences` and `_inside_abbreviation` are the splitter that scanned
 the whole text before each candidate dot, copied unchanged together with
@@ -68,8 +70,8 @@ from syntaxspace.evaluation import (BASELINE_METHODS, BaselineConfig,
 from syntaxspace.lexicon import ALL_MARKERS, FUNCTION_LEMMAS
 from syntaxspace.qa import GENERAL_Q, AnswerJudgment, QuestionSyntax
 from syntaxspace.space import (DIMENSIONS, _EVIDENCE_RANK, ClassNode,
-                               Dimension, ResourceSpace, _break_cycles,
-                               _shape, build_dimension, search,
+                               Dimension, ResourceSpace, SearchIndex,
+                               _break_cycles, _shape, build_dimension, search,
                                sentence_elements, transitive_reduce)
 from syntaxspace.subsume import (EQUAL, MODIFIER, RELATED, SUBCLASS,
                                  SUPERCLASS, SYNTACTIC, UNRELATED, EdgeSet,
@@ -1074,7 +1076,7 @@ def test_search_index_anchors_equal_the_scan(edges, syn):
 # `search` as it was when it also walked the reduced edges below its
 # anchors: `Dimension.descendants`, copied unchanged but for taking the
 # children map that `build_dimension` filled as an argument.  With it in
-# place of `qa.search`, `candidate_search` is the one it was then.
+# place of `search`, `ref_candidate_search` is the search of that time.
 
 
 def descendants(children: dict[str, list[str]], keys: set[str]) -> set[str]:
@@ -1094,7 +1096,9 @@ def ref_search(space: ResourceSpace, dimension: str, query) -> set[int]:
 
 _SUBJECTS = [None] + _REL_NOUNS + NOUNS + _OTHERS[:2] + _CLAUSES
 _ACTIONS = VERBS + _REL_VERBS
-_PART_ADVERBIALS = _ADVERBIALS + _PLAIN_ADVERBIALS
+# verb contents whose heads `SYNONYMS` relate to the plain adverbials' verbs
+_PART_ADVERBIALS = _ADVERBIALS + _PLAIN_ADVERBIALS + [
+    Adverbial("time", vp("move")), Adverbial("time", vp("jog", "quickly"))]
 
 
 @st.composite
@@ -1156,9 +1160,11 @@ def questions(draw, parts):
 @given(spaces(), st.data())
 def test_search_reads_the_index_alone(space, data):
     """`search` returns the sentences posted at the nodes `at_or_below`
-    accepts when every node is tested, and `answer` gives what it gave when
-    `search` also walked the dimension's edges below them: a sentence only
-    the walk reaches is one matching rejects."""
+    accepts when every node is tested, and `answer`, which reads the
+    searched slots from the anchors, gives what the reference pipeline
+    gives from `at_or_below`, with the space's synonyms and without, also
+    when its `search` walks the dimension's edges below the anchors: a
+    sentence only the walk reaches is one matching rejects."""
     edges, syn = space.edge_set, space.synonyms
     queries = (ELEMENTS + NOUNS + VERBS + _PLAIN_ADVERBIALS
                + _OFF_DIMENSION)
@@ -1170,9 +1176,11 @@ def test_search_reads_the_index_alone(space, data):
             assert search(space, name, query) == scan, (name, query)
     parts = [part for parts in space.sentences.values() for part in parts]
     for q in data.draw(st.lists(questions(parts), min_size=1, max_size=10)):
-        got = qa.answer(space, q, k=20)
-        with mock.patch.object(qa, "search", ref_search):
-            assert got == qa.answer(space, q, k=20), q
+        for each in (space, replace(space, synonyms=SynonymTable())):
+            got = qa.answer(each, q, k=20)
+            assert got == ref_answer(each, q, k=20), q
+            with mock.patch.dict(globals(), search=ref_search):
+                assert got == ref_answer(each, q, k=20), q
 
 
 # `candidate_search` and `match_answer` as they were when each wrote the
@@ -1300,6 +1308,24 @@ def ref_match_answer(q: QuestionSyntax, s: SentenceSyntax,
                           affirmed)
 
 
+def ref_answer(space: ResourceSpace, q: QuestionSyntax, k: int = 5):
+    """`answer` from the reference search and match, ranked as `answer`
+    ranks."""
+    judgments = []
+    for sid in sorted(ref_candidate_search(space, q)):
+        best = None
+        for part in space.sentences.get(sid, ()):
+            judgment = ref_match_answer(q, part, space.edge_set,
+                                        space.synonyms)
+            if judgment.accepted and (best is None
+                                      or judgment.score < best.score):
+                best = judgment
+        if best is not None:
+            judgments.append(best)
+    judgments.sort(key=lambda j: j.score)
+    return [(j.sentence_id, j) for j in judgments[:k]]
+
+
 def _same_or_synonym(answer_elem, question_elem, syn) -> str:
     if syn is not None and isinstance(answer_elem, Phrase) \
             and isinstance(question_elem, Phrase) \
@@ -1320,18 +1346,29 @@ def _recording(fn, calls):
 @settings(max_examples=50, deadline=None)
 @given(spaces(), st.data())
 def test_slot_walk_matches_reference(space, data):
-    """`candidate_search` gives the reference's candidates from the same
-    `search` calls in the same order, and `match_answer` the whole
+    """`candidate_search` gives the reference's candidates from one
+    `SearchIndex.anchors` read for each slot the reference searches below
+    an element, in the same order.  `match_answer` gives the whole
     judgment, `matched` in the same order, from the same `at_or_below`
-    calls, with the space's synonym table and without one."""
+    calls, with the space's synonym table and without one, and the same
+    judgment when it reads the slots from the anchors that
+    `candidate_search` kept."""
     parts = [part for parts in space.sentences.values() for part in parts]
+    original = SearchIndex.anchors
+
+    def recorded(index, query, syn=None):
+        got_calls.append((index, query, syn))
+        return original(index, query, syn)
     for q in data.draw(st.lists(questions(parts), min_size=1, max_size=10)):
-        got_calls, ref_calls = [], []
-        with mock.patch.object(qa, "search", _recording(search, got_calls)):
-            got = qa.candidate_search(space, q)
+        got_calls, ref_calls, anchors = [], [], {}
+        with mock.patch.object(SearchIndex, "anchors", recorded):
+            got = qa.candidate_search(space, q, anchors=anchors)
         with mock.patch.dict(globals(), search=_recording(search, ref_calls)):
             assert got == ref_candidate_search(space, q), q
-        assert got_calls == ref_calls, q
+        assert got_calls == [(space.dimensions[name].index, query,
+                              space.synonyms)
+                             for _, name, query in ref_calls
+                             if query is not None], q
         for syn in (None, space.synonyms):
             for part in parts:
                 got_calls, ref_calls = [], []
@@ -1344,6 +1381,12 @@ def test_slot_walk_matches_reference(space, data):
                 assert got == ref, (q, part)
                 assert list(got.matched) == list(ref.matched), (q, part)
                 assert got_calls == ref_calls, (q, part)
+        for part in parts:
+            read = qa.match_answer(q, part, space.edge_set, space.synonyms,
+                                   anchors=anchors)
+            ref = ref_match_answer(q, part, space.edge_set, space.synonyms)
+            assert read == ref, (q, part)
+            assert list(read.matched) == list(ref.matched), (q, part)
 
 
 # `build_dimension` as it was when step 2a judged every node against every

@@ -7,7 +7,7 @@ from syntaxspace.qa import (AnswerJudgment, NotAQuestion, QuestionSyntax,
                             parse_question, question_relevant,
                             sentence_relevant)
 from syntaxspace.space import build_space
-from syntaxspace.subsume import SynonymTable
+from syntaxspace.subsume import SynonymTable, at_or_below
 from syntaxspace.syntax import (Adverbial, SentenceSyntax, display,
                                 parse_sentence)
 
@@ -255,6 +255,80 @@ class TestAnswer:
         results = answer(space, tag("How does unsupervised algorithm build an extract?"), k=3)
         assert len(results) == 3
         assert [sid for sid, _ in results] == [1, 2, 3]
+
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one_is_rejected(self, short_space, k):
+        with pytest.raises(ValueError):
+            answer(short_space, tag(SHORT_QUESTION), k=k)
+
+
+_REPORTS = ["The team reports that the system builds models.",
+            "The team reports that the system builds neural models.",
+            "It reports that the system builds models."]
+
+
+def _matched(results):
+    return [(sid, judgment.matched) for sid, judgment in results]
+
+
+class TestSearchedSlots:
+    """Clause, pronoun and synonym slots judged through `answer`, which
+    reads each searched slot from the anchors of its search."""
+
+    def test_clause_object(self):
+        space = build_space(tag_corpus(_REPORTS))
+        results = answer(space, tag("Who reports that the system builds "
+                                    "models?"))
+        same = {"subject": "gap_filled", "action": "same",
+                "object.direct": "same"}
+        assert _matched(results) == [
+            (1, same), (3, same),
+            (2, {**same, "object.direct": "subclass"})]
+
+    def test_pronoun_subject(self):
+        space = build_space(tag_corpus(_REPORTS))
+        results = answer(space, tag("Does it report that the system builds "
+                                    "models?"))
+        assert _matched(results) == [
+            (3, {"subject": "same", "action": "same",
+                 "object.direct": "same"})]
+        assert results[0][1].affirmed is True
+
+    def test_synonym_action(self):
+        space = build_space(tag_corpus(_REPORTS),
+                            SynonymTable([("report", "show")]))
+        results = answer(space, tag("Who shows that the system builds "
+                                    "models?"))
+        same = {"subject": "gap_filled", "action": "synonym",
+                "object.direct": "same"}
+        assert _matched(results) == [
+            (1, same), (3, same),
+            (2, {**same, "object.direct": "subclass"})]
+
+    def test_searched_slots_ask_no_at_or_below(self, short_space,
+                                               monkeypatch):
+        # subject (typed gap and given), action, direct object and question
+        # adverbials are read; only the indirect slot asks
+        calls = []
+
+        def recorded(*args):
+            calls.append(args)
+            return at_or_below(*args)
+        monkeypatch.setattr(qa, "at_or_below", recorded)
+        for question in (SHORT_QUESTION, "What algorithm builds an extract?",
+                         "Does supervised algorithm build an extract by "
+                         "classifying sentences?"):
+            assert answer(short_space, tag(question))
+        assert calls == []
+        space = build_space(tag_corpus([
+            "The network sends the weight to the node.",
+            "The network sends the weight to the adjacent node."]))
+        question = q("Which node does the network send the weight to?")
+        # a typed gap takes only a strictly more specific answer
+        assert [sid for sid, _ in answer(space, question)] == [2]
+        assert [asked for _, asked, *_ in calls] \
+            == [question.object.indirect] * 2
 
 
 class TestRelevance:
