@@ -16,11 +16,12 @@ from dataclasses import dataclass, field
 from . import lexicon as lx
 from .corpus import TaggedSentence
 from .space import ResourceSpace, search  # noqa: F401 (callers rebind it)
-from .subsume import (EQUAL, EdgeSet, SUBCLASS, SUPERCLASS, SynonymTable,
-                      at_or_below, compare_elements, same_class)
+from .subsume import (EQUAL, EdgeSet, SUBCLASS, SynonymTable, at_or_below,
+                      same_class)
+from .subsume import compare_elements  # noqa: F401 (callers rebind it)
 from .syntax import (Adverbial, Element, ObjectGroup, Phrase, SentenceSyntax,
                      VERB, _Parser, _nominal_start, _verb_group_start,
-                     canonical_key, polarity_of)
+                     canonical_key, polarity_of, slot_elements)
 
 SUBJECT_Q = "subject"
 DIRECT_OBJECT_Q = "direct_object"
@@ -266,22 +267,13 @@ def _strip_aux(action: Phrase) -> Phrase:
 # Slots
 # ---------------------------------------------------------------------------
 
-# The slots of a syntax tuple: the name an answer judgment gives each, the
-# gap that asks for it and the dimension that holds it.
+# The slots of `slot_elements`, in its order: the name an answer judgment
+# gives each, the gap that asks for it and the dimension that holds it.
 _SLOTS = (("subject", "subject", "subject"), ("action", None, "action"),
           ("object.direct", "direct", "object"),
           ("object.indirect", "indirect", "object"),
           ("object.complement", "complement", "object"))
 _GAP_DIMENSIONS = {gap: dim for _, gap, dim in _SLOTS if gap is not None}
-
-
-def _slot_elements(t) -> tuple:
-    """The elements of a sentence or question in the order of `_SLOTS`;
-    without an object group its three slots are None."""
-    group = t.object
-    if group is None:
-        return t.subject, t.action, None, None, None
-    return t.subject, t.action, group.direct, group.indirect, group.complement
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +296,7 @@ def candidate_search(space: ResourceSpace, q: QuestionSyntax,
     ids: set[int] | None = None
     # a dimension's first slot: the object is searched by its direct object
     for (name, _, dimension), element in [
-            *zip(_SLOTS[:3], _slot_elements(q)),
+            *zip(_SLOTS[:3], slot_elements(q)),
             *(((f"adverbial[{idx}]", None, "adverbial"), adverbial)
               for idx, adverbial in enumerate(q.adverbials))]:
         if element is None:
@@ -349,8 +341,8 @@ def match_answer(q: QuestionSyntax, s: SentenceSyntax,
     synonyms) is read from its anchor keys; the others ask `at_or_below`.
     """
     matched: dict[str, str] = {}
-    for (name, gap, _), found, asked in zip(_SLOTS, _slot_elements(s),
-                                            _slot_elements(q)):
+    for (name, gap, _), found, asked in zip(_SLOTS, slot_elements(s),
+                                            slot_elements(q)):
         is_gap = gap == q.gap
         if asked is None and not is_gap:
             continue
@@ -437,12 +429,12 @@ def answer(space: ResourceSpace, question: TaggedSentence | QuestionSyntax,
 
 
 def _any_pair_related(a, b, edges, syn) -> bool:
-    pairs = [pair for pair in zip(_slot_elements(a), _slot_elements(b))
+    pairs = [pair for pair in zip(slot_elements(a), slot_elements(b))
              if None not in pair]
     pairs += [(x.content, y.content) for x in a.adverbials
               for y in b.adverbials if x.kind == y.kind]
-    return any(compare_elements(e1, e2, edges, syn)
-               in (EQUAL, SUBCLASS, SUPERCLASS) for e1, e2 in pairs)
+    return any(at_or_below(e1, e2, edges, syn)
+               or at_or_below(e2, e1, edges, syn) for e1, e2 in pairs)
 
 
 def question_relevant(q1: QuestionSyntax, q2: QuestionSyntax,

@@ -16,7 +16,8 @@ from . import subsume
 from .corpus import TaggedSentence, gc_paused
 from .subsume import (EdgeSet, MODIFIER, SYNTACTIC, SynonymTable,
                       _contains, _inner_np, _modifier_below, at_or_below,
-                      compare_elements, reach, scan_syntactic_patterns)
+                      reach, scan_syntactic_patterns)
+from .subsume import compare_elements  # noqa: F401 (callers rebind it)
 from .syntax import (Adverbial, Clause, NOUN, NoFiniteVerb, PREPOSITIONAL,
                      PRONOUN, Phrase, SentenceSyntax, VERB, canonical_key,
                      display, parse_sentence_parts)

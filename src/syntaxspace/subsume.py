@@ -21,9 +21,8 @@ from dataclasses import dataclass, replace
 
 from .corpus import TaggedSentence
 from .syntax import (ADJECTIVE, ADVERB, Adverbial, Clause, Element, NOUN,
-                     ObjectGroup, PREPOSITIONAL, PRONOUN, Phrase,
-                     SentenceSyntax, VERB, canonical_key, _Parser,
-                     _nominal_start)
+                     PREPOSITIONAL, PRONOUN, Phrase, SentenceSyntax, VERB,
+                     canonical_key, slot_elements, _Parser, _nominal_start)
 
 EQUAL = "equal"
 SUBCLASS = "subclass"
@@ -327,16 +326,13 @@ def _adverbial_pairs(advs1, advs2, edges, syn):
 
 
 def _tuple_subclass(t1, t2, edges, syn) -> bool:
-    """The product order of two clauses, sentences or questions over
-    subject, action, object and adverbials.  A clause's object is one
-    element; a sentence's or question's is an ObjectGroup or None."""
-    relations = [
-        _optional(at_or_below, t1.subject, t2.subject, edges, syn),
-        _optional(at_or_below, t1.action, t2.action, edges, syn),
-        _optional(at_or_below, t1.object, t2.object, edges, syn)
-        if isinstance(t1, Clause)
-        else object_group_relation(t1.object, t2.object, edges, syn),
-    ]
+    """The product order of two clauses, sentences or questions over the
+    slots of `slot_elements` and the adverbials.  An object group, even
+    an empty one ("What does X send to?"), never stands against none."""
+    if (t1.object is None) != (t2.object is None):
+        return False
+    relations = [_optional(at_or_below, e1, e2, edges, syn)
+                 for e1, e2 in zip(slot_elements(t1), slot_elements(t2))]
     adv = _adverbial_pairs(t1.adverbials, t2.adverbials, edges, syn)
     if adv is None:
         return False
@@ -363,28 +359,6 @@ def question_subclass(q1, q2, edges: EdgeSet | None = None,
             and _tuple_subclass(q1, q2, edges, syn))
 
 
-def object_group_relation(g1: ObjectGroup | None, g2: ObjectGroup | None,
-                          edges=None, syn=None) -> str:
-    """Slot-wise object comparison; indirect position differences are
-    immaterial ("send X to Y" vs "send Y the X")."""
-    if g1 is None and g2 is None:
-        return EQUAL
-    if g1 is None or g2 is None:
-        return UNRELATED
-    relations = [
-        _optional(compare_elements, g1.direct, g2.direct, edges, syn),
-        _optional(compare_elements, g1.indirect, g2.indirect, edges, syn),
-        _optional(compare_elements, g1.complement, g2.complement, edges, syn),
-    ]
-    if any(r not in (EQUAL, SUBCLASS) for r in relations):
-        if all(r in (EQUAL, SUPERCLASS) for r in relations):
-            return SUPERCLASS
-        return UNRELATED
-    if all(r == EQUAL for r in relations):
-        return EQUAL
-    return SUBCLASS
-
-
 # ---------------------------------------------------------------------------
 # Integrated dispatcher
 # ---------------------------------------------------------------------------
@@ -394,7 +368,9 @@ def same_class(e1, e2, syn: SynonymTable | None = None,
                key1: str | None = None) -> bool:
     """`at_or_below`'s Equal: equal canonical keys (`key1` is e1's, if
     known), but pronouns by their head, verbs of one or synonym heads by
-    their modifier multisets and adverbials of one kind by their contents."""
+    their modifier multisets, adverbials of one kind by their contents and,
+    with synonyms, clauses of one lead by their parts in order (a missing
+    part's key only equals a missing part's)."""
     if isinstance(e1, Phrase):
         if not isinstance(e2, Phrase) or e1.kind != e2.kind:
             return False
@@ -405,6 +381,12 @@ def same_class(e1, e2, syn: SynonymTable | None = None,
     elif isinstance(e1, Adverbial):
         return (isinstance(e2, Adverbial) and e1.kind == e2.kind
                 and same_class(e1.content, e2.content, syn))
+    elif isinstance(e1, Clause) and isinstance(e2, Clause) and syn:
+        return (e1.lead == e2.lead
+                and len(e1.adverbials) == len(e2.adverbials)
+                and all(same_class(a, b, syn) for a, b in zip(
+                    (*slot_elements(e1), *e1.adverbials),
+                    (*slot_elements(e2), *e2.adverbials))))
     return (key1 or canonical_key(e1)) == canonical_key(e2)
 
 
@@ -431,7 +413,7 @@ def at_or_below(e1, e2, edges: EdgeSet | None = None,
     if isinstance(e1, Clause):
         if not isinstance(e2, Clause):
             return None
-        if same_class(e1, e2):
+        if same_class(e1, e2, syn):
             return EQUAL
         return SUBCLASS if clause_subclass(e1, e2, edges, syn) else None
     if isinstance(e1, Adverbial) and isinstance(e2, Adverbial) \

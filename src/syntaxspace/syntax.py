@@ -122,6 +122,18 @@ class SentenceSyntax:
         return spans
 
 
+def slot_elements(t) -> tuple:
+    """The subject, action and direct, indirect and complement object of a
+    clause, sentence or question.  A clause's object fills the direct slot;
+    without an object group the three object slots are None."""
+    if isinstance(t, Clause):
+        return t.subject, t.action, t.object, None, None
+    group = t.object
+    if group is None:
+        return t.subject, t.action, None, None, None
+    return t.subject, t.action, group.direct, group.indirect, group.complement
+
+
 # ---------------------------------------------------------------------------
 # Canonical keys and display forms
 # ---------------------------------------------------------------------------
@@ -665,12 +677,11 @@ class _Parser:
                 return True
         return False
 
-    def parse_object_group(self, i: int, end: int, verb: Phrase | None,
-                           stop_at_finite: bool = False):
+    def parse_object_group(self, i: int, end: int, verb: Phrase | None):
         """Full object group after the main action."""
         tokens = self.tokens
         start = i
-        first, i = self.parse_object_element(i, end, stop_at_finite)
+        first, i = self.parse_object_element(i, end)
         if first is None:
             return None, i
         # direct + preposition + indirect: "gives the weight to each node"

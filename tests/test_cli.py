@@ -83,8 +83,8 @@ class TestPipeline:
 
     def test_query_explain_with_synonyms_matches_golden_file(self, tmp_path,
                                                              capsys):
-        # synonym, gap_filled through a harvested edge, same, adverbial[0]
-        # and affirmed
+        # synonym, gap_filled through a harvested edge, same, adverbial[0],
+        # affirmed, and a clause whose verb is a synonym of the question's
         demo = pathlib.Path(__file__).parent.parent / "demo" / "short.txt"
         run(capsys, "ingest", demo, "-o", tmp_path / "short.tsv")
         run(capsys, "build", tmp_path / "short.tsv", "-o", tmp_path / "s")
@@ -95,7 +95,9 @@ class TestPipeline:
                          "What algorithm builds an extract?",
                          "What does LexRank build?",
                          "Does supervised algorithm build an extract by "
-                         "classifying sentences?"):
+                         "classifying sentences?",
+                         "Do the results show that unsupervised algorithm "
+                         "can construct the extract well?"):
             code, answers, _ = run(capsys, "--synonyms", syn, "query",
                                    tmp_path / "s", question, "--explain")
             assert code == 0

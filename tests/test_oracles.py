@@ -78,8 +78,8 @@ from syntaxspace.subsume import (EQUAL, MODIFIER, RELATED, SUBCLASS,
                                  KindMismatch, SubclassEdge, SynonymTable,
                                  _as_action_np, _inner_np, at_or_below,
                                  clause_subclass, element_subclass,
-                                 harvest_edges, object_group_relation,
-                                 reach, verb_phrase_subclass)
+                                 harvest_edges, question_subclass, reach,
+                                 sentence_subclass, verb_phrase_subclass)
 from syntaxspace.syntax import (ADJECTIVE, ADVERB, NOUN, PREPOSITIONAL,
                                 PRONOUN, VERB, Adverbial, Clause, ObjectGroup,
                                 Phrase, SentenceSyntax, canonical_key, display,
@@ -918,7 +918,8 @@ def ref_element_subclass(e1, e2, edges=None, syn=None) -> str:
             return SUPERCLASS
         return RELATED if e1.head == e2.head else UNRELATED
     if isinstance(e1, Clause) and isinstance(e2, Clause):
-        if canonical_key(e1) == canonical_key(e2):
+        if canonical_key(e1) == canonical_key(e2) \
+                or ref_clause_same(e1, e2, edges, syn):
             return EQUAL
         if ref_clause_subclass(e1, e2, edges, syn):
             return SUBCLASS
@@ -939,10 +940,38 @@ def ref_compare_elements(e1, e2, edges=None, syn=None) -> str:
         return UNRELATED
 
 
+# Clauses whose verbs are synonyms are Equal when every part is: written
+# for the reference alone, since none of the above had it.
+def ref_clause_same(c1: Clause, c2: Clause, edges, syn) -> bool:
+    if not syn or c1.lead != c2.lead \
+            or len(c1.adverbials) != len(c2.adverbials):
+        return False
+    parts = [ref_optional_relation(x, y, edges, syn) for x, y in
+             ((c1.subject, c2.subject), (c1.action, c2.action),
+              (c1.object, c2.object), *zip(c1.adverbials, c2.adverbials))]
+    return all(r == EQUAL for r in parts)
+
+
+# The relevance rule: some aligned slot pair, or some pair of adverbials of
+# one kind, is the same, a subclass or a superclass.
+def ref_any_pair_related(t1, t2, edges=None, syn=None) -> bool:
+    def slots(t):
+        group = t.object or ObjectGroup(None)
+        return t.subject, t.action, group.direct, group.indirect, \
+            group.complement
+    pairs = [(x, y) for x, y in zip(slots(t1), slots(t2))
+             if x is not None and y is not None]
+    pairs += [(x.content, y.content) for x in t1.adverbials
+              for y in t2.adverbials if x.kind == y.kind]
+    return any(ref_compare_elements(x, y, edges, syn)
+               in (EQUAL, SUBCLASS, SUPERCLASS) for x, y in pairs)
+
+
 # Every kind, and phrases that differ only in their preposition, verbs whose
 # modifiers do not nest (so same-head and synonym verbs are Related), and
 # clauses and adverbials whose parts are drawn from the noun and verb pools
-# that the harvested edges range over.
+# that the harvested edges range over; the last clauses differ from others
+# only in a verb that `SYNONYMS` relates, or only in their lead.
 _REL_NOUNS = [np("model"), np("model", "neural"), np("model", "deep"),
               np("system"), np("system", "neural"), np("method"),
               np("run"), np("run", "fast")]
@@ -961,7 +990,11 @@ _CLAUSES = [Clause("to", None, action, obj)
             for obj in (None, np("model"), np("model", "neural"))] \
     + [Clause("that", subject, vp("move"), None, advs)
        for subject in (np("system"), np("system", "neural"))
-       for advs in ((), (Adverbial("place", pp("in", "model")),))]
+       for advs in ((), (Adverbial("place", pp("in", "model")),))] \
+    + [Clause("to", None, vp("jog"), np("model", "neural")),
+       Clause("that", np("system", "neural"), vp("run"), None,
+              (Adverbial("place", pp("in", "model")),)),
+       Clause("whether", np("system"), vp("move"), None)]
 _ADVERBIALS = [Adverbial(kind, content) for kind in ("place", "time")
                for content in (pp("in", "model"), pp("in", "model", "neural"),
                                pp("on", "system"))] \
@@ -976,6 +1009,14 @@ GROUPS = [None] + [ObjectGroup(direct, indirect, complement)
                    for indirect in (None, np("system"),
                                     np("system", "neural"))
                    for complement in (None, adjp("fast"))]
+# Sentences some of whose slot and adverbial pairs are related and some not.
+_RELEVANCE = [SentenceSyntax(1, subject, action, group, advs)
+              for subject in (None, np("system"), np("method"))
+              for action in (vp("run"), vp("jog"))
+              for group in (None, ObjectGroup(None),
+                            ObjectGroup(np("model"), np("system", "neural")))
+              for advs in ((), (Adverbial("place",
+                                          pp("in", "model", "neural")),))]
 SYNONYMS = st.sampled_from([None, SynonymTable([("sprint", "jog")]),
                             SynonymTable([("run", "move")])])
 
@@ -1005,10 +1046,26 @@ def test_at_or_below_derives_the_five_valued_relation(edges, syn):
         for c2 in _CLAUSES:
             assert clause_subclass(c1, c2, edges, syn) \
                 == ref_clause_subclass(c1, c2, edges, syn), (c1, c2)
-    for g1 in GROUPS:
-        for g2 in GROUPS:
-            assert object_group_relation(g1, g2, edges, syn) \
-                == ref_object_group_relation(g1, g2, edges, syn), (g1, g2)
+    # an empty group ("What does X send to?") stands against every group
+    # and none, below a strictly more specific subject
+    tuples = [(subject, group) for subject in (np("system"),
+                                               np("system", "neural"))
+              for group in GROUPS + [ObjectGroup(None)]]
+    for subject1, g1 in tuples:
+        s1 = SentenceSyntax(1, subject1, vp("run"), g1, ())
+        q1 = QuestionSyntax("general", "do", subject1, vp("run"), g1, ())
+        for subject2, g2 in tuples:
+            s2 = SentenceSyntax(2, subject2, vp("run"), g2, ())
+            q2 = QuestionSyntax("general", "do", subject2, vp("run"), g2, ())
+            expected = ref_tuple_subclass(
+                (subject1, subject2), (vp("run"), vp("run")), (g1, g2), (),
+                (), edges, syn, object_as_group=True)
+            assert sentence_subclass(s1, s2, edges, syn) == expected, (s1, s2)
+            assert question_subclass(q1, q2, edges, syn) == expected, (q1, q2)
+    for s1 in _RELEVANCE:
+        for s2 in _RELEVANCE:
+            assert qa.sentence_relevant(s1, s2, edges, syn) \
+                == ref_any_pair_related(s1, s2, edges, syn), (s1, s2)
 
 
 # Adverbials whose content is a noun or a verb phrase, next to the

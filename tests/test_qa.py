@@ -7,7 +7,7 @@ from syntaxspace.qa import (AnswerJudgment, NotAQuestion, QuestionSyntax,
                             parse_question, question_relevant,
                             sentence_relevant)
 from syntaxspace.space import build_space
-from syntaxspace.subsume import SynonymTable, at_or_below
+from syntaxspace.subsume import EQUAL, SynonymTable, at_or_below
 from syntaxspace.syntax import (Adverbial, SentenceSyntax, display,
                                 parse_sentence)
 
@@ -305,6 +305,23 @@ class TestSearchedSlots:
         assert _matched(results) == [
             (1, same), (3, same),
             (2, {**same, "object.direct": "subclass"})]
+
+    def test_clause_with_a_synonym_verb_is_the_same(self):
+        # with run/sprint, "that the dog sprints" is Equal to "that the dog
+        # runs", as its verb is, not only the more specific clause below it
+        syn = SynonymTable([("run", "sprint")])
+        space = build_space(tag_corpus([
+            "The researcher reports that the dog sprints.",
+            "The researcher reports that the big dog sprints."]), syn)
+        question = q("Who reports that the dog runs?")
+        same = {"subject": "gap_filled", "action": "same",
+                "object.direct": "same"}
+        assert _matched(answer(space, question)) == [
+            (1, same), (2, {**same, "object.direct": "subclass"})]
+        found = space.sentences[1][0].object.direct
+        asked = question.object.direct
+        assert at_or_below(found, asked, space.edge_set, syn) == EQUAL
+        assert at_or_below(found, asked, space.edge_set) is None
 
     def test_searched_slots_ask_no_at_or_below(self, short_space,
                                                monkeypatch):

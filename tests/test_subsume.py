@@ -175,6 +175,13 @@ class TestQuestionSubclass:
         q = self.q("what does unsupervised algorithm select?")
         assert not question_subclass(q, q)
 
+    def test_empty_object_group_is_not_below_no_group(self):
+        # the dangling "to" leaves an object group with no element in it
+        q1 = self.q("What does the big network send to?")
+        q2 = self.q("What does the network send?")
+        assert q1.object is not None and q2.object is None
+        assert not question_subclass(q1, q2)
+
 
 class TestScanPatterns:
     def test_is_a_pattern(self):
