@@ -368,9 +368,9 @@ def same_class(e1, e2, syn: SynonymTable | None = None,
                key1: str | None = None) -> bool:
     """`at_or_below`'s Equal: equal canonical keys (`key1` is e1's, if
     known), but pronouns by their head, verbs of one or synonym heads by
-    their modifier multisets, adverbials of one kind by their contents and,
-    with synonyms, clauses of one lead by their parts in order (a missing
-    part's key only equals a missing part's)."""
+    their modifier multisets, adverbials of one kind by their contents and
+    clauses of one lead by their parts in order (a missing part's key only
+    equals a missing part's)."""
     if isinstance(e1, Phrase):
         if not isinstance(e2, Phrase) or e1.kind != e2.kind:
             return False
@@ -381,7 +381,7 @@ def same_class(e1, e2, syn: SynonymTable | None = None,
     elif isinstance(e1, Adverbial):
         return (isinstance(e2, Adverbial) and e1.kind == e2.kind
                 and same_class(e1.content, e2.content, syn))
-    elif isinstance(e1, Clause) and isinstance(e2, Clause) and syn:
+    elif isinstance(e1, Clause) and isinstance(e2, Clause):
         return (e1.lead == e2.lead
                 and len(e1.adverbials) == len(e2.adverbials)
                 and all(same_class(a, b, syn) for a, b in zip(

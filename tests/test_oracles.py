@@ -940,10 +940,11 @@ def ref_compare_elements(e1, e2, edges=None, syn=None) -> str:
         return UNRELATED
 
 
-# Clauses whose verbs are synonyms are Equal when every part is: written
-# for the reference alone, since none of the above had it.
+# Clauses of one lead are Equal when every part is, so clauses whose verbs
+# are synonyms can be: written for the reference alone, since none of the
+# above had it.
 def ref_clause_same(c1: Clause, c2: Clause, edges, syn) -> bool:
-    if not syn or c1.lead != c2.lead \
+    if c1.lead != c2.lead \
             or len(c1.adverbials) != len(c2.adverbials):
         return False
     parts = [ref_optional_relation(x, y, edges, syn) for x, y in
