@@ -571,6 +571,11 @@ def ingest_text(raw: str, doc_id: str = "",
 
     The tagging is kept in source order; voice normalization runs when the
     space is built, so ranking baselines can still see the text as written.
+    A sentence with no token ("* * *") is dropped, as the TSV cannot hold
+    it; only a document without a boundary splits into such a sentence,
+    since every boundary keeps its mark and the next sentence starts with a
+    capital or digit, so the ids stay consecutive.
     """
-    return [tag(sentence, first_id + offset, doc_id)
-            for offset, sentence in enumerate(split_sentences(raw))]
+    tagged = [tag(sentence, first_id + offset, doc_id)
+              for offset, sentence in enumerate(split_sentences(raw))]
+    return [sentence for sentence in tagged if sentence.tokens]

@@ -361,7 +361,7 @@ def noun_lemma_candidates(word: str) -> list[str]:
         out.append(word[:-3] + "y")
     if word.endswith(("ses", "xes", "zes", "ches", "shes")) and len(word) > 4:
         out.append(word[:-2])
-    if not word.endswith("ss"):
+    if not word.endswith("ss") and len(word) > 1:  # a lone "s" is no plural
         out.append(word[:-1])
     out.append(word)
     return out

@@ -18,6 +18,12 @@ SHORT_INPUT = [
 
 SHORT_QUESTION = "How does unsupervised algorithm build an extract?"
 
+# Every code point for which `str.isspace` holds, which are the ones `\s`
+# matches in a `str` pattern.
+UNICODE_SPACES = ("\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f \x85\xa0\u1680"
+                  "\u2000\u2001\u2002\u2003\u2004\u2005\u2006\u2007"
+                  "\u2008\u2009\u200a\u2028\u2029\u202f\u205f\u3000")
+
 
 def tag_corpus(texts, doc_id="doc"):
     return [corpus.tag(t, sentence_id=i + 1, doc_id=doc_id)

@@ -302,6 +302,18 @@ class TestErrorHandling:
         assert code == 0
         assert "subject dimension: 2 nodes" in out
 
+    @pytest.mark.parametrize("text", ["The system\u2019s model ranks sentences.",
+                                      "The system 's model ranks sentences."])
+    def test_lone_s_after_an_apostrophe_builds(self, tmp_path, capsys, text):
+        raw = tmp_path / "apostrophe.txt"
+        raw.write_text(text + "\n", encoding="utf-8")
+        corpus_snap, space_snap = tmp_path / "c.tsv", tmp_path / "s.snap"
+        assert run(capsys, "ingest", raw, "-o", corpus_snap)[0] == 0
+        assert run(capsys, "build", corpus_snap, "-o", space_snap)[0] == 0
+        code, out, _ = run(capsys, "query", space_snap, "What ranks sentences?")
+        assert code == 0
+        assert "The system s model ranks sentences ." in out
+
     @pytest.mark.parametrize("fails", ["write", "flush"])
     def test_closed_stdout_exits_quietly(self, workspace, capsys, monkeypatch,
                                          fails):

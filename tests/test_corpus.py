@@ -3,11 +3,14 @@ import threading
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from syntaxspace import corpus
 from syntaxspace.corpus import (MalformedLine, load_pretagged, normalize_voice,
                                 parse_pretagged, serialize_pretagged,
                                 split_sentences, tag)
+
+from conftest import UNICODE_SPACES
 
 
 class TestSplitSentences:
@@ -232,3 +235,30 @@ class TestIngest:
         assert all(s.voice == corpus.ACTIVE for s in sentences)
         assert normalize_voice(sentences[1]).voice == corpus.PASSIVE_CONVERTED
         assert [s.sentence_id for s in sentences] == [1, 2]
+
+    def test_document_without_tokens_has_no_sentence(self):
+        assert corpus.ingest_text("* * *") == []
+
+
+# Words, abbreviations and marks, each with an optional straight or curly
+# apostrophe or quote on either side, joined by runs of Unicode whitespace.
+_INGEST_WORDS = st.sampled_from([
+    "The", "system", "model", "ranks", "sentences", "LexRank", "builds",
+    "an", "extract", "It", "works", "is", "built", "by", "s", "S", "e.g.",
+    "i.e.", "et al.", "Fig.", "J.", "Dr.", "U.S.", "3", "2.5", "*", "-", ".",
+    "?", "!", ","])
+_QUOTES = st.sampled_from(["", "", "\u2019", "'", '"', "\u201c", "\u201d",
+                           "\u2019s", "'s"])
+_INGEST_TEXTS = st.lists(st.tuples(
+    _QUOTES, _INGEST_WORDS, _QUOTES,
+    st.text(alphabet=UNICODE_SPACES, min_size=1, max_size=2),
+), max_size=20).map(lambda parts: "".join("".join(p) for p in parts))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_INGEST_TEXTS)
+def test_ingested_text_survives_the_tsv(text):
+    sentences = corpus.ingest_text(text, "d")
+    again = parse_pretagged(serialize_pretagged(sentences))
+    assert [(s.sentence_id, s.voice, s.tokens) for s in again] \
+        == [(s.sentence_id, s.voice, s.tokens) for s in sentences]
