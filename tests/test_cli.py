@@ -60,6 +60,20 @@ class TestPipeline:
         assert (tmp_path / "short.tsv").read_bytes() \
             == (DATA / "short.tsv").read_bytes()
 
+    def test_apostrophes_ingest_matches_golden_file(self, tmp_path, capsys):
+        # curly and straight apostrophes, abbreviations, an initial, and a
+        # no-break space, U+2028 and U+0085 between words
+        corpus_snap, space_snap = tmp_path / "a.tsv", tmp_path / "a.snap"
+        code, _, _ = run(capsys, "ingest", DATA / "apostrophes.txt", "-o",
+                         corpus_snap)
+        assert code == 0
+        assert corpus_snap.read_bytes() \
+            == (DATA / "apostrophes.tsv").read_bytes()
+        assert run(capsys, "build", corpus_snap, "-o", space_snap)[0] == 0
+        code, out, _ = run(capsys, "query", space_snap, "What ranks sentences?")
+        assert code == 0
+        assert "The system s model ranks sentences ." in out
+
     def test_query_matches_golden_file(self, tmp_path, capsys):
         demo = pathlib.Path(__file__).parent.parent / "demo" / "short.txt"
         run(capsys, "ingest", demo, "-o", tmp_path / "short.tsv")

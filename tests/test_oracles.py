@@ -26,8 +26,9 @@ dimension's reduced edges below the anchors (`Dimension.descendants`,
 copied).
 
 `split_sentences` and `_inside_abbreviation` are the splitter that scanned
-the whole text before each candidate dot, copied unchanged together with
-the abbreviation list and boundary pattern they read.
+the whole text before each candidate dot and collapsed whitespace with
+`re.sub`, copied unchanged together with the abbreviation list and boundary
+pattern they read.
 
 The ranking baselines, which filter the corpus once into a
 `BaselineIndex` and skip documents that share no lemma with the question,
@@ -46,7 +47,12 @@ token afresh and built each token as a frozen dataclass: `tag`, `_tag_word`,
 `_aux_tag`, `_contextual_fixups`, `normalize_voice`, `_rewrite_window` and
 `_reinflect` are copied unchanged but for the `ref_` prefix on the public
 names, together with a dataclass `Token` of their own; the helpers they call
-and that did not change are read from `corpus`.
+and that did not change are read from `corpus`.  `tag` and `ingest_text`
+are also checked, token for token and of the type `corpus.Token`, against
+`ref_loop_tag` and `ref_contextual_fixups`: the tagger that built each
+namedtuple token in a loop and visited every token in its fixups, copied
+unchanged but for their names and for reading the memoized `_tag_word` and
+`Token` from `corpus`.
 """
 
 import math
@@ -85,7 +91,7 @@ from syntaxspace.syntax import (ADJECTIVE, ADVERB, NOUN, PREPOSITIONAL,
                                 Phrase, SentenceSyntax, canonical_key, display,
                                 match_marker)
 
-from conftest import adjp, advp, np, pp, vp
+from conftest import UNICODE_SPACES, adjp, advp, np, pp, vp
 
 
 # ---------------------------------------------------------------------------
@@ -430,6 +436,61 @@ def _contextual_fixups(tokens: list[Token]) -> list[Token]:
     return out
 
 
+def ref_loop_tag(sentence: str, sentence_id: int = 0,
+                 doc_id: str = "") -> TaggedSentence:
+    """Tag one raw sentence.  Never fails; unknown words get heuristic tags."""
+    tokens: list[corpus.Token] = []
+    for i, word in enumerate(tokenize(sentence)):
+        lemma, pos = corpus._tag_word(word, i > 0)
+        tokens.append(corpus.Token(word, lemma, pos, i))
+    tokens = ref_contextual_fixups(tokens)
+    return TaggedSentence(sentence_id, doc_id, tokens, ACTIVE, sentence)
+
+
+def ref_contextual_fixups(tokens: list[corpus.Token]) -> list[corpus.Token]:
+    """Resolve noun/verb ambiguity and finite-verb agreement from context."""
+    out = list(tokens)
+    for i, tok in enumerate(out):
+        prev = out[i - 1] if i > 0 else None
+        # Noun/verb ambiguous lemma: a determiner, adjective or preposition
+        # before it forces the noun reading; a subject nominal before it and
+        # an -s form forces VBZ.
+        if tok.pos in ("NN", "NNS") and tok.lemma in lx.VERBS:
+            if prev is None or prev.pos in ("DT", "JJ", "IN", "PRP$", "CD", "POS"):
+                continue
+            if prev.pos == "TO":
+                out[i] = tok._replace(pos="VB")
+            elif prev.pos == "MD" or (prev.pos in ("VBP", "VBZ", "VBD") and prev.lemma in ("do", "be", "have")):
+                out[i] = tok._replace(pos="VB")
+            elif prev.pos in NOUN_TAGS and tok.surface.lower().endswith("s") and tok.surface.lower() != tok.lemma:
+                out[i] = tok._replace(pos="VBZ")
+            elif prev.pos in ("NNS", "NNPS", "NNP") and tok.surface.lower() == tok.lemma:
+                # plural/proper noun + base form agrees as a finite verb; a
+                # singular common noun before keeps the compound reading
+                out[i] = tok._replace(pos="VBP")
+        # Base verbs in the lexicon: -s surface means VBZ after a nominal; a
+        # determiner or true preposition before forces the noun reading
+        # (subordinators like "that" do precede verbs).
+        if tok.pos == "VB":
+            surf = tok.surface.lower()
+            noun_trigger = prev is not None and (
+                prev.pos in ("DT", "JJ", "PRP$", "POS")
+                or (prev.pos == "IN" and prev.lemma in lx.PREPOSITIONS
+                    and prev.lemma not in ("that", "whether")))
+            if noun_trigger:
+                out[i] = tok._replace(pos="NNS" if surf != tok.lemma else "NN")
+            elif surf != tok.lemma:
+                out[i] = tok._replace(pos=_verb_inflection_tag(surf, tok.lemma))
+            elif prev is not None and prev.pos in ("NNS", "NNPS", "NNP") or (prev is not None and prev.pos == "PRP" and prev.lemma in ("i", "you", "we", "they")):
+                out[i] = tok._replace(pos="VBP")
+        # "to" before a base verb is infinitival TO, before a nominal it is IN.
+        if tok.pos == "TO":
+            nxt = out[i + 1] if i + 1 < len(out) else None
+            if nxt is not None and nxt.pos not in VERB_TAGS and nxt.pos != "RB":
+                out[i] = tok._replace(pos="IN")
+    return out
+
+
 def ref_normalize_voice(sentence: TaggedSentence) -> TaggedSentence:
     """Rewrite `NP1 be-aux VBN by NP2` windows as `NP2 verb NP1`.
 
@@ -634,12 +695,12 @@ _PIECES = st.tuples(
     st.sampled_from(["", "", ".", ".", "..", "!", "?", ")", "].", '."',
                      ".)", "?!"]),
 )
-_SPACES = st.text(alphabet=" \t\n", min_size=1, max_size=3)
+_SPACES = st.text(alphabet=UNICODE_SPACES, min_size=1, max_size=3)
 
 
 @st.composite
 def abbreviation_texts(draw):
-    parts = [draw(st.text(alphabet=" \t\n", max_size=2))]
+    parts = [draw(st.text(alphabet=UNICODE_SPACES, max_size=2))]
     for prefix, word, suffix in draw(st.lists(_PIECES, max_size=25)):
         parts += [prefix, word, suffix, draw(_SPACES)]
     return "".join(parts)
@@ -731,6 +792,44 @@ def test_tag_and_normalize_voice_match_reference(pieces):
             assert _rows(got) == _rows(want)
             assert _rows(corpus.normalize_voice(got)) \
                 == _rows(ref_normalize_voice(want))
+
+
+# Tagger words, marks and passive windows next to abbreviations, quotes and
+# apostrophes (a curly one leaves a lone "s"), joined by Unicode whitespace.
+_FRONT_END_PIECES = st.one_of(
+    _TAGGER_WORD,
+    st.sampled_from(sorted(_PUNCT_TAGS) + ["\u2019s", "'s", "s", "*"]),
+    _PASSIVE,
+    _PIECES.map("".join),
+)
+
+
+@st.composite
+def front_end_texts(draw):
+    parts = [draw(st.text(alphabet=UNICODE_SPACES, max_size=2))]
+    for piece in draw(st.lists(_FRONT_END_PIECES, max_size=20)):
+        parts += [piece, draw(_SPACES)]
+    return "".join(parts)
+
+
+def _same_tokens(got: TaggedSentence, want: TaggedSentence):
+    assert _rows(got) == _rows(want)
+    assert got.tokens == want.tokens
+    assert all(type(t) is corpus.Token for t in got.tokens)
+
+
+@settings(max_examples=300, deadline=None)
+@given(front_end_texts())
+def test_tag_and_ingest_text_match_the_loop_reference(text):
+    for _ in range(2):  # the second pass reads a warm cache
+        _same_tokens(corpus.tag(text, 7, "d"), ref_loop_tag(text, 7, "d"))
+        want = [ref_loop_tag(sentence, 3 + offset, "d")
+                for offset, sentence in enumerate(split_sentences(text))]
+        want = [sentence for sentence in want if sentence.tokens]
+        got = corpus.ingest_text(text, "d", first_id=3)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            _same_tokens(g, w)
 
 
 # ---------------------------------------------------------------------------
