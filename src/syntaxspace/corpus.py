@@ -19,6 +19,7 @@ import string
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache, wraps
+from itertools import chain, repeat
 
 from . import lexicon as lx
 
@@ -50,6 +51,7 @@ class MalformedLine(ValueError):
 
 
 Token = namedtuple("Token", "surface lemma pos index")
+_new_tuple = tuple.__new__  # a Token without the Python-level Token.__new__
 
 
 def gc_paused(func):
@@ -109,22 +111,20 @@ def split_sentences(raw: str) -> list[str]:
     Boundaries are {. ! ?} followed by whitespace and a capital or digit,
     except after a known abbreviation or a single-initial ("J. Smith").
     """
-    if not raw or not raw.strip():
+    # str.split() cuts at the 29 code points `\s` matches
+    text = " ".join(raw.split())
+    if not text:
         return []
-    text = re.sub(r"\s+", " ", raw.strip())
     sentences = []
     start = 0
+    # no piece is blank or padded: `text` is stripped, and each boundary
+    # keeps its mark and ends where the next sentence's first character is
     for match in _BOUNDARY.finditer(text):
-        end = match.end(1)
         if match.group(1) == "." and _inside_abbreviation(text, match.start(1)):
             continue
-        piece = text[start:end].strip()
-        if piece:
-            sentences.append(piece)
+        sentences.append(text[start:match.end(1)])
         start = match.end()
-    tail = text[start:].strip()
-    if tail:
-        sentences.append(tail)
+    sentences.append(text[start:])
     return sentences
 
 
@@ -184,11 +184,11 @@ _AUX_TAGS = {
 def tag(sentence: str, sentence_id: int = 0,
         doc_id: str = "") -> TaggedSentence:
     """Tag one raw sentence.  Never fails; unknown words get heuristic tags."""
-    tokens: list[Token] = []
-    for i, word in enumerate(tokenize(sentence)):
-        lemma, pos = _tag_word(word, i > 0)
-        tokens.append(Token(word, lemma, pos, i))
-    tokens = _contextual_fixups(tokens)
+    words = tokenize(sentence)
+    readings = map(_tag_word, words, chain((False,), repeat(True)))
+    tokens = [_new_tuple(Token, (word, lemma, pos, i))
+              for i, (word, (lemma, pos)) in enumerate(zip(words, readings))]
+    _contextual_fixups(tokens)
     return TaggedSentence(sentence_id, doc_id, tokens, ACTIVE, sentence)
 
 
@@ -303,10 +303,16 @@ def _strip_with(word, candidates, vocab):
     return word
 
 
-def _contextual_fixups(tokens: list[Token]) -> list[Token]:
-    """Resolve noun/verb ambiguity and finite-verb agreement from context."""
-    out = list(tokens)
+_FIXUP_TAGS = frozenset(["NN", "NNS", "VB", "TO"])  # the tags a rule changes
+
+
+def _contextual_fixups(out: list[Token]) -> None:
+    """Resolve noun/verb ambiguity and finite-verb agreement in place.  Only
+    NN, NNS, VB and TO tokens change, so only they are visited, in order:
+    each reads itself as tagged, `prev` fixed and `nxt` not yet fixed."""
     for i, tok in enumerate(out):
+        if tok.pos not in _FIXUP_TAGS:
+            continue
         prev = out[i - 1] if i > 0 else None
         # Noun/verb ambiguous lemma: a determiner, adjective or preposition
         # before it forces the noun reading; a subject nominal before it and
@@ -344,7 +350,6 @@ def _contextual_fixups(tokens: list[Token]) -> list[Token]:
             nxt = out[i + 1] if i + 1 < len(out) else None
             if nxt is not None and nxt.pos not in VERB_TAGS and nxt.pos != "RB":
                 out[i] = tok._replace(pos="IN")
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -571,10 +576,9 @@ def ingest_text(raw: str, doc_id: str = "",
 
     The tagging is kept in source order; voice normalization runs when the
     space is built, so ranking baselines can still see the text as written.
-    A sentence with no token ("* * *") is dropped, as the TSV cannot hold
-    it; only a document without a boundary splits into such a sentence,
-    since every boundary keeps its mark and the next sentence starts with a
-    capital or digit, so the ids stay consecutive.
+    A document with no token ("* * *") gives no sentence, as the TSV cannot
+    hold one; every piece of a document with a boundary has a token (see
+    `split_sentences`), so the ids stay consecutive.
     """
     tagged = [tag(sentence, first_id + offset, doc_id)
               for offset, sentence in enumerate(split_sentences(raw))]

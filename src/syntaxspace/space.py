@@ -62,14 +62,18 @@ class SearchIndex:
     def __init__(self, edges: EdgeSet):
         self.edges, self.buckets, self.below = edges, {}, {}
 
-    def add(self, key: str, node: ClassNode) -> None:
-        wrapper, head, side, mods = _shape(node.element)
+    def add(self, key: str, node: ClassNode, shape: tuple) -> None:
+        """Post `node`, whose canonical key is `key` and whose `_shape` is
+        `shape`."""
+        wrapper, head, side, mods = shape
         if wrapper[-2] == "clause":
             head, mods = None, _lemmas(node.element, self.edges)
         bucket = self.buckets.setdefault((wrapper, head), {})
         for lemma in (None, *mods):  # None: every member
             bucket.setdefault(lemma, {})[key] = node
-        for k in (self.edges.up(side) if side and self.edges else ()):
+        side_key = key if side is node.element else None
+        for k in (self.edges.up(side, side_key)
+                  if side and self.edges else ()):
             self.below.setdefault((wrapper, self.edges.elements[k].head),
                                   {}).setdefault(k, []).append(key)
 
@@ -183,11 +187,13 @@ def build_dimension(name: str, items: list[tuple[int, object]],
     """Merge, connect, break cycles, reduce, attach postings."""
     harvested = harvested if harvested is not None else EdgeSet()
     dim = Dimension(name, index=SearchIndex(harvested))
+    shapes: dict[str, tuple] = {}
 
     def add(key, element):
-        dim.nodes[key] = ClassNode(key, display(element), element)
+        dim.nodes[key] = node = ClassNode(key, display(element), element)
         dim.postings[key] = set()
-        dim.index.add(key, dim.nodes[key])
+        shapes[key] = shape = _shape(element)
+        dim.index.add(key, node, shape)
 
     # 1. canonicalize and merge duplicates
     for sid, element in items:
@@ -222,7 +228,7 @@ def build_dimension(name: str, items: list[tuple[int, object]],
     harvested_pairs = {(c, p) for c, p, _, _ in raw_edges}
     buckets: dict[tuple, list[str]] = {}
     for key in sorted(dim.nodes):
-        buckets.setdefault(_shape(dim.nodes[key].element)[:2], []).append(key)
+        buckets.setdefault(shapes[key][:2], []).append(key)
     for (wrapper, _), keys in buckets.items():
         if len(keys) < 2 or wrapper[-2] == PRONOUN:
             continue

@@ -129,9 +129,11 @@ class EdgeSet:
                 out |= self._parents[child]
         return out
 
-    def up(self, element: Phrase) -> frozenset[str]:
-        """Keys reached from `element` in one or more harvested steps."""
-        key = canonical_key(element)
+    def up(self, element: Phrase, key: str | None = None) -> frozenset[str]:
+        """Keys reached from `element` in one or more harvested steps;
+        `key`, when the caller has it, is `canonical_key(element)`."""
+        if key is None:
+            key = canonical_key(element)
         if key in self._closure:
             return self._closure[key]
         first = self._step(element, key)

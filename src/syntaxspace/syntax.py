@@ -7,8 +7,8 @@ adverbials are classified as time / place / method / purpose / reason /
 condition through marker tables, or left unclassified.
 
 The parser is deterministic: first-match descent with longest-match phrase
-heads, a single parse per sentence, and every token either covered by a
-constituent span or recorded in the `unparsed` list.
+heads and a single parse per sentence.  Constituent spans never overlap;
+the tokens outside them are separators and punctuation.
 """
 
 from __future__ import annotations
@@ -107,19 +107,7 @@ class SentenceSyntax:
     object: ObjectGroup | None
     adverbials: tuple[Adverbial, ...]
     polarity: str = AFFIRMATIVE
-    unparsed: tuple[int, ...] = ()
     part: int = 0
-
-    def constituent_spans(self) -> list[tuple[int, int]]:
-        spans = []
-        if self.subject is not None:
-            spans.append(self.subject.span)
-        if self.action is not None:
-            spans.append(self.action.span)
-        if self.object is not None:
-            spans.append(self.object.span)
-        spans.extend(a.span for a in self.adverbials)
-        return spans
 
 
 def slot_elements(t) -> tuple:
@@ -803,17 +791,14 @@ def parse_sentence_parts(sentence: TaggedSentence) -> list[SentenceSyntax]:
     end = len(tokens)
     parser = _Parser(tokens)
     parts: list[SentenceSyntax] = []
-    covered: set[int] = set()
     i = 0
     while i < end:
         syntax, i = _parse_one(parser, sentence, i, end, part=len(parts))
         if syntax is None:
             break
         parts.append(syntax)
-        for st, en in syntax.constituent_spans():
-            covered.update(range(st, en))
         # separators between coordinated parts and trailing punctuation are
-        # not constituents; they surface in the unparsed list
+        # not constituents
         moved = False
         while i < end and tokens[i].pos in (",", "CC", "."):
             if tokens[i].pos == "CC":
@@ -824,9 +809,6 @@ def parse_sentence_parts(sentence: TaggedSentence) -> list[SentenceSyntax]:
     if not parts:
         raise NoFiniteVerb(
             f"sentence {sentence.sentence_id}: no verb group found")
-    leftover = tuple(k for k in range(end) if k not in covered)
-    for part in parts:
-        part.unparsed = leftover
     return parts
 
 

@@ -321,22 +321,32 @@ class TestClassifyAdverbial:
 
 
 class TestInvariants:
-    @pytest.mark.parametrize("text", SHORT_INPUT + [
-        "To solve complex problems is the essence of mathematics.",
-        "The experiment shows good results in China encourages the researcher.",
-        "In 1911, Marie Curie won the Nobel Prize in chemistry again.",
-        "the algorithm gives the weight to each node",
-    ])
+    # The token indices outside every constituent span: separators and
+    # final marks, never a word.
+    LEFTOVER = {
+        SHORT_INPUT[0]: {9},
+        SHORT_INPUT[1]: {12},
+        SHORT_INPUT[2]: {11},
+        SHORT_INPUT[3]: {8},
+        "To solve complex problems is the essence of mathematics.": {9},
+        "The experiment shows good results in China encourages the "
+        "researcher.": {10},
+        "In 1911, Marie Curie won the Nobel Prize in chemistry again.": {2, 12},
+        "the algorithm gives the weight to each node": set(),
+    }
+
+    @pytest.mark.parametrize("text", list(LEFTOVER))
     def test_token_conservation(self, text):
         tagged = corpus.normalize_voice(tag(text, sentence_id=1))
-        parts = parse_sentence_parts(tagged)
-        covered = set(parts[0].unparsed)
-        for part in parts:
-            for start, end in part.constituent_spans():
+        covered = set()
+        for part in parse_sentence_parts(tagged):
+            spans = [x.span for x in (part.subject, part.action, part.object)
+                     if x is not None] + [a.span for a in part.adverbials]
+            for start, end in spans:
                 span = set(range(start, end))
                 assert not span & covered, "overlapping constituents"
                 covered |= span
-        assert covered == set(range(len(tagged.tokens)))
+        assert covered == set(range(len(tagged.tokens))) - self.LEFTOVER[text]
 
     @pytest.mark.parametrize("text", SHORT_INPUT)
     def test_pattern_exclusivity(self, text):
