@@ -8,7 +8,8 @@ condition through marker tables, or left unclassified.
 
 The parser is deterministic: first-match descent with longest-match phrase
 heads and a single parse per sentence.  Constituent spans never overlap;
-the tokens outside them are separators and punctuation.
+tokens outside them (separators, final marks, a tail the parse stops
+before) are left out.
 """
 
 from __future__ import annotations

@@ -321,8 +321,8 @@ class TestClassifyAdverbial:
 
 
 class TestInvariants:
-    # The token indices outside every constituent span: separators and
-    # final marks, never a word.
+    # The token indices outside every constituent span: here separators
+    # and final marks.
     LEFTOVER = {
         SHORT_INPUT[0]: {9},
         SHORT_INPUT[1]: {12},
