@@ -577,8 +577,8 @@ def ingest_text(raw: str, doc_id: str = "",
     The tagging is kept in source order; voice normalization runs when the
     space is built, so ranking baselines can still see the text as written.
     A document with no token ("* * *") gives no sentence, as the TSV cannot
-    hold one; every piece of a document with a boundary has a token (see
-    `split_sentences`), so the ids stay consecutive.
+    hold one.  With a boundary, each piece ends with its mark or starts with
+    a capital or digit, so has a token, and the ids stay consecutive.
     """
     tagged = [tag(sentence, first_id + offset, doc_id)
               for offset, sentence in enumerate(split_sentences(raw))]
