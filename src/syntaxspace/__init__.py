@@ -9,9 +9,9 @@ from .evaluation import (BASELINE_METHODS, BaselineIndex, baseline_rank,
 from .qa import (AnswerJudgment, NotAQuestion, QuestionSyntax, answer,
                  candidate_search, match_answer, parse_question,
                  question_relevant, sentence_relevant)
-from .space import (ClassNode, CycleDetected, Dimension, ResourceSpace,
-                    build_dimension, build_space, check_normal_forms,
-                    coverage, search, serialize_space, transitive_reduce)
+from .space import (CycleDetected, Dimension, ResourceSpace, build_dimension,
+                    build_space, check_normal_forms, coverage, search,
+                    serialize_space, transitive_reduce)
 from .subsume import (EdgeSet, KindMismatch, SubclassEdge, SynonymTable,
                       at_or_below, clause_subclass, element_subclass,
                       phrase_subclass, prep_phrase_subclass, question_subclass,

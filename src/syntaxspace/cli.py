@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 from . import evaluation, qa, space as space_mod
 from .corpus import (MalformedLine, TaggedSentence, ingest_text,
-                     load_pretagged, parse_pretagged, serialize_pretagged,
-                     tag)
+                     parse_pretagged, serialize_pretagged, tag)
 from .space import (ResourceSpace, build_space, check_normal_forms,
                     corpus_section, coverage, serialize_space, space_stats)
 from .subsume import SynonymTable
@@ -106,8 +105,7 @@ def cmd_ingest(args, config: Config) -> int:
             print(f"ingest: no such file: {path}", file=sys.stderr)
             return DATA_ERROR
         if config.tagger == "pretagged":
-            loaded = load_pretagged(path)
-            for s in loaded:
+            for s in _parse_corpus(path, _read(path)):
                 s.sentence_id = next_id
                 sentences.append(s)
                 next_id += 1
@@ -126,7 +124,7 @@ def cmd_ingest(args, config: Config) -> int:
 
 def cmd_build(args, config: Config) -> int:
     corpus_text = _read(args.corpus)
-    sentences = parse_pretagged(corpus_text)
+    sentences = _parse_corpus(args.corpus, corpus_text)
     if not sentences:
         print("build: empty corpus, writing empty space", file=sys.stderr)
     space = build_space(sentences, _load_synonyms(config))
@@ -182,8 +180,7 @@ def cmd_dump_edges(args, config: Config) -> int:
     space = _load_space(args.space, config)
     for name in space_mod.DIMENSIONS:
         dim = space.dimensions[name]
-        for child, parent in sorted(dim.edges):
-            source, evidence = dim.edge_meta[(child, parent)]
+        for (child, parent), (source, evidence) in sorted(dim.edges.items()):
             ev = "" if evidence is None else evidence
             print(f"{child}\t{parent}\t{name}\t{source}\t{ev}")
     return 0
@@ -230,27 +227,25 @@ def cmd_eval(args, config: Config) -> int:
         shown = "undefined" if precision is None else f"{precision:.2%}"
         print(f"qa precision@{config.top_k} = {shown} ({correct}/{returned})")
         return 0
-    if args.what == "baselines":
-        index = evaluation.BaselineIndex(
-            (sid, space.records[sid].lemmas) for sid in space.sentence_ids())
-        bconfig = evaluation.BaselineConfig(config.bm25_k1, config.bm25_b,
-                                            config.gst_min_tile)
-        questions = {question: tag(question).lemmas()
-                     for question in sorted(gold)}
-        for method in evaluation.BASELINE_METHODS:
-            system = {}
-            for question, q_lemmas in questions.items():
-                ranked = evaluation.baseline_rank(method, q_lemmas, index,
-                                                  bconfig)
-                system[question] = ranked[:config.top_k]
-            precision, correct, returned = evaluation.qa_precision(
-                gold, system, config.top_k)
-            shown = "undefined" if precision is None else f"{precision:.2%}"
-            print(f"{method:<14} precision@{config.top_k} = {shown} "
-                  f"({correct}/{returned})")
-        return 0
-    print(f"eval: unknown target {args.what}", file=sys.stderr)
-    return USAGE_ERROR
+    # baselines: argparse admits no other target
+    index = evaluation.BaselineIndex(
+        (sid, space.records[sid].lemmas) for sid in space.sentence_ids())
+    bconfig = evaluation.BaselineConfig(config.bm25_k1, config.bm25_b,
+                                        config.gst_min_tile)
+    questions = {question: tag(question).lemmas()
+                 for question in sorted(gold)}
+    for method in evaluation.BASELINE_METHODS:
+        system = {}
+        for question, q_lemmas in questions.items():
+            ranked = evaluation.baseline_rank(method, q_lemmas, index,
+                                              bconfig)
+            system[question] = ranked[:config.top_k]
+        precision, correct, returned = evaluation.qa_precision(
+            gold, system, config.top_k)
+        shown = "undefined" if precision is None else f"{precision:.2%}"
+        print(f"{method:<14} precision@{config.top_k} = {shown} "
+              f"({correct}/{returned})")
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -266,6 +261,14 @@ def _read(path: str) -> str:
 def _write(path: str, text: str):
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(text)
+
+
+def _parse_corpus(path: str, text: str) -> list[TaggedSentence]:
+    """`parse_pretagged` of the file at `path`, naming it in an error."""
+    try:
+        return parse_pretagged(text)
+    except MalformedLine as exc:
+        raise ValueError(f"{path}:{exc.line_number}: {exc.message}") from None
 
 
 def _snapshot_corpus(path: str, snapshot: str) -> str:
@@ -354,9 +357,6 @@ def main(argv=None) -> int:
         with open(os.devnull, "w") as devnull:  # quiets the final flush
             os.dup2(devnull.fileno(), sys.stdout.fileno())
         return 0
-    except MalformedLine as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return DATA_ERROR
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return DATA_ERROR

@@ -43,14 +43,14 @@ PASSIVE_AGENTLESS = "passive_agentless"
 
 
 class MalformedLine(ValueError):
-    """Raised by `load_pretagged` on a bad TSV line."""
+    """Raised by `parse_pretagged` on a bad TSV line."""
 
     def __init__(self, line_number: int, message: str):
         super().__init__(f"line {line_number}: {message}")
-        self.line_number = line_number
+        self.line_number, self.message = line_number, message
 
 
-Token = namedtuple("Token", "surface lemma pos index")
+Token = namedtuple("Token", "surface lemma pos")
 _new_tuple = tuple.__new__  # a Token without the Python-level Token.__new__
 
 
@@ -186,8 +186,8 @@ def tag(sentence: str, sentence_id: int = 0,
     """Tag one raw sentence.  Never fails; unknown words get heuristic tags."""
     words = tokenize(sentence)
     readings = map(_tag_word, words, chain((False,), repeat(True)))
-    tokens = [_new_tuple(Token, (word, lemma, pos, i))
-              for i, (word, (lemma, pos)) in enumerate(zip(words, readings))]
+    tokens = [_new_tuple(Token, (word, lemma, pos))
+              for word, (lemma, pos) in zip(words, readings)]
     _contextual_fixups(tokens)
     return TaggedSentence(sentence_id, doc_id, tokens, ACTIVE, sentence)
 
@@ -392,6 +392,8 @@ def parse_pretagged(text: str) -> list[TaggedSentence]:
             continue
         if stripped.startswith("#voice"):
             voice = stripped[6:].strip() or ACTIVE
+            if voice not in (ACTIVE, PASSIVE_CONVERTED, PASSIVE_AGENTLESS):
+                raise MalformedLine(lineno, f"unknown voice {voice!r}")
             continue
         if stripped.startswith("#"):
             continue
@@ -403,7 +405,7 @@ def parse_pretagged(text: str) -> list[TaggedSentence]:
             raise MalformedLine(lineno, f"unknown tag {pos!r}")
         if lemma.split() != [lemma]:
             raise MalformedLine(lineno, f"bad lemma {lemma!r}")
-        current.append(Token(surface, lemma, pos, len(current)))
+        current.append(Token(surface, lemma, pos))
     flush()
     return sentences
 
@@ -535,7 +537,7 @@ def _rewrite_window(tokens: list[Token], w) -> list[Token]:
     # new finite verb agrees with the agent head.
     verb = _reinflect(participle, kept, be_tok, agent)
 
-    rebuilt = (
+    return (
         tokens[:w["np_start"]]
         + agent
         + kept
@@ -545,7 +547,6 @@ def _rewrite_window(tokens: list[Token], w) -> list[Token]:
         + post_adv
         + tokens[w["agent_end"]:]
     )
-    return [t._replace(index=i) for i, t in enumerate(rebuilt)]
 
 
 def _reinflect(participle: Token, kept: list[Token], be_tok: Token,
@@ -554,14 +555,14 @@ def _reinflect(participle: Token, kept: list[Token], be_tok: Token,
     if any(t.lemma == "have" for t in kept):
         return participle  # perfect: "has been built" -> "has built"
     if any(t.pos == "MD" for t in kept):
-        return Token(base, base, "VB", participle.index)
+        return Token(base, base, "VB")
     head = next((t for t in reversed(agent) if t.pos in NOUN_TAGS), None)
     plural = head is not None and head.pos in ("NNS", "NNPS")
     if be_tok.pos == "VBD":  # was/were
-        return Token(lx.past_tense(base), base, "VBD", participle.index)
+        return Token(lx.past_tense(base), base, "VBD")
     if plural:
-        return Token(base, base, "VBP", participle.index)
-    return Token(lx.third_singular(base), base, "VBZ", participle.index)
+        return Token(base, base, "VBP")
+    return Token(lx.third_singular(base), base, "VBZ")
 
 
 # ---------------------------------------------------------------------------

@@ -38,16 +38,13 @@ class PRFReport:
     gold: int
     precision: float | None
     recall: float | None
-    f1: float | None
-    precision_undefined: bool = False
-    recall_undefined: bool = False
+    f1: float | None  # None, like precision and recall, when undefined
 
     def line(self) -> str:
-        def fmt(x, undef):
-            return "undefined" if undef else f"{x:.2%}"
-        return (f"P={fmt(self.precision, self.precision_undefined)} "
-                f"R={fmt(self.recall, self.recall_undefined)} "
-                f"F1={fmt(self.f1, self.precision_undefined or self.recall_undefined)} "
+        def fmt(x):
+            return "undefined" if x is None else f"{x:.2%}"
+        return (f"P={fmt(self.precision)} R={fmt(self.recall)} "
+                f"F1={fmt(self.f1)} "
                 f"({self.correct}/{self.predicted} predicted, {self.gold} gold)")
 
 
@@ -66,8 +63,7 @@ def relation_prf(gold: set, predicted: set) -> PRFReport:
         f1 = 0.0
     else:
         f1 = 2 * precision * recall / (precision + recall)
-    return PRFReport(correct, len(predicted), len(gold), precision, recall,
-                     f1, p_undef, r_undef)
+    return PRFReport(correct, len(predicted), len(gold), precision, recall, f1)
 
 
 def space_closure(space) -> set[tuple[str, str, str]]:

@@ -47,15 +47,13 @@ class NotAQuestion(ValueError):
 
 @dataclass
 class QuestionSyntax:
-    kind: str
+    kind: str  # the slot asked for: a `_SLOTS` kind, ADVERBIAL_Q or GENERAL_Q
     interrogative: str
     subject: Element | None
     action: Phrase | None
     object: ObjectGroup | None
     adverbials: tuple[Adverbial, ...]
     polarity: str = "affirmative"
-    gap: str = "none"  # subject | direct | indirect | complement | adverbial | none
-    adverbial_kinds: tuple[str, ...] = ()
 
 
 @dataclass
@@ -140,21 +138,19 @@ def _parse_predicate(parser, i, end, negated=False,
 
 
 def _parse_adverbial_question(parser, tokens, i, end, word):
-    kinds = _ADVERBIAL_GAPS[word]
     i += 1
     # "how to build an extract?" form: affirmative whatever its verb group
     if i < end and tokens[i].pos == "TO":
         action, group, advs, _ = _parse_predicate(
             parser, i + 1, end, missing="bare infinitive question without a verb")
         return QuestionSyntax(ADVERBIAL_Q, word, None, action, group, advs,
-                              "affirmative", "adverbial", kinds)
+                              "affirmative")
     i, negated, had_aux = _skip_aux(tokens, i, end)
     if not had_aux:
         raise NotAQuestion(f"'{word}' question without auxiliary")
     subject, i = parser.parse_subject_element(i, end)
     return QuestionSyntax(ADVERBIAL_Q, word, subject,
-                          *_parse_predicate(parser, i, end, negated),
-                          "adverbial", kinds)
+                          *_parse_predicate(parser, i, end, negated))
 
 
 def _parse_wh_question(parser, tokens, i, end, word):
@@ -174,8 +170,7 @@ def _parse_wh_question(parser, tokens, i, end, word):
             if j >= end:
                 action = Phrase(VERB, "be", (), (), (i, i + 1))
                 return QuestionSyntax(DIRECT_OBJECT_Q, word, subject, action,
-                                      None, tuple(advs), "affirmative",
-                                      "direct")
+                                      None, tuple(advs), "affirmative")
     # inverted auxiliary -> object question
     if nxt.lemma in _AUX_LEMMAS and (
             type_np is not None
@@ -185,7 +180,7 @@ def _parse_wh_question(parser, tokens, i, end, word):
     # no inversion -> subject question
     if _verb_group_start(tokens, i):
         return QuestionSyntax(SUBJECT_Q, word, type_np,
-                              *_parse_predicate(parser, i, end), "subject")
+                              *_parse_predicate(parser, i, end))
     raise NotAQuestion(f"unrecognized question shape after {word!r}")
 
 
@@ -221,27 +216,26 @@ def _parse_object_question(parser, tokens, i, end, word, type_np):
         group = ObjectGroup(present, type_np, None, "after_preposition",
                             dangling) if present is not None else \
             ObjectGroup(type_np, None, None, "none", None)
-        gap = "indirect" if present is not None else "direct"
         kind = INDIRECT_OBJECT_Q if present is not None else DIRECT_OBJECT_Q
     elif indirect_prep is not None:
         # "which weight does the network send to node?"
         group = ObjectGroup(type_np, present, None, "after_preposition",
                             indirect_prep)
-        gap, kind = "direct", DIRECT_OBJECT_Q
+        kind = DIRECT_OBJECT_Q
     elif present is not None and action.head in lx.COMPLEMENT_VERBS:
         # "what do researchers call deep learning?"
         group = ObjectGroup(present, None, type_np, "none", None)
-        gap, kind = "complement", OBJECT_COMPLEMENT_Q
+        kind = OBJECT_COMPLEMENT_Q
     elif present is not None:
         # "what does the school award Mike?": the present nominal receives
         group = ObjectGroup(type_np, present, None, "before_direct", None)
-        gap, kind = "direct", DIRECT_OBJECT_Q
+        kind = DIRECT_OBJECT_Q
     else:
         group = ObjectGroup(type_np, None, None, "none", None) \
             if type_np is not None else None
-        gap, kind = "direct", DIRECT_OBJECT_Q
+        kind = DIRECT_OBJECT_Q
     return QuestionSyntax(kind, word, subject, action, group, tuple(advs),
-                          polarity, gap)
+                          polarity)
 
 
 def _parse_general_question(parser, tokens, i, end, word):
@@ -250,7 +244,7 @@ def _parse_general_question(parser, tokens, i, end, word):
     if subject is None:
         raise NotAQuestion("general question without a subject")
     return QuestionSyntax(GENERAL_Q, word, subject,
-                          *_parse_predicate(parser, i, end, negated), "none")
+                          *_parse_predicate(parser, i, end, negated))
 
 
 def _strip_aux(action: Phrase) -> Phrase:
@@ -268,12 +262,13 @@ def _strip_aux(action: Phrase) -> Phrase:
 # ---------------------------------------------------------------------------
 
 # The slots of `slot_elements`, in its order: the name an answer judgment
-# gives each, the gap that asks for it and the dimension that holds it.
-_SLOTS = (("subject", "subject", "subject"), ("action", None, "action"),
-          ("object.direct", "direct", "object"),
-          ("object.indirect", "indirect", "object"),
-          ("object.complement", "complement", "object"))
-_GAP_DIMENSIONS = {gap: dim for _, gap, dim in _SLOTS if gap is not None}
+# gives each, the question kind that asks for it and the dimension that
+# holds it.
+_SLOTS = (("subject", SUBJECT_Q, "subject"), ("action", None, "action"),
+          ("object.direct", DIRECT_OBJECT_Q, "object"),
+          ("object.indirect", INDIRECT_OBJECT_Q, "object"),
+          ("object.complement", OBJECT_COMPLEMENT_Q, "object"))
+_ASKED_DIMENSIONS = {kind: dim for _, kind, dim in _SLOTS if kind is not None}
 
 
 # ---------------------------------------------------------------------------
@@ -287,12 +282,13 @@ def candidate_search(space: ResourceSpace, q: QuestionSyntax,
     question's subject, action, direct object and adverbials; `anchors`
     gets each read slot's anchor keys under the slot's name.
 
-    A gap slot the question leaves empty keeps, last, the sentences its
-    dimension covers, since the answer grammar requires the element: a
-    subject gap in the subject dimension, and a direct, indirect or
-    complement gap in the object dimension.
+    The slot the question's kind asks for, when the question leaves it
+    empty, keeps, last, the sentences its dimension covers, since the
+    answer grammar requires the element: a subject in the subject
+    dimension, and a direct, indirect or complement object in the object
+    dimension.
     """
-    root = _GAP_DIMENSIONS.get(q.gap)
+    root = _ASKED_DIMENSIONS.get(q.kind)
     ids: set[int] | None = None
     # a dimension's first slot: the object is searched by its direct object
     for (name, _, dimension), element in [
@@ -341,9 +337,9 @@ def match_answer(q: QuestionSyntax, s: SentenceSyntax,
     synonyms) is read from its anchor keys; the others ask `at_or_below`.
     """
     matched: dict[str, str] = {}
-    for (name, gap, _), found, asked in zip(_SLOTS, slot_elements(s),
-                                            slot_elements(q)):
-        is_gap = gap == q.gap
+    for (name, kind, _), found, asked in zip(_SLOTS, slot_elements(s),
+                                             slot_elements(q)):
+        is_gap = kind == q.kind
         if asked is None and not is_gap:
             continue
         if found is None:
@@ -381,8 +377,9 @@ def match_answer(q: QuestionSyntax, s: SentenceSyntax,
         else:
             remaining.pop(hit[0])
             matched[f"adverbial[{idx}]"] = hit[1]
-    if q.gap == "adverbial":
-        filled = any(a.kind in q.adverbial_kinds for a in remaining)
+    if q.kind == ADVERBIAL_Q:
+        kinds = _ADVERBIAL_GAPS[q.interrogative]
+        filled = any(a.kind in kinds for a in remaining)
         matched["adverbial*"] = "gap_filled" if filled else "missing"
 
     ok = not {"missing", "mismatch"} & set(matched.values())

@@ -32,18 +32,13 @@ class CycleDetected(ValueError):
 
 
 @dataclass
-class ClassNode:
-    key: str
-    display: str
-    element: object  # Element for subject/action/object, Adverbial otherwise
-
-
-@dataclass
 class Dimension:
-    name: str
-    nodes: dict[str, ClassNode] = field(default_factory=dict)
-    edges: set[tuple[str, str]] = field(default_factory=set)
-    edge_meta: dict[tuple[str, str], tuple[str, int | None]] = field(default_factory=dict)
+    # canonical key -> element: an Element for subject/action/object, an
+    # Adverbial otherwise
+    nodes: dict[str, object] = field(default_factory=dict)
+    # (child, parent) -> (source, evidence) of each subclass edge kept
+    edges: dict[tuple[str, str], tuple[str, int | None]] = field(
+        default_factory=dict)
     postings: dict[str, set[int]] = field(default_factory=dict)
     dropped_edges: list[tuple[str, str, str]] = field(default_factory=list)
     index: SearchIndex | None = None  # grows with the nodes
@@ -62,16 +57,16 @@ class SearchIndex:
     def __init__(self, edges: EdgeSet):
         self.edges, self.buckets, self.below = edges, {}, {}
 
-    def add(self, key: str, node: ClassNode, shape: tuple) -> None:
-        """Post `node`, whose canonical key is `key` and whose `_shape` is
-        `shape`."""
+    def add(self, key: str, element, shape: tuple) -> None:
+        """Post `element`, whose canonical key is `key` and whose `_shape`
+        is `shape`."""
         wrapper, head, side, mods = shape
         if wrapper[-2] == "clause":
-            head, mods = None, _lemmas(node.element, self.edges)
+            head, mods = None, _lemmas(element, self.edges)
         bucket = self.buckets.setdefault((wrapper, head), {})
         for lemma in (None, *mods):  # None: every member
-            bucket.setdefault(lemma, {})[key] = node
-        side_key = key if side is node.element else None
+            bucket.setdefault(lemma, {})[key] = element
+        side_key = key if side is element else None
         for k in (self.edges.up(side, side_key)
                   if side and self.edges else ()):
             self.below.setdefault((wrapper, self.edges.elements[k].head),
@@ -88,7 +83,7 @@ class SearchIndex:
         if wrapper[-2] == "clause":
             clauses = self.buckets.get((wrapper, None), {})
             return {k for k in _common(clauses, _lemmas(query, syn=syn))
-                    if at_or_below(clauses[None][k].element, query,
+                    if at_or_below(clauses[None][k], query,
                                    self.edges, syn)}
         verb = side is not None and side.kind == VERB
         heads = {head} | (syn.synonyms(head) if verb and syn else set())
@@ -96,7 +91,7 @@ class SearchIndex:
         repeated = len(set(mods)) < len(mods)
         found = {k for bucket in buckets for k in _common(bucket, mods)
                  if not repeated
-                 or _contains(_shape(bucket[None][k].element)[3], mods)}
+                 or _contains(_shape(bucket[None][k])[3], mods)}
         reached = self.below.get((wrapper, side.head)) if side else None
         if not reached:
             return found
@@ -186,14 +181,14 @@ def build_dimension(name: str, items: list[tuple[int, object]],
                     harvested: EdgeSet | None = None) -> Dimension:
     """Merge, connect, break cycles, reduce, attach postings."""
     harvested = harvested if harvested is not None else EdgeSet()
-    dim = Dimension(name, index=SearchIndex(harvested))
+    dim = Dimension(index=SearchIndex(harvested))
     shapes: dict[str, tuple] = {}
 
     def add(key, element):
-        dim.nodes[key] = node = ClassNode(key, display(element), element)
+        dim.nodes[key] = element
         dim.postings[key] = set()
         shapes[key] = shape = _shape(element)
-        dim.index.add(key, node, shape)
+        dim.index.add(key, element, shape)
 
     # 1. canonicalize and merge duplicates
     for sid, element in items:
@@ -234,7 +229,7 @@ def build_dimension(name: str, items: list[tuple[int, object]],
             continue
         bucket = set(keys)
         below = sorted((c, p) for p in keys for c in bucket
-                       & dim.index.anchors(dim.nodes[p].element)
+                       & dim.index.anchors(dim.nodes[p])
                        if c != p and (c, p) not in harvested_pairs)
         raw_edges.extend((c, p, MODIFIER, None) for c, p in below)
 
@@ -242,11 +237,9 @@ def build_dimension(name: str, items: list[tuple[int, object]],
     kept = _break_cycles(raw_edges, dim.dropped_edges)
 
     # 4. transitive reduction
-    pairs = {(c, p) for c, p, _, _ in kept}
-    reduced = transitive_reduce(pairs)
-    dim.edges = reduced
-    dim.edge_meta = {(c, p): (src, ev) for c, p, src, ev in kept
-                     if (c, p) in reduced}
+    reduced = transitive_reduce({(c, p) for c, p, _, _ in kept})
+    dim.edges = {(c, p): (src, ev) for c, p, src, ev in kept
+                 if (c, p) in reduced}
     dim.covered = frozenset().union(*dim.postings.values())
     return dim
 
@@ -416,10 +409,9 @@ class CoverageReport:
     union_ratio: float | None
     intersection_covered: int  # subject & action & object
     intersection_ratio: float | None
-    empty: bool
 
     def lines(self) -> list[str]:
-        if self.empty:
+        if self.total == 0:
             return ["coverage: undefined (empty corpus)"]
         out = []
         for name in DIMENSIONS:
@@ -437,11 +429,10 @@ def coverage(space: ResourceSpace) -> CoverageReport:
     total = len(ids)
     if total == 0:
         return CoverageReport(0, {n: 0 for n in DIMENSIONS},
-                              {n: None for n in DIMENSIONS}, 0, None, 0, None,
-                              empty=True)
+                              {n: None for n in DIMENSIONS}, 0, None, 0, None)
     per_dim = {name: space.dimensions[name].covered & ids
                for name in DIMENSIONS}
-    union = set().union(*per_dim.values()) if per_dim else set()
+    union = set().union(*per_dim.values())
     intersection = per_dim["subject"] & per_dim["action"] & per_dim["object"]
     return CoverageReport(
         total=total,
@@ -451,7 +442,6 @@ def coverage(space: ResourceSpace) -> CoverageReport:
         union_ratio=len(union) / total,
         intersection_covered=len(intersection),
         intersection_ratio=len(intersection) / total,
-        empty=False,
     )
 
 
@@ -489,8 +479,8 @@ def check_normal_forms(space: ResourceSpace) -> NFReport:
     covered by each checked dimension.  The subspace restricted to
     commonly-covered sentences always attains 3NF."""
     miskeyed = [key for name in DIMENSIONS
-                for key, node in space.dimensions[name].nodes.items()
-                if key != canonical_key(node.element)]
+                for key, element in space.dimensions[name].nodes.items()
+                if key != canonical_key(element)]
     first = not miskeyed
 
     double_posted: list[tuple[str, int]] = []
@@ -538,10 +528,9 @@ def serialize_space(space: ResourceSpace, corpus_text: str) -> str:
         lines.append(f"[DIMENSION {name}]")
         lines.append("[NODES]")
         for key in sorted(dim.nodes):
-            lines.append(f"{key}\t{dim.nodes[key].display}")
+            lines.append(f"{key}\t{display(dim.nodes[key])}")
         lines.append("[EDGES]")
-        for child, parent in sorted(dim.edges):
-            source, evidence = dim.edge_meta[(child, parent)]
+        for (child, parent), (source, evidence) in sorted(dim.edges.items()):
             lines.append(f"{child}\t{parent}\t{source}\t"
                          f"{'' if evidence is None else evidence}")
         lines.append("[POSTINGS]")

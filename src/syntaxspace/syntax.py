@@ -108,7 +108,6 @@ class SentenceSyntax:
     object: ObjectGroup | None
     adverbials: tuple[Adverbial, ...]
     polarity: str = AFFIRMATIVE
-    part: int = 0
 
 
 def slot_elements(t) -> tuple:
@@ -794,7 +793,7 @@ def parse_sentence_parts(sentence: TaggedSentence) -> list[SentenceSyntax]:
     parts: list[SentenceSyntax] = []
     i = 0
     while i < end:
-        syntax, i = _parse_one(parser, sentence, i, end, part=len(parts))
+        syntax, i = _parse_one(parser, sentence, i, end)
         if syntax is None:
             break
         parts.append(syntax)
@@ -813,8 +812,7 @@ def parse_sentence_parts(sentence: TaggedSentence) -> list[SentenceSyntax]:
     return parts
 
 
-def _parse_one(parser: _Parser, sentence: TaggedSentence, i: int, end: int,
-               part: int):
+def _parse_one(parser: _Parser, sentence: TaggedSentence, i: int, end: int):
     tokens = sentence.tokens
     leading, i = parser.parse_leading_adverbials(i, end)
 
@@ -854,7 +852,6 @@ def _parse_one(parser: _Parser, sentence: TaggedSentence, i: int, end: int,
         object=obj,
         adverbials=tuple(leading) + tuple(trailing),
         polarity=polarity_of(action),
-        part=part,
     )
     return syntax, i
 

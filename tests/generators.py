@@ -281,7 +281,7 @@ def random_question_pair(rng: random.Random):
         return QuestionSyntax(
             kind="general", interrogative="do", subject=subj_phrase,
             action=vp(verb), object=ObjectGroup(obj_phrase),
-            adverbials=tuple(advs), polarity="affirmative", gap="none")
+            adverbials=tuple(advs), polarity="affirmative")
 
     q2 = build(_np_from_text(subj), _np_from_text(obj),
                [adverbial] if adverbial else [])
@@ -330,7 +330,7 @@ def question_pair_from_space(rng: random.Random, space):
         return QuestionSyntax(
             kind="general", interrogative="do", subject=subject,
             action=action, object=ObjectGroup(obj), adverbials=tuple(advs),
-            polarity="affirmative", gap="none")
+            polarity="affirmative")
 
     subj1 = _keep_mods(rng, source.subject, 0.6)
     subj2 = _keep_mods(rng, subj1, 0.3)
@@ -379,7 +379,7 @@ def relevant_pair_from_space(rng: random.Random, space):
         return QuestionSyntax(
             kind="general", interrogative="do", subject=subject,
             action=action, object=ObjectGroup(obj), adverbials=(),
-            polarity="affirmative", gap="none")
+            polarity="affirmative")
 
     x = Phrase("noun", head, tuple(s1.subject.modifiers()), ())
     y = Phrase("noun", head, (), ())

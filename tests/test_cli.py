@@ -74,6 +74,23 @@ class TestPipeline:
         assert code == 0
         assert "The system s model ranks sentences ." in out
 
+    def test_patterns_match_golden_files(self, tmp_path, capsys):
+        # a harvested 3-cycle with one edge dropped, a "to X is to Y" edge,
+        # a by-agent passive, a two-part sentence and a clause adverbial
+        corpus_snap, space_snap = tmp_path / "p.tsv", tmp_path / "p.space"
+        assert run(capsys, "ingest", DATA / "patterns.txt", "-o",
+                   corpus_snap)[0] == 0
+        assert corpus_snap.read_bytes() \
+            == (DATA / "patterns.tsv").read_bytes()
+        assert run(capsys, "build", corpus_snap, "-o", space_snap)[0] == 0
+        assert space_snap.read_bytes() \
+            == (DATA / "patterns.space").read_bytes()
+        for command, golden in (("dump-edges", "patterns_edges.txt"),
+                                ("stats", "patterns_stats.txt")):
+            code, out, _ = run(capsys, command, space_snap)
+            assert code == 0
+            assert out == (DATA / golden).read_text()
+
     def test_query_matches_golden_file(self, tmp_path, capsys):
         demo = pathlib.Path(__file__).parent.parent / "demo" / "short.txt"
         run(capsys, "ingest", demo, "-o", tmp_path / "short.tsv")
@@ -359,6 +376,10 @@ class TestErrorHandling:
 
 # a malformed line in each kind of side file: (text, bad line, argv)
 MALFORMED = {
+    # a voice `build_space` never writes
+    "corpus_voice": (
+        "#doc short\n#voice bogus\nLexRank\tlexrank\tNNP\n",
+        2, lambda snap, bad: ["build", bad, "-o", f"{bad}.space"]),
     "gold_relations": (
         "np(lexrank|)\tnp(algorithm|unsupervised)\tsubject\nnp(lexrank|)\n",
         2, lambda snap, bad: ["eval", "relations", snap, bad]),

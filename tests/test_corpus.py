@@ -76,10 +76,6 @@ class TestTagger:
         second = [(t.surface, t.lemma, t.pos) for t in tag(text).tokens]
         assert first == second
 
-    def test_token_indices_contiguous(self):
-        tokens = tag("Supervised algorithm builds an extract.").tokens
-        assert [t.index for t in tokens] == list(range(len(tokens)))
-
     @pytest.mark.parametrize("copies", [20, 200])
     def test_each_word_form_is_read_once(self, monkeypatch, copies):
         sentence = "Models train models quickly and researchers train models."
@@ -152,6 +148,19 @@ class TestPretagged:
             parse_pretagged(f"#doc d1\nword\tword\tNN\nword\t{lemma}\tNN\n")
         assert err.value.line_number == 3
         assert "bad lemma" in str(err.value)
+
+    @pytest.mark.parametrize("voice", ["bogus", "Active", "passive"])
+    def test_unknown_voice_rejected(self, voice):
+        with pytest.raises(MalformedLine) as err:
+            parse_pretagged(f"#doc d1\n#voice {voice}\nword\tword\tNN\n")
+        assert err.value.line_number == 2
+        assert "unknown voice" in str(err.value)
+
+    @pytest.mark.parametrize("voice", [corpus.ACTIVE, corpus.PASSIVE_CONVERTED,
+                                       corpus.PASSIVE_AGENTLESS])
+    def test_each_voice_loads(self, voice):
+        sentences = parse_pretagged(f"#voice {voice}\nword\tword\tNN\n")
+        assert sentences[0].voice == voice
 
     def test_round_trip(self):
         text = ("#doc d1\nThe\tthe\tDT\nresults\tresult\tNNS\nshow\tshow\tVBP\n"

@@ -5,7 +5,7 @@ import pytest
 from syntaxspace import corpus, evaluation
 from syntaxspace.corpus import tag
 from syntaxspace.evaluation import (BASELINE_METHODS, BaselineConfig,
-                                    BaselineIndex, UnknownMethod,
+                                    BaselineIndex, PRFReport, UnknownMethod,
                                     baseline_rank, content_lemmas,
                                     load_gold_answers, load_gold_relations,
                                     qa_precision, relation_prf, space_closure)
@@ -34,14 +34,23 @@ class TestRelationPRF:
 
     def test_empty_predictions_flagged(self):
         report = relation_prf({("a", "b", "subject")}, set())
-        assert report.precision_undefined
+        assert report.precision is None
         assert report.recall == 0.0
         assert report.f1 is None
+        assert report.line() \
+            == "P=undefined R=0.00% F1=undefined (0/0 predicted, 1 gold)"
 
     def test_empty_gold_flagged(self):
         report = relation_prf(set(), {("a", "b", "subject")})
-        assert report.recall_undefined
+        assert report.recall is None
         assert report.precision == 0.0
+        assert report.line() \
+            == "P=0.00% R=undefined F1=undefined (0/1 predicted, 0 gold)"
+
+    def test_line_of_a_report_built_directly(self):
+        # undefined is read from the value None, not from a second field
+        assert PRFReport(0, 0, 2, None, 0.0, None).line() \
+            == "P=undefined R=0.00% F1=undefined (0/0 predicted, 2 gold)"
 
     def test_f1_zero_when_no_overlap(self):
         report = relation_prf({("a", "b", "s")}, {("c", "d", "s")})

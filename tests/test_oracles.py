@@ -75,8 +75,8 @@ from syntaxspace.evaluation import (BASELINE_METHODS, BaselineConfig,
                                     UnknownMethod)
 from syntaxspace.lexicon import ALL_MARKERS, FUNCTION_LEMMAS
 from syntaxspace.qa import GENERAL_Q, AnswerJudgment, QuestionSyntax
-from syntaxspace.space import (DIMENSIONS, _EVIDENCE_RANK, ClassNode,
-                               Dimension, ResourceSpace, SearchIndex,
+from syntaxspace.space import (DIMENSIONS, _EVIDENCE_RANK, Dimension,
+                               ResourceSpace, SearchIndex,
                                _break_cycles, _shape, build_dimension, search,
                                sentence_elements, transitive_reduce)
 from syntaxspace.subsume import (EQUAL, MODIFIER, RELATED, SUBCLASS,
@@ -88,7 +88,7 @@ from syntaxspace.subsume import (EQUAL, MODIFIER, RELATED, SUBCLASS,
                                  sentence_subclass, verb_phrase_subclass)
 from syntaxspace.syntax import (ADJECTIVE, ADVERB, NOUN, PREPOSITIONAL,
                                 PRONOUN, VERB, Adverbial, Clause, ObjectGroup,
-                                Phrase, SentenceSyntax, canonical_key, display,
+                                Phrase, SentenceSyntax, canonical_key,
                                 match_marker)
 
 from conftest import UNICODE_SPACES, adjp, advp, np, pp, vp
@@ -304,7 +304,6 @@ class Token:
     surface: str
     lemma: str
     pos: str
-    index: int
 
 
 def ref_tag(sentence: str, sentence_id: int = 0,
@@ -313,7 +312,7 @@ def ref_tag(sentence: str, sentence_id: int = 0,
     tokens: list[Token] = []
     for i, word in enumerate(tokenize(sentence)):
         lemma, pos = _tag_word(word, i)
-        tokens.append(Token(word, lemma, pos, i))
+        tokens.append(Token(word, lemma, pos))
     tokens = _contextual_fixups(tokens)
     return TaggedSentence(sentence_id, doc_id, tokens, ACTIVE, sentence)
 
@@ -442,7 +441,7 @@ def ref_loop_tag(sentence: str, sentence_id: int = 0,
     tokens: list[corpus.Token] = []
     for i, word in enumerate(tokenize(sentence)):
         lemma, pos = corpus._tag_word(word, i > 0)
-        tokens.append(corpus.Token(word, lemma, pos, i))
+        tokens.append(corpus.Token(word, lemma, pos))
     tokens = ref_contextual_fixups(tokens)
     return TaggedSentence(sentence_id, doc_id, tokens, ACTIVE, sentence)
 
@@ -538,7 +537,7 @@ def _rewrite_window(tokens: list[Token], w) -> list[Token]:
     # new finite verb agrees with the agent head.
     verb = _reinflect(participle, kept, be_tok, agent)
 
-    rebuilt = (
+    return (
         tokens[:w["np_start"]]
         + agent
         + kept
@@ -548,7 +547,6 @@ def _rewrite_window(tokens: list[Token], w) -> list[Token]:
         + post_adv
         + tokens[w["agent_end"]:]
     )
-    return [replace(t, index=i) for i, t in enumerate(rebuilt)]
 
 
 def _reinflect(participle: Token, kept: list[Token], be_tok: Token,
@@ -557,14 +555,14 @@ def _reinflect(participle: Token, kept: list[Token], be_tok: Token,
     if any(t.lemma == "have" for t in kept):
         return replace(participle)  # perfect: "has been built" -> "has built"
     if any(t.pos == "MD" for t in kept):
-        return Token(base, base, "VB", participle.index)
+        return Token(base, base, "VB")
     head = next((t for t in reversed(agent) if t.pos in NOUN_TAGS), None)
     plural = head is not None and head.pos in ("NNS", "NNPS")
     if be_tok.pos == "VBD":  # was/were
-        return Token(lx.past_tense(base), base, "VBD", participle.index)
+        return Token(lx.past_tense(base), base, "VBD")
     if plural:
-        return Token(base, base, "VBP", participle.index)
-    return Token(lx.third_singular(base), base, "VBZ", participle.index)
+        return Token(base, base, "VBP")
+    return Token(lx.third_singular(base), base, "VBZ")
 
 
 def oracle_relation(e1: Phrase, e2: Phrase, edges) -> str:
@@ -725,7 +723,7 @@ _LEMMA_RUNS = st.lists(st.one_of(
 @settings(max_examples=300, deadline=None)
 @given(_LEMMA_RUNS)
 def test_match_marker_matches_reference(lemmas):
-    tokens = [corpus.Token(w, w, "IN", k) for k, w in enumerate(lemmas)]
+    tokens = [corpus.Token(w, w, "IN") for w in lemmas]
     for i in range(len(tokens) + 1):
         assert match_marker(tokens, i) == ref_match_marker(tokens, i), i
 
@@ -775,7 +773,7 @@ _TAGGER_SENTENCES = st.lists(st.one_of(
 
 
 def _rows(sentence):
-    return ([(t.surface, t.lemma, t.pos, t.index) for t in sentence.tokens],
+    return ([(t.surface, t.lemma, t.pos) for t in sentence.tokens],
             sentence.voice, sentence.sentence_id, sentence.doc_id,
             sentence.raw)
 
@@ -1225,8 +1223,8 @@ def test_search_index_anchors_equal_the_scan(edges, syn):
     for members in (base, base + NOUNS + VERBS):
         dim = build_dimension("subject", list(enumerate(members)), edges)
         for query in base + NOUNS + VERBS + _OFF_DIMENSION:
-            scan = {key for key, node in dim.nodes.items()
-                    if at_or_below(node.element, query, edges, syn)}
+            scan = {key for key, element in dim.nodes.items()
+                    if at_or_below(element, query, edges, syn)}
             assert dim.index.anchors(query, syn) == scan, (query, len(members))
 
 
@@ -1271,8 +1269,8 @@ def spaces(draw):
             sid, draw(st.sampled_from(_SUBJECTS)),
             draw(st.sampled_from(_ACTIONS)), draw(st.sampled_from(GROUPS)),
             tuple(draw(st.lists(st.sampled_from(_PART_ADVERBIALS),
-                                max_size=2))), part=part)
-            for part in range(draw(st.integers(1, 2)))]
+                                max_size=2))))
+            for _ in range(draw(st.integers(1, 2)))]
     items = {name: [] for name in DIMENSIONS}
     for sid, parts in sentences.items():
         for part in parts:
@@ -1284,19 +1282,30 @@ def spaces(draw):
 
 
 _OBJECT_GAPS = ("direct", "indirect", "complement")
+# the slot each question kind asks for, and the adverbial kinds that answer
+# each interrogative of an adverbial question
+_REF_GAPS = {"subject": "subject", "direct_object": "direct",
+             "indirect_object": "indirect", "object_complement": "complement",
+             "adverbial": "adverbial", "general": "none"}
+_REF_ADVERBIAL_KINDS = {"when": ("time",), "where": ("place",),
+                        "why": ("reason", "purpose"), "how": ("method",)}
 
 
 @st.composite
 def questions(draw, parts):
     """A question whose slots each hold the element of one of `parts` or one
-    drawn from the pools, so that some sentences answer it."""
+    drawn from the pools, so that some sentences answer it; its kind and
+    interrogative are ones `parse_question` gives together."""
     part = draw(st.sampled_from(parts))
 
     def pick(own, pool):
         return own if draw(st.integers(0, 2)) else draw(st.sampled_from(pool))
 
-    gap = draw(st.sampled_from(("subject", *_OBJECT_GAPS, "adverbial",
-                                "none")))
+    kind = draw(st.sampled_from(sorted(_REF_GAPS)))
+    gap = _REF_GAPS[kind]
+    interrogative = "do" if kind == "general" else "what"
+    if kind == "adverbial":
+        interrogative = draw(st.sampled_from(sorted(_REF_ADVERBIAL_KINDS)))
     if gap == "subject":  # a type the answer must be strictly below
         subject = draw(st.sampled_from((None, *NOUNS)))
     else:
@@ -1307,10 +1316,8 @@ def questions(draw, parts):
             st.none(), st.sampled_from(NOUNS + [adjp("fast")])))})
     advs = draw(st.lists(st.sampled_from(part.adverbials or _PART_ADVERBIALS),
                          max_size=1))
-    return QuestionSyntax(
-        "general" if gap == "none" else "subject", "what", subject,
-        pick(part.action, _ACTIONS), group, tuple(advs), gap=gap,
-        adverbial_kinds=("time", "place") if gap == "adverbial" else ())
+    return QuestionSyntax(kind, interrogative, subject,
+                          pick(part.action, _ACTIONS), group, tuple(advs))
 
 
 @settings(max_examples=50, deadline=None)
@@ -1328,8 +1335,8 @@ def test_search_reads_the_index_alone(space, data):
     for name, dim in space.dimensions.items():
         for query in queries:
             scan = set().union(*(
-                dim.postings[key] for key, node in dim.nodes.items()
-                if at_or_below(node.element, query, edges, syn)))
+                dim.postings[key] for key, element in dim.nodes.items()
+                if at_or_below(element, query, edges, syn)))
             assert search(space, name, query) == scan, (name, query)
     parts = [part for parts in space.sentences.values() for part in parts]
     for q in data.draw(st.lists(questions(parts), min_size=1, max_size=10)):
@@ -1353,6 +1360,7 @@ def ref_candidate_search(space: ResourceSpace, q: QuestionSyntax) -> set[int]:
     object questions).
     """
     ids: set[int] | None = None
+    gap = _REF_GAPS[q.kind]
 
     def narrow(found: set[int]):
         nonlocal ids
@@ -1360,13 +1368,13 @@ def ref_candidate_search(space: ResourceSpace, q: QuestionSyntax) -> set[int]:
 
     if q.subject is not None:
         narrow(search(space, "subject", q.subject))
-    elif q.gap == "subject":
+    elif gap == "subject":
         narrow(search(space, "subject", None))
     if q.action is not None:
         narrow(search(space, "action", q.action))
     if q.object is not None and q.object.direct is not None:
         narrow(search(space, "object", q.object.direct))
-    elif q.gap in ("direct", "indirect", "complement"):
+    elif gap in ("direct", "indirect", "complement"):
         narrow(search(space, "object", None))
     for adverbial in q.adverbials:
         narrow(search(space, "adverbial", adverbial))
@@ -1387,6 +1395,7 @@ def ref_match_answer(q: QuestionSyntax, s: SentenceSyntax,
     """
     matched: dict[str, str] = {}
     ok = True
+    asked = _REF_GAPS[q.kind]
 
     def slot(name: str, answer_elem, question_elem, gap: bool):
         nonlocal ok
@@ -1418,17 +1427,17 @@ def ref_match_answer(q: QuestionSyntax, s: SentenceSyntax,
             matched[name] = "mismatch"
             ok = False
 
-    slot("subject", s.subject, q.subject, gap=q.gap == "subject")
+    slot("subject", s.subject, q.subject, gap=asked == "subject")
     slot("action", s.action, q.action, gap=False)
 
     q_group = q.object or ObjectGroup(None)  # type: ignore[arg-type]
     s_group = s.object
     slot("object.direct", s_group.direct if s_group else None,
-         q_group.direct if q.object else None, gap=q.gap == "direct")
+         q_group.direct if q.object else None, gap=asked == "direct")
     slot("object.indirect", s_group.indirect if s_group else None,
-         q_group.indirect if q.object else None, gap=q.gap == "indirect")
+         q_group.indirect if q.object else None, gap=asked == "indirect")
     slot("object.complement", s_group.complement if s_group else None,
-         q_group.complement if q.object else None, gap=q.gap == "complement")
+         q_group.complement if q.object else None, gap=asked == "complement")
 
     remaining = list(s.adverbials)
     for idx, q_adv in enumerate(q.adverbials):
@@ -1447,9 +1456,9 @@ def ref_match_answer(q: QuestionSyntax, s: SentenceSyntax,
         else:
             remaining.pop(hit[0])
             matched[f"adverbial[{idx}]"] = hit[1]
-    if q.gap == "adverbial":
-        filler = next((a for a in remaining if a.kind in q.adverbial_kinds),
-                      None)
+    if asked == "adverbial":
+        kinds = _REF_ADVERBIAL_KINDS[q.interrogative]
+        filler = next((a for a in remaining if a.kind in kinds), None)
         if filler is None:
             matched["adverbial*"] = "missing"
             ok = False
@@ -1556,13 +1565,13 @@ def ref_build_dimension(name: str, items: list[tuple[int, object]],
                         harvested: EdgeSet | None = None) -> Dimension:
     """Merge, connect, break cycles, reduce, attach postings."""
     harvested = harvested if harvested is not None else EdgeSet()
-    dim = Dimension(name)
+    dim = Dimension()
 
     # 1. canonicalize and merge duplicates
     for sid, element in items:
         key = canonical_key(element)
         if key not in dim.nodes:
-            dim.nodes[key] = ClassNode(key, display(element), element)
+            dim.nodes[key] = element
         dim.postings.setdefault(key, set()).add(sid)
 
     raw_edges: list[tuple[str, str, str, int | None]] = []
@@ -1584,15 +1593,13 @@ def ref_build_dimension(name: str, items: list[tuple[int, object]],
                     continue
                 child_elem = harvested.elements[edge.child]
                 attaches = edge.child in dim.nodes or any(
-                    at_or_below(node.element, child_elem, harvested)
-                    == SUBCLASS for node in dim.nodes.values())
+                    at_or_below(element, child_elem, harvested)
+                    == SUBCLASS for element in dim.nodes.values())
                 if not attaches:
                     continue
                 for endpoint in (edge.child, edge.parent):
                     if endpoint not in dim.nodes:
-                        element = harvested.elements[endpoint]
-                        dim.nodes[endpoint] = ClassNode(
-                            endpoint, display(element), element)
+                        dim.nodes[endpoint] = harvested.elements[endpoint]
                         dim.postings.setdefault(endpoint, set())
                 raw_edges.append(entry)
                 seen_entries.add(entry)
@@ -1602,14 +1609,14 @@ def ref_build_dimension(name: str, items: list[tuple[int, object]],
     edge_pairs = {(c, p) for c, p, _, _ in raw_edges}
     buckets: dict[tuple, list[str]] = {}
     for key in sorted(dim.nodes):
-        buckets.setdefault(_shape(dim.nodes[key].element)[:2], []).append(key)
+        buckets.setdefault(_shape(dim.nodes[key])[:2], []).append(key)
     for bucket_keys in buckets.values():
         for child_key in bucket_keys:
             for parent_key in bucket_keys:
                 if child_key == parent_key:
                     continue
-                rel = at_or_below(dim.nodes[child_key].element,
-                                  dim.nodes[parent_key].element, harvested)
+                rel = at_or_below(dim.nodes[child_key],
+                                  dim.nodes[parent_key], harvested)
                 if rel == SUBCLASS and (child_key, parent_key) not in edge_pairs:
                     raw_edges.append((child_key, parent_key, MODIFIER, None))
                     edge_pairs.add((child_key, parent_key))
@@ -1620,9 +1627,8 @@ def ref_build_dimension(name: str, items: list[tuple[int, object]],
     # 4. transitive reduction
     pairs = {(c, p) for c, p, _, _ in kept}
     reduced = transitive_reduce(pairs)
-    dim.edges = reduced
-    dim.edge_meta = {(c, p): (src, ev) for c, p, src, ev in kept
-                     if (c, p) in reduced}
+    dim.edges = {(c, p): (src, ev) for c, p, src, ev in kept
+                 if (c, p) in reduced}
     return dim
 
 
@@ -1638,8 +1644,7 @@ def test_build_dimension_matches_pairwise_reference(edges):
         dim = build_dimension(name, items, edges)
         ref = ref_build_dimension(name, items, edges)
         assert list(dim.nodes.items()) == list(ref.nodes.items()), name
-        assert dim.edges == ref.edges, name
-        assert list(dim.edge_meta.items()) == list(ref.edge_meta.items())
+        assert list(dim.edges.items()) == list(ref.edges.items()), name
         assert list(dim.postings.items()) == list(ref.postings.items())
         assert dim.dropped_edges == ref.dropped_edges, name
 
