@@ -16,7 +16,7 @@ from . import evaluation, qa, space as space_mod
 from .corpus import (MalformedLine, TaggedSentence, ingest_text,
                      parse_pretagged, serialize_pretagged, tag)
 from .space import (ResourceSpace, build_space, check_normal_forms,
-                    corpus_section, coverage, serialize_space, space_stats)
+                    corpus_section, serialize_space, space_stats)
 from .subsume import SynonymTable
 from .syntax import dump_parse, parse_sentence_parts, NoFiniteVerb
 
@@ -101,19 +101,14 @@ def cmd_ingest(args, config: Config) -> int:
     sentences: list[TaggedSentence] = []
     next_id = 1
     for path in args.paths:
-        if not os.path.exists(path):
-            print(f"ingest: no such file: {path}", file=sys.stderr)
-            return DATA_ERROR
         if config.tagger == "pretagged":
-            for s in _parse_corpus(path, _read(path)):
+            for s in _read_corpus(path)[2]:
                 s.sentence_id = next_id
                 sentences.append(s)
                 next_id += 1
         else:
             doc_id = os.path.splitext(os.path.basename(path))[0]
-            with open(path, encoding="utf-8") as handle:
-                raw = handle.read()
-            for s in ingest_text(raw, doc_id, first_id=next_id):
+            for s in ingest_text(_read(path), doc_id, first_id=next_id):
                 sentences.append(s)
                 next_id += 1
     text = serialize_pretagged(sentences)
@@ -123,8 +118,7 @@ def cmd_ingest(args, config: Config) -> int:
 
 
 def cmd_build(args, config: Config) -> int:
-    corpus_text = _read(args.corpus)
-    sentences = _parse_corpus(args.corpus, corpus_text)
+    _, corpus_text, sentences = _read_corpus(args.corpus)
     if not sentences:
         print("build: empty corpus, writing empty space", file=sys.stderr)
     space = build_space(sentences, _load_synonyms(config))
@@ -141,13 +135,9 @@ def cmd_build(args, config: Config) -> int:
 
 def cmd_stats(args, config: Config) -> int:
     space = _load_space(args.space, config)
-    for line in space_stats(space):
-        print(line)
-    print()
-    for line in coverage(space).lines():
-        print(line)
-    print()
-    for line in check_normal_forms(space).lines():
+    normal_forms = check_normal_forms(space)  # with the coverage it reads
+    for line in [*space_stats(space), "", *normal_forms.coverage.lines(), "",
+                 *normal_forms.lines()]:
         print(line)
     return 0
 
@@ -187,10 +177,7 @@ def cmd_dump_edges(args, config: Config) -> int:
 
 
 def cmd_dump_parse(args, config: Config) -> int:
-    corpus_text = _read(args.corpus)
-    if corpus_text.lstrip().startswith("#space"):
-        corpus_text = _snapshot_corpus(args.corpus, corpus_text)
-    for sentence in parse_pretagged(corpus_text):
+    for sentence in _read_corpus(args.corpus)[2]:
         print(f"# sentence {sentence.sentence_id}: {sentence.surface_text()}")
         try:
             for part in parse_sentence_parts(sentence):
@@ -263,17 +250,19 @@ def _write(path: str, text: str):
         handle.write(text)
 
 
-def _parse_corpus(path: str, text: str) -> list[TaggedSentence]:
-    """`parse_pretagged` of the file at `path`, naming it in an error."""
+def _read_corpus(path: str) -> tuple[str, str, list[TaggedSentence]]:
+    """(file text, tagged corpus text, sentences) of the TSV or `#space`
+    snapshot at `path`; an error names the path and, for a bad corpus
+    line, its line in the file."""
+    text = corpus_text = _read(path)
+    head = 0  # file lines before the corpus
     try:
-        return parse_pretagged(text)
+        if text.lstrip().startswith("#space"):
+            corpus_text, head = corpus_section(text), 2
+        return text, corpus_text, parse_pretagged(corpus_text)
     except MalformedLine as exc:
-        raise ValueError(f"{path}:{exc.line_number}: {exc.message}") from None
-
-
-def _snapshot_corpus(path: str, snapshot: str) -> str:
-    try:
-        return corpus_section(snapshot)
+        raise ValueError(f"{path}:{head + exc.line_number}: "
+                         f"{exc.message}") from None
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 
@@ -281,9 +270,10 @@ def _snapshot_corpus(path: str, snapshot: str) -> str:
 def _load_space(path: str, config: Config) -> ResourceSpace:
     """Rebuild the space from the snapshot's corpus; the snapshot must be
     exactly what `build` writes for that corpus."""
-    snapshot = _read(path)
-    corpus_text = _snapshot_corpus(path, snapshot)
-    space = build_space(parse_pretagged(corpus_text), _load_synonyms(config))
+    snapshot, corpus_text, sentences = _read_corpus(path)
+    if corpus_text is snapshot:  # a TSV
+        raise ValueError(f"{path}: not a complete #space v1 snapshot")
+    space = build_space(sentences, _load_synonyms(config))
     if serialize_space(space, corpus_text) != snapshot:
         raise ValueError(f"{path}: snapshot does not match its corpus "
                          f"(rebuild it)")

@@ -5,6 +5,7 @@ connects them with subclass edges (modifier rule plus harvested pattern
 edges), breaks any cycles, transitively reduces the edge relation, and
 attaches sentence postings.  After building, the space is immutable, and a
 search unions the postings of the nodes its index puts at or below a query.
+The index, like every subclass rule, lives in `subsume`.
 """
 
 from __future__ import annotations
@@ -14,13 +15,11 @@ from dataclasses import dataclass, field
 
 from . import subsume
 from .corpus import TaggedSentence, gc_paused
-from .subsume import (EdgeSet, MODIFIER, SYNTACTIC, SynonymTable,
-                      _contains, _inner_np, _modifier_below, at_or_below,
-                      reach, scan_syntactic_patterns)
+from .subsume import (EdgeSet, MODIFIER, SYNTACTIC, SearchIndex,
+                      SynonymTable, reach, scan_syntactic_patterns)
 from .subsume import compare_elements  # noqa: F401 (callers rebind it)
-from .syntax import (Adverbial, Clause, NOUN, NoFiniteVerb, PREPOSITIONAL,
-                     PRONOUN, Phrase, SentenceSyntax, VERB, canonical_key,
-                     display, parse_sentence_parts)
+from .syntax import (NoFiniteVerb, SentenceSyntax, canonical_key, display,
+                     parse_sentence_parts)
 
 DIMENSIONS = ("subject", "action", "object", "adverbial")
 
@@ -43,76 +42,6 @@ class Dimension:
     dropped_edges: list[tuple[str, str, str]] = field(default_factory=list)
     index: SearchIndex | None = None  # grows with the nodes
     covered: frozenset[int] = frozenset()  # sentences posted at any node
-
-
-class SearchIndex:
-    """The one answer to "which nodes are at or below X?" for a dimension:
-    `build_dimension` adds each node as it is made, its attach and modifier
-    steps read `anchors`, and so does `search`.  Phrases are posted in
-    their bucket (`_shape`'s wrapper and head) under their modifiers,
-    clauses in their lead's bucket under `_lemmas(element, edges)`, and
-    every node under each harvested key its side reaches (`edges.up`, so
-    also through edges cycle breaking drops)."""
-
-    def __init__(self, edges: EdgeSet):
-        self.edges, self.buckets, self.below = edges, {}, {}
-
-    def add(self, key: str, element, shape: tuple) -> None:
-        """Post `element`, whose canonical key is `key` and whose `_shape`
-        is `shape`."""
-        wrapper, head, side, mods = shape
-        if wrapper[-2] == "clause":
-            head, mods = None, _lemmas(element, self.edges)
-        bucket = self.buckets.setdefault((wrapper, head), {})
-        for lemma in (None, *mods):  # None: every member
-            bucket.setdefault(lemma, {})[key] = element
-        side_key = key if side is element else None
-        for k in (self.edges.up(side, side_key)
-                  if side and self.edges else ()):
-            self.below.setdefault((wrapper, self.edges.elements[k].head),
-                                  {}).setdefault(k, []).append(key)
-
-    def anchors(self, query, syn: SynonymTable | None = None) -> set[str]:
-        """Keys of the nodes `at_or_below` the query.  A phrase takes its
-        bucket's members (a verb's synonym heads' too) posted under all its
-        modifiers, counted if one repeats, and the nodes whose side reaches
-        the side's key or, for nouns, one modifier-below it; it judges
-        none.  A clause judges the clauses of its lead posted under all of
-        `_lemmas(query, syn=syn)`, which holds every clause below it."""
-        wrapper, head, side, mods = _shape(query)
-        if wrapper[-2] == "clause":
-            clauses = self.buckets.get((wrapper, None), {})
-            return {k for k in _common(clauses, _lemmas(query, syn=syn))
-                    if at_or_below(clauses[None][k], query,
-                                   self.edges, syn)}
-        verb = side is not None and side.kind == VERB
-        heads = {head} | (syn.synonyms(head) if verb and syn else set())
-        buckets = [self.buckets.get((wrapper, h), {}) for h in heads]
-        repeated = len(set(mods)) < len(mods)
-        found = {k for bucket in buckets for k in _common(bucket, mods)
-                 if not repeated
-                 or _contains(_shape(bucket[None][k])[3], mods)}
-        reached = self.below.get((wrapper, side.head)) if side else None
-        if not reached:
-            return found
-        side_key = canonical_key(side)
-        keys = [side_key] if verb else [
-            k for k in reached if k == side_key
-            or _modifier_below(self.edges.elements[k], side)]
-        below = {key for k in keys for key in reached.get(k, ())}
-        if verb:  # of the same or a synonym head, modifiers alone decide
-            below -= {k for bucket in buckets for k in bucket.get(None, ())}
-        return found | below
-
-
-def _common(bucket: dict, lemmas) -> set[str]:
-    """Keys the bucket posts under every lemma, shortest posting first."""
-    shortest, *rest = sorted((bucket.get(m, {}) for m in {None, *lemmas}),
-                             key=len)
-    keys = set(shortest)
-    for posting in rest:
-        keys &= posting.keys()
-    return keys
 
 
 @dataclass
@@ -138,25 +67,8 @@ class ResourceSpace:
 
 
 # ---------------------------------------------------------------------------
-# Element extraction and comparison per dimension
+# Element extraction per dimension
 # ---------------------------------------------------------------------------
-
-
-def _shape(element) -> tuple[tuple, str | None, Phrase | None, tuple]:
-    """(wrapper, head, side, modifiers): the modifier rule compares modifiers
-    (none for clauses and pronouns) inside one wrapper (adverbial kind, phrase
-    kind and preposition, or clause lead) and head (a clause's action head);
-    harvested edges count from the noun or verb (a PP's inner noun) side."""
-    if isinstance(element, Adverbial):
-        wrapper, *rest = _shape(element.content)
-        return ("adverbial", element.kind) + wrapper, *rest
-    if isinstance(element, Phrase):
-        side = _inner_np(element) if element.kind == PREPOSITIONAL else (
-            element if element.kind in (NOUN, VERB) else None)
-        return ((element.kind, element.preposition()), element.head, side,
-                element.modifiers() if element.kind != PRONOUN else ())
-    return (("clause", element.lead or "-"),  # a clause
-            element.action.head if element.action else "-", None, ())
 
 
 def sentence_elements(part: SentenceSyntax) -> dict[str, list]:
@@ -181,14 +93,13 @@ def build_dimension(name: str, items: list[tuple[int, object]],
                     harvested: EdgeSet | None = None) -> Dimension:
     """Merge, connect, break cycles, reduce, attach postings."""
     harvested = harvested if harvested is not None else EdgeSet()
-    dim = Dimension(index=SearchIndex(harvested))
-    shapes: dict[str, tuple] = {}
+    dim = Dimension()
+    dim.index = SearchIndex(harvested, dim.nodes)
 
     def add(key, element):
         dim.nodes[key] = element
         dim.postings[key] = set()
-        shapes[key] = shape = _shape(element)
-        dim.index.add(key, element, shape)
+        dim.index.add(key, element)
 
     # 1. canonicalize and merge duplicates
     for sid, element in items:
@@ -218,20 +129,11 @@ def build_dimension(name: str, items: list[tuple[int, object]],
                               edge.evidence))
             del pending[edge]
 
-    # 2b. modifier-rule edges inside head buckets: the other members among
-    # a member's anchors are below it, but for pronouns, equal by their head
+    # 2b. modifier-rule edges from the index, but for the pairs harvested
     harvested_pairs = {(c, p) for c, p, _, _ in raw_edges}
-    buckets: dict[tuple, list[str]] = {}
-    for key in sorted(dim.nodes):
-        buckets.setdefault(shapes[key][:2], []).append(key)
-    for (wrapper, _), keys in buckets.items():
-        if len(keys) < 2 or wrapper[-2] == PRONOUN:
-            continue
-        bucket = set(keys)
-        below = sorted((c, p) for p in keys for c in bucket
-                       & dim.index.anchors(dim.nodes[p])
-                       if c != p and (c, p) not in harvested_pairs)
-        raw_edges.extend((c, p, MODIFIER, None) for c, p in below)
+    raw_edges.extend((c, p, MODIFIER, None)
+                     for c, p in dim.index.modifier_pairs()
+                     if (c, p) not in harvested_pairs)
 
     # 3. break cycles: drop lowest-evidence, then latest-discovered
     kept = _break_cycles(raw_edges, dim.dropped_edges)
@@ -242,31 +144,6 @@ def build_dimension(name: str, items: list[tuple[int, object]],
                  if (c, p) in reduced}
     dim.covered = frozenset().union(*dim.postings.values())
     return dim
-
-
-def _lemmas(element, harvested: EdgeSet | None = None,
-            syn: SynonymTable | None = None) -> set[str]:
-    """Head and modifiers of every phrase in `element` (of a pronoun, equal
-    by its head, the head alone) and every clause lead; with `harvested`,
-    also those of each element a phrase's noun or verb side reaches in it;
-    with `syn`, no verb head that has synonyms.  So `at_or_below(c, p,
-    harvested, syn)` is not None only if `_lemmas(p, syn=syn) <= _lemmas(c,
-    harvested)`: the modifier rule needs equal heads (or synonym verbs)
-    and more modifiers, a harvested step reaches the parent's key or one
-    modifier-below it, and the rest are product orders."""
-    if isinstance(element, Adverbial):
-        return _lemmas(element.content, harvested, syn)
-    if isinstance(element, Clause):
-        parts = (element.subject, element.action, element.object,
-                 *element.adverbials)
-        return {element.lead or "-"}.union(
-            *(_lemmas(x, harvested, syn) for x in parts if x))
-    _, head, side, mods = _shape(element)
-    synonyms = syn and element.kind == VERB and syn.synonyms(head)
-    out = {*mods} if synonyms else {head, *mods}
-    for k in (harvested.up(side) if harvested and side else ()):
-        out |= _lemmas(harvested.elements[k])
-    return out
 
 
 def _break_cycles(raw_edges, dropped_log) -> list:
@@ -404,45 +281,27 @@ def search(space: ResourceSpace, dimension: str, query) -> set[int]:
 class CoverageReport:
     total: int
     covered: dict[str, int]
-    ratios: dict[str, float | None]
     union_covered: int
-    union_ratio: float | None
     intersection_covered: int  # subject & action & object
-    intersection_ratio: float | None
 
     def lines(self) -> list[str]:
         if self.total == 0:
             return ["coverage: undefined (empty corpus)"]
-        out = []
-        for name in DIMENSIONS:
-            out.append(f"{name:<10} {self.covered[name]}/{self.total}"
-                       f" = {self.ratios[name]:.2%}")
-        out.append(f"{'union':<10} {self.union_covered}/{self.total}"
-                   f" = {self.union_ratio:.2%}")
-        out.append(f"{'s&a&o':<10} {self.intersection_covered}/{self.total}"
-                   f" = {self.intersection_ratio:.2%}")
-        return out
+        rows = [*((name, self.covered[name]) for name in DIMENSIONS),
+                ("union", self.union_covered),
+                ("s&a&o", self.intersection_covered)]
+        return [f"{name:<10} {count}/{self.total} = {count / self.total:.2%}"
+                for name, count in rows]
 
 
 def coverage(space: ResourceSpace) -> CoverageReport:
     ids = set(space.records)
-    total = len(ids)
-    if total == 0:
-        return CoverageReport(0, {n: 0 for n in DIMENSIONS},
-                              {n: None for n in DIMENSIONS}, 0, None, 0, None)
     per_dim = {name: space.dimensions[name].covered & ids
                for name in DIMENSIONS}
-    union = set().union(*per_dim.values())
-    intersection = per_dim["subject"] & per_dim["action"] & per_dim["object"]
     return CoverageReport(
-        total=total,
-        covered={n: len(per_dim[n]) for n in DIMENSIONS},
-        ratios={n: len(per_dim[n]) / total for n in DIMENSIONS},
-        union_covered=len(union),
-        union_ratio=len(union) / total,
-        intersection_covered=len(intersection),
-        intersection_ratio=len(intersection) / total,
-    )
+        len(ids), {name: len(per_dim[name]) for name in DIMENSIONS},
+        len(set().union(*per_dim.values())),
+        len(per_dim["subject"] & per_dim["action"] & per_dim["object"]))
 
 
 # ---------------------------------------------------------------------------
@@ -454,13 +313,31 @@ _NF_DIMENSIONS = ("subject", "action", "object")
 
 @dataclass
 class NFReport:
-    first_nf: bool
-    second_nf: bool
-    third_nf: bool
     miskeyed: list[str]  # keys that are not their node's canonical key
     double_posted: list[tuple[str, int]]
-    full_coverage: dict[str, bool]
-    subspace_sentences: int  # sentences covered by subject & action & object
+    coverage: CoverageReport
+
+    @property
+    def first_nf(self) -> bool:
+        return not self.miskeyed
+
+    @property
+    def second_nf(self) -> bool:
+        return self.first_nf and not self.double_posted
+
+    @property
+    def third_nf(self) -> bool:
+        return self.second_nf and all(self.full_coverage.values())
+
+    @property
+    def full_coverage(self) -> dict[str, bool]:
+        total = self.coverage.total
+        return {name: 0 < self.coverage.covered[name] == total
+                for name in _NF_DIMENSIONS}
+
+    @property
+    def subspace_sentences(self) -> int:  # covered by subject & action & object
+        return self.coverage.intersection_covered
 
     def lines(self) -> list[str]:
         out = [f"1NF: {self.first_nf}",
@@ -481,8 +358,6 @@ def check_normal_forms(space: ResourceSpace) -> NFReport:
     miskeyed = [key for name in DIMENSIONS
                 for key, element in space.dimensions[name].nodes.items()
                 if key != canonical_key(element)]
-    first = not miskeyed
-
     double_posted: list[tuple[str, int]] = []
     for name in _NF_DIMENSIONS:
         posted: dict[int, int] = {}
@@ -491,16 +366,7 @@ def check_normal_forms(space: ResourceSpace) -> NFReport:
                 posted[sid] = posted.get(sid, 0) + 1
         double_posted.extend((name, sid) for sid, count in sorted(posted.items())
                              if count > 1)
-    second = first and not double_posted
-
-    ids = set(space.records)
-    per_dim = {name: space.dimensions[name].covered & ids
-               for name in _NF_DIMENSIONS}
-    full = {name: per_dim[name] == ids and bool(ids) for name in _NF_DIMENSIONS}
-    subspace = per_dim["subject"] & per_dim["action"] & per_dim["object"]
-    third = second and all(full.values())
-    return NFReport(first, second, third, miskeyed, double_posted, full,
-                    len(subspace))
+    return NFReport(miskeyed, double_posted, coverage(space))
 
 
 # ---------------------------------------------------------------------------

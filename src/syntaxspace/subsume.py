@@ -12,6 +12,9 @@ Two sources of evidence are combined:
 Composite rules (verb phrases, prepositional phrases, clauses, sentences,
 questions) use a product order: every aligned pair must be the same or a
 subclass, and at least one pair must be strictly more specific.
+
+A dimension's `SearchIndex` gives the nodes `at_or_below` a query without
+asking each node, and the pairs of its modifier edges.
 """
 
 from __future__ import annotations
@@ -139,6 +142,18 @@ class EdgeSet:
         first = self._step(element, key)
         return frozenset(first).union(*(self._closure[k] for k in first))
 
+    def puts_below(self, k: str, target: Phrase, key: str) -> bool:
+        """Whether reaching harvested key `k` puts a phrase at or below
+        `target`, whose key is `key`: `k` is that key or, for a noun target,
+        a harvested phrase of the target's head modifier-below it.  A verb
+        target takes its key alone."""
+        if k == key:
+            return True
+        if target.kind != NOUN:
+            return False
+        element = self.elements[k]
+        return element.head == target.head and _modifier_below(element, target)
+
     def __len__(self) -> int:
         return len(self.edges)
 
@@ -190,20 +205,13 @@ def phrase_subclass(p1: Phrase, p2: Phrase) -> bool:
     return len(m1) > len(m2) and _contains(m1, m2)
 
 
-def _np_reaches(child: Phrase, parent: Phrase, edges: EdgeSet) -> bool:
-    """child == parent excluded; True when noun phrase child is below noun
-    phrase parent through any mix of modifier steps and harvested np
-    edges.  Only a reached phrase with the parent's head can be
-    modifier-below it."""
-    if phrase_subclass(child, parent):
-        return True
+def _harvested_below(child: Phrase, target: Phrase, edges) -> bool:
+    """True when a key that `child` reaches through harvested edges puts
+    it at or below `target` (`EdgeSet.puts_below`)."""
     if not edges:
         return False
-    parent_key = canonical_key(parent)
-    elements = edges.elements
-    return any(k == parent_key or (elements[k].head == parent.head
-                                   and _modifier_below(elements[k], parent))
-               for k in edges.up(child))
+    key = canonical_key(target)
+    return any(edges.puts_below(k, target, key) for k in edges.up(child))
 
 
 def _modifier_below(child: Phrase, parent: Phrase) -> bool:
@@ -237,9 +245,7 @@ def _action_at_or_below(a1: Phrase, a2: Phrase, edges: EdgeSet,
         if len(m1) < len(m2) or not _contains(m1, m2):
             return None
         return SUBCLASS if len(m1) > len(m2) else EQUAL
-    if edges and canonical_key(a2) in edges.up(a1):
-        return SUBCLASS
-    return None
+    return SUBCLASS if _harvested_below(a1, a2, edges) else None
 
 
 def verb_phrase_subclass(v1, v2, edges: EdgeSet | None = None,
@@ -404,7 +410,7 @@ def at_or_below(e1, e2, edges: EdgeSet | None = None,
         if same_class(e1, e2, syn):
             return EQUAL
         if e1.kind == NOUN:
-            below = _np_reaches(e1, e2, edges)
+            below = phrase_subclass(e1, e2) or _harvested_below(e1, e2, edges)
         elif e1.kind == PREPOSITIONAL:
             below = prep_phrase_subclass(e1, e2, edges)
         elif e1.kind == PRONOUN:
@@ -458,6 +464,130 @@ def compare_elements(e1, e2, edges=None, syn=None) -> str:
         return element_subclass(e1, e2, edges, syn)
     except KindMismatch:
         return UNRELATED
+
+
+# ---------------------------------------------------------------------------
+# The dimension index
+# ---------------------------------------------------------------------------
+
+
+class SearchIndex:
+    """The one answer to "which nodes are at or below X?" for a dimension,
+    equal to asking `at_or_below` of every node.  It posts each node's key
+    in the node's bucket (`_shape`'s wrapper and head) under its modifiers,
+    a clause's in its lead's bucket under `_lemmas(element, edges)`, and
+    under each harvested key the node's side reaches (`edges.up`, so also
+    through edges cycle breaking drops).  It keeps each node's `_shape`
+    and reads elements from `nodes`, the dimension's key -> element map."""
+
+    def __init__(self, edges: EdgeSet, nodes: dict):
+        self.edges, self.nodes = edges, nodes
+        self.shapes, self.buckets, self.below = {}, {}, {}
+
+    def add(self, key: str, element) -> None:
+        """Post `element`, whose canonical key is `key`."""
+        self.shapes[key] = wrapper, head, side, mods = _shape(element)
+        if wrapper[-2] == "clause":
+            head, mods = None, _lemmas(element, self.edges)
+        bucket = self.buckets.setdefault((wrapper, head), {})
+        for lemma in (None, *mods):  # None: every member
+            bucket.setdefault(lemma, set()).add(key)
+        side_key = key if side is element else None
+        for k in (self.edges.up(side, side_key)
+                  if side and self.edges else ()):
+            self.below.setdefault((wrapper, self.edges.elements[k].head),
+                                  {}).setdefault(k, set()).add(key)
+
+    def anchors(self, query, syn: SynonymTable | None = None) -> set[str]:
+        """Keys of the nodes `at_or_below` the query.  A phrase takes its
+        bucket's members (a verb's synonym heads' too) posted under all its
+        modifiers, counted if one repeats, and the nodes posted under a
+        harvested key that `EdgeSet.puts_below` its side; it judges none.
+        A clause judges the clauses of its lead posted under all of
+        `_lemmas(query, syn=syn)`, which holds every clause below it."""
+        wrapper, head, side, mods = _shape(query)
+        if wrapper[-2] == "clause":
+            clauses = self.buckets.get((wrapper, None), {})
+            return {k for k in _common(clauses, _lemmas(query, syn=syn))
+                    if at_or_below(self.nodes[k], query, self.edges, syn)}
+        verb = side is not None and side.kind == VERB
+        heads = {head} | (syn.synonyms(head) if verb and syn else set())
+        buckets = [self.buckets.get((wrapper, h), {}) for h in heads]
+        repeated = len(set(mods)) < len(mods)
+        found = {k for bucket in buckets for k in _common(bucket, mods)
+                 if not repeated or _contains(self.shapes[k][3], mods)}
+        reached = self.below.get((wrapper, side.head)) if side else None
+        if not reached:
+            return found
+        side_key = canonical_key(side)
+        below = {key for k, keys in reached.items()
+                 if self.edges.puts_below(k, side, side_key) for key in keys}
+        if verb:  # of the same or a synonym head, modifiers alone decide
+            below -= {k for bucket in buckets for k in bucket.get(None, ())}
+        return found | below
+
+    def modifier_pairs(self):
+        """The modifier rule's (child, parent) pairs: in each bucket of one
+        `_shape` wrapper and head, the other members among a member's
+        anchors, sorted; buckets in the order of their first sorted key,
+        and none of pronouns, equal by their head."""
+        buckets: dict[tuple, list[str]] = {}
+        for key in sorted(self.shapes):
+            buckets.setdefault(self.shapes[key][:2], []).append(key)
+        for (wrapper, _), keys in buckets.items():
+            if len(keys) > 1 and wrapper[-2] != PRONOUN:
+                members = set(keys)
+                yield from sorted((c, p) for p in keys for c in members
+                                  & self.anchors(self.nodes[p]) if c != p)
+
+
+def _common(bucket: dict, lemmas) -> set[str]:
+    """Keys the bucket posts under every lemma, shortest posting first."""
+    shortest, *rest = sorted((bucket.get(m, frozenset())
+                              for m in {None, *lemmas}), key=len)
+    return shortest.intersection(*rest)
+
+
+def _shape(element) -> tuple[tuple, str | None, Phrase | None, tuple]:
+    """(wrapper, head, side, modifiers): the modifier rule compares modifiers
+    (none for clauses and pronouns) inside one wrapper (adverbial kind, phrase
+    kind and preposition, or clause lead) and head (a clause's action head);
+    harvested edges count from the noun or verb (a PP's inner noun) side."""
+    if isinstance(element, Adverbial):
+        wrapper, *rest = _shape(element.content)
+        return ("adverbial", element.kind) + wrapper, *rest
+    if isinstance(element, Phrase):
+        side = _inner_np(element) if element.kind == PREPOSITIONAL else (
+            element if element.kind in (NOUN, VERB) else None)
+        return ((element.kind, element.preposition()), element.head, side,
+                element.modifiers() if element.kind != PRONOUN else ())
+    return (("clause", element.lead or "-"),  # a clause
+            element.action.head if element.action else "-", None, ())
+
+
+def _lemmas(element, harvested: EdgeSet | None = None,
+            syn: SynonymTable | None = None) -> set[str]:
+    """Head and modifiers of every phrase in `element` (of a pronoun, equal
+    by its head, the head alone) and every clause lead; with `harvested`,
+    also those of each element a phrase's noun or verb side reaches in it;
+    with `syn`, no verb head that has synonyms.  So `at_or_below(c, p,
+    harvested, syn)` is not None only if `_lemmas(p, syn=syn) <= _lemmas(c,
+    harvested)`: the modifier rule needs equal heads (or synonym verbs)
+    and more modifiers, a harvested step reaches the parent's key or one
+    modifier-below it, and the rest are product orders."""
+    if isinstance(element, Adverbial):
+        return _lemmas(element.content, harvested, syn)
+    if isinstance(element, Clause):
+        parts = (element.subject, element.action, element.object,
+                 *element.adverbials)
+        return {element.lead or "-"}.union(
+            *(_lemmas(x, harvested, syn) for x in parts if x))
+    _, head, side, mods = _shape(element)
+    synonyms = syn and element.kind == VERB and syn.synonyms(head)
+    out = {*mods} if synonyms else {head, *mods}
+    for k in (harvested.up(side) if harvested and side else ()):
+        out |= _lemmas(harvested.elements[k])
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -380,6 +380,15 @@ MALFORMED = {
     "corpus_voice": (
         "#doc short\n#voice bogus\nLexRank\tlexrank\tNNP\n",
         2, lambda snap, bad: ["build", bad, "-o", f"{bad}.space"]),
+    # a corpus line is named by its line in the file, in a TSV and in a
+    # snapshot, which holds two lines before its corpus
+    "corpus_tag": (
+        "#doc short\nLexRank\tlexrank\tXX\n",
+        2, lambda snap, bad: ["dump-parse", bad]),
+    "snapshot_corpus_tag": (
+        "#space v1\n[CORPUS]\n#doc short\nLexRank\tlexrank\tNNP\n"
+        "builds\tbuild\tXX\n\n[DIMENSION subject]\n[UNCOVERED]\n\n",
+        5, lambda snap, bad: ["query", bad, SHORT_QUESTION]),
     "gold_relations": (
         "np(lexrank|)\tnp(algorithm|unsupervised)\tsubject\nnp(lexrank|)\n",
         2, lambda snap, bad: ["eval", "relations", snap, bad]),

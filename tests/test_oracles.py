@@ -76,16 +76,16 @@ from syntaxspace.evaluation import (BASELINE_METHODS, BaselineConfig,
 from syntaxspace.lexicon import ALL_MARKERS, FUNCTION_LEMMAS
 from syntaxspace.qa import GENERAL_Q, AnswerJudgment, QuestionSyntax
 from syntaxspace.space import (DIMENSIONS, _EVIDENCE_RANK, Dimension,
-                               ResourceSpace, SearchIndex,
-                               _break_cycles, _shape, build_dimension, search,
-                               sentence_elements, transitive_reduce)
+                               ResourceSpace, _break_cycles, build_dimension,
+                               search, sentence_elements, transitive_reduce)
 from syntaxspace.subsume import (EQUAL, MODIFIER, RELATED, SUBCLASS,
                                  SUPERCLASS, SYNTACTIC, UNRELATED, EdgeSet,
-                                 KindMismatch, SubclassEdge, SynonymTable,
-                                 _as_action_np, _inner_np, at_or_below,
-                                 clause_subclass, element_subclass,
-                                 harvest_edges, question_subclass, reach,
-                                 sentence_subclass, verb_phrase_subclass)
+                                 KindMismatch, SearchIndex, SubclassEdge,
+                                 SynonymTable, _as_action_np, _inner_np,
+                                 _shape, at_or_below, clause_subclass,
+                                 element_subclass, harvest_edges,
+                                 question_subclass, reach, sentence_subclass,
+                                 verb_phrase_subclass)
 from syntaxspace.syntax import (ADJECTIVE, ADVERB, NOUN, PREPOSITIONAL,
                                 PRONOUN, VERB, Adverbial, Clause, ObjectGroup,
                                 Phrase, SentenceSyntax, canonical_key,

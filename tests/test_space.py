@@ -3,7 +3,7 @@ import random
 import pytest
 
 from syntaxspace import corpus
-from syntaxspace import space as space_mod
+from syntaxspace import subsume
 from syntaxspace.corpus import tag
 from syntaxspace.qa import answer
 from syntaxspace.space import (CycleDetected, Dimension, ResourceSpace,
@@ -51,12 +51,12 @@ class TestBuildDimension:
         # reads the adjective dogs from the index's postings, and each of
         # them finds no other member posted under its adjective: no pair of
         # phrases is judged
-        calls, real = [], space_mod.at_or_below
+        calls, real = [], subsume.at_or_below
 
         def counted(*args):
             calls.append(args)
             return real(*args)
-        monkeypatch.setattr(space_mod, "at_or_below", counted)
+        monkeypatch.setattr(subsume, "at_or_below", counted)
         items = [(0, np("dog"))] + [(i, np("dog", f"adj{i:03d}"))
                                     for i in range(1, n + 1)]
         dim = build_dimension("subject", items, EdgeSet())
@@ -70,12 +70,12 @@ class TestBuildDimension:
         # child is no node but has "big" one below it, after n nodes of
         # other heads; each child is looked up in the index, not judged
         # against every node per edge and pass
-        calls, real = [], space_mod.at_or_below
+        calls, real = [], subsume.at_or_below
 
         def counted(*args):
             calls.append(args)
             return real(*args)
-        monkeypatch.setattr(space_mod, "at_or_below", counted)
+        monkeypatch.setattr(subsume, "at_or_below", counted)
         k = 30
         chain = [np(f"rank{k - j:02d}") for j in range(k + 1)]
         items = [(i, np(f"dog{i:03d}")) for i in range(n)] \
@@ -289,12 +289,12 @@ class TestSearchIndex:
             + [(1000, np("algorithm")), (1001, np("algorithm", "fast")),
                (1002, np("lexrank")), (1003, that_clause)], edges)
             for unrelated in (20, 200)]
-        calls, real = [], space_mod.at_or_below
+        calls, real = [], subsume.at_or_below
 
         def counted(*args):
             calls.append(args)
             return real(*args)
-        monkeypatch.setattr(space_mod, "at_or_below", counted)
+        monkeypatch.setattr(subsume, "at_or_below", counted)
         counts = []
         for space in spaces:
             calls.clear()
@@ -322,13 +322,13 @@ class TestCoverage:
         report = coverage(space)
         assert report.covered["subject"] == 0
         assert report.covered["action"] == 1
-        assert report.ratios["subject"] == 0.0
+        assert report.lines()[0] == "subject    0/1 = 0.00%"
 
     def test_empty_corpus_flagged(self):
         report = coverage(build_space([]))
         assert report.total == 0
         assert report.lines() == ["coverage: undefined (empty corpus)"]
-        assert report.ratios["subject"] is None
+        assert report.covered["subject"] == 0
 
 
 class TestNormalForms:

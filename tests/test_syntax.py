@@ -2,10 +2,10 @@ import pytest
 
 from syntaxspace import corpus
 from syntaxspace.corpus import tag
-from syntaxspace.syntax import (NOUN, PRONOUN, VERB, Adverbial, Clause,
-                                NoFiniteVerb, ObjectGroup, Phrase,
-                                canonical_key, dump_parse, parse_sentence,
-                                parse_sentence_parts, _Parser)
+from syntaxspace.syntax import (NOUN, PREPOSITIONAL, PRONOUN, VERB,
+                                Adverbial, Clause, NoFiniteVerb, ObjectGroup,
+                                Phrase, canonical_key, dump_parse,
+                                parse_sentence, parse_sentence_parts, _Parser)
 
 from conftest import SHORT_INPUT, tag_corpus
 
@@ -184,6 +184,29 @@ class TestConstructions:
         assert parsed.object == ObjectGroup(Clause(
             None, None, _vp("rank", (3, 4)), _np("sentence", span=(4, 6)),
             (), (3, 6)), span=(3, 6))
+
+    def test_that_clause_object_with_bare_noun_subject(self):
+        # a noun after "that" opens a clause when a finite verb follows it
+        # before any punctuation
+        parsed = parse_sentence(tag(
+            "The team reports that researchers build models.", 1))
+        assert parsed.object == ObjectGroup(Clause(
+            "that", _np("researcher", span=(4, 5)), _vp("build", (5, 6)),
+            _np("model", span=(6, 7)), (), (3, 7)), span=(3, 7))
+
+    def test_demonstrative_that_in_the_object(self):
+        # and otherwise "that" is a modifier of the noun phrase
+        parsed = parse_sentence(tag("The team uses that model.", 1))
+        assert parsed.object == ObjectGroup(
+            _np("model", ("that",), span=(3, 5)), span=(3, 5))
+
+    def test_leading_prepositional_phrase_without_comma(self):
+        parsed = parse_sentence(tag("In 2020 the team built a model.", 1))
+        assert parsed.adverbials == (Adverbial(
+            "time", Phrase(PREPOSITIONAL, "2020", ("in",), (), (0, 2)), "in",
+            (0, 2)),)
+        assert parsed.subject == _np("team", span=(2, 4))
+        assert parsed.action == _vp("build", (4, 5))
 
 
 class TestParseAction:
