@@ -444,12 +444,8 @@ def normalize_voice(sentence: TaggedSentence) -> TaggedSentence:
     tokens = sentence.tokens
     converted = False
     agentless = False
-    guard = 0
-    while guard < 10:
-        guard += 1
-        window = _find_passive_window(tokens)
-        if window is None:
-            break
+    # each rewrite drops the be-form and "by", so the loop ends
+    while (window := _find_passive_window(tokens)) is not None:
         if window["agent_start"] is None:
             agentless = True
             break

@@ -12,12 +12,13 @@ subclass, and the asked-for slot must be filled by the answer.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 from . import lexicon as lx
 from .corpus import TaggedSentence
 from .space import ResourceSpace, search  # noqa: F401 (callers rebind it)
 from .subsume import (EQUAL, EdgeSet, SUBCLASS, SynonymTable, at_or_below,
-                      same_class)
+                      pair_adverbials, same_class)
 from .subsume import compare_elements  # noqa: F401 (callers rebind it)
 from .syntax import (Adverbial, Element, ObjectGroup, Phrase, SentenceSyntax,
                      VERB, _Parser, _nominal_start, _verb_group_start,
@@ -323,6 +324,13 @@ def _read_slot(found, asked, keys, syn) -> str | None:
     return EQUAL if same_class(found, asked, syn, key) else SUBCLASS
 
 
+def _adverbial_relation(asked, anchors, edges, syn, adv, idx) -> str | None:
+    """`at_or_below` of `adv` and `asked[idx]`, from anchor keys if kept."""
+    keys = anchors.get(f"adverbial[{idx}]")
+    return at_or_below(adv.content, asked[idx].content, edges, syn) \
+        if keys is None else _read_slot(adv, asked[idx], keys, syn)
+
+
 def match_answer(q: QuestionSyntax, s: SentenceSyntax,
                  edges: EdgeSet | None = None,
                  syn: SynonymTable | None = None,
@@ -359,24 +367,13 @@ def match_answer(q: QuestionSyntax, s: SentenceSyntax,
             else:
                 matched[name] = "mismatch"
 
-    remaining = list(s.adverbials)
-    for idx, q_adv in enumerate(q.adverbials):
-        keys = anchors.get(f"adverbial[{idx}]") if anchors else None
-        hit = None
-        for pos, cand in enumerate(remaining):
-            if cand.kind != q_adv.kind:
-                continue
-            rel = at_or_below(cand.content, q_adv.content, edges, syn) \
-                if keys is None else _read_slot(cand, q_adv, keys, syn)
-            if rel is not None:
-                hit = (pos, "same" if rel == EQUAL else "subclass")
-                if rel == EQUAL:
-                    break
-        if hit is None:
-            matched[f"adverbial[{idx}]"] = "missing"
-        else:
-            remaining.pop(hit[0])
-            matched[f"adverbial[{idx}]"] = hit[1]
+    pairs, remaining = (), s.adverbials
+    if q.adverbials:  # most questions have none: make no relation for them
+        pairs, remaining = pair_adverbials(s.adverbials, q.adverbials, partial(
+            _adverbial_relation, q.adverbials, anchors or {}, edges, syn))
+    for idx, rel in enumerate(pairs):
+        matched[f"adverbial[{idx}]"] = ("missing" if rel is None else
+                                        "same" if rel == EQUAL else "subclass")
     if q.kind == ADVERBIAL_Q:
         kinds = _ADVERBIAL_GAPS[q.interrogative]
         filled = any(a.kind in kinds for a in remaining)

@@ -125,7 +125,7 @@ def build_dimension(name: str, items: list[tuple[int, object]],
             for endpoint in (edge.child, edge.parent):
                 if endpoint not in dim.nodes:
                     add(endpoint, harvested.elements[endpoint])
-            raw_edges.append((edge.child, edge.parent, edge.source,
+            raw_edges.append((edge.child, edge.parent, SYNTACTIC,
                               edge.evidence))
             del pending[edge]
 

@@ -46,7 +46,6 @@ class SubclassEdge:
     child: str
     parent: str
     kind: str  # "np" | "vp"
-    source: str = SYNTACTIC
     evidence: int | None = None  # sentence id where detected
 
 
@@ -88,6 +87,8 @@ class SynonymTable:
 class EdgeSet:
     """Harvested subclass edges, the representative element per key, and
     their closure, all built by the constructor and never changed after.
+    It takes (child, parent, sentence id) triples and keys each endpoint;
+    a triple whose endpoints share a key adds nothing.
 
     A pair harvested in both directions (a<b and b<a), in any order and
     any number of times, keeps neither, so that antisymmetry holds
@@ -99,14 +100,15 @@ class EdgeSet:
         first: dict[tuple[str, str], SubclassEdge] = {}
         self.elements: dict[str, Element] = {}
         self.dropped: list[tuple[str, str]] = []
-        for edge, child, parent in triples:
-            if edge.child == edge.parent:
+        for child, parent, sid in triples:
+            pair = canonical_key(child), canonical_key(parent)
+            if pair[0] == pair[1]:
                 continue
-            self.elements.setdefault(edge.child, child)
-            self.elements.setdefault(edge.parent, parent)
-            pair = (edge.child, edge.parent)
+            self.elements.setdefault(pair[0], child)
+            self.elements.setdefault(pair[1], parent)
             if pair not in first:
-                first[pair] = edge
+                kind = "np" if child.kind == NOUN else "vp"
+                first[pair] = SubclassEdge(*pair, kind, sid)
                 if pair[::-1] in first:
                     self.dropped.append(pair)
         self.edges = {pair: edge for pair, edge in first.items()
@@ -306,31 +308,27 @@ def clause_subclass(c1: Clause, c2: Clause, edges: EdgeSet | None = None,
 # ---------------------------------------------------------------------------
 
 
-def _adverbial_pairs(advs1, advs2, edges, syn):
-    """Kind-aligned pairing for the n>=m prefix condition.
-
-    Returns (pair relations, number of unmatched extras on the child side)
-    or None when the parent side has adverbials the child cannot match.
-    """
-    if len(advs1) < len(advs2):
-        return None
-    remaining = list(advs1)
+def pair_adverbials(advs, targets, relation) -> tuple[list, list]:
+    """Pair each target in order with the first remaining adverbial of its
+    kind that is Equal to it, else the first one below it (`relation(adv,
+    i)` is `at_or_below` of `adv` and `targets[i]`); return each target's
+    relation, None when unpaired, and the adverbials left over."""
+    remaining = list(advs)
     relations = []
-    for target in advs2:
-        best_idx = best_rel = None
-        for idx, cand in enumerate(remaining):
+    for i, target in enumerate(targets):
+        best = best_rel = None
+        for pos, cand in enumerate(remaining):
             if cand.kind != target.kind:
                 continue
-            rel = at_or_below(cand.content, target.content, edges, syn)
-            if rel is not None and (best_idx is None or rel == EQUAL):
-                best_idx, best_rel = idx, rel
+            rel = relation(cand, i)
+            if rel is not None and (best is None or rel == EQUAL):
+                best, best_rel = pos, rel
                 if rel == EQUAL:
                     break
-        if best_idx is None:
-            return None
         relations.append(best_rel)
-        remaining.pop(best_idx)
-    return relations, len(remaining)
+        if best is not None:
+            remaining.pop(best)
+    return relations, remaining
 
 
 def _tuple_subclass(t1, t2, edges, syn) -> bool:
@@ -341,14 +339,13 @@ def _tuple_subclass(t1, t2, edges, syn) -> bool:
         return False
     relations = [_optional(at_or_below, e1, e2, edges, syn)
                  for e1, e2 in zip(slot_elements(t1), slot_elements(t2))]
-    adv = _adverbial_pairs(t1.adverbials, t2.adverbials, edges, syn)
-    if adv is None:
-        return False
-    pair_relations, extra = adv
-    relations.extend(pair_relations)
-    if any(r not in (EQUAL, SUBCLASS) for r in relations):
-        return False
-    return SUBCLASS in relations or extra > 0
+    targets = t2.adverbials
+    pairs, extra = pair_adverbials(
+        t1.adverbials, targets,
+        lambda a, i: at_or_below(a.content, targets[i].content, edges, syn))
+    relations.extend(pairs)
+    return all(r in (EQUAL, SUBCLASS) for r in relations) \
+        and (SUBCLASS in relations or bool(extra))
 
 
 def sentence_subclass(s1: SentenceSyntax, s2: SentenceSyntax,
@@ -477,16 +474,16 @@ class SearchIndex:
     in the node's bucket (`_shape`'s wrapper and head) under its modifiers,
     a clause's in its lead's bucket under `_lemmas(element, edges)`, and
     under each harvested key the node's side reaches (`edges.up`, so also
-    through edges cycle breaking drops).  It keeps each node's `_shape`
+    through edges cycle breaking drops).  It keeps these postings alone
     and reads elements from `nodes`, the dimension's key -> element map."""
 
     def __init__(self, edges: EdgeSet, nodes: dict):
         self.edges, self.nodes = edges, nodes
-        self.shapes, self.buckets, self.below = {}, {}, {}
+        self.buckets, self.below = {}, {}
 
     def add(self, key: str, element) -> None:
         """Post `element`, whose canonical key is `key`."""
-        self.shapes[key] = wrapper, head, side, mods = _shape(element)
+        wrapper, head, side, mods = _shape(element)
         if wrapper[-2] == "clause":
             head, mods = None, _lemmas(element, self.edges)
         bucket = self.buckets.setdefault((wrapper, head), {})
@@ -515,7 +512,7 @@ class SearchIndex:
         buckets = [self.buckets.get((wrapper, h), {}) for h in heads]
         repeated = len(set(mods)) < len(mods)
         found = {k for bucket in buckets for k in _common(bucket, mods)
-                 if not repeated or _contains(self.shapes[k][3], mods)}
+                 if not repeated or _contains(_shape(self.nodes[k])[3], mods)}
         reached = self.below.get((wrapper, side.head)) if side else None
         if not reached:
             return found
@@ -532,8 +529,8 @@ class SearchIndex:
         anchors, sorted; buckets in the order of their first sorted key,
         and none of pronouns, equal by their head."""
         buckets: dict[tuple, list[str]] = {}
-        for key in sorted(self.shapes):
-            buckets.setdefault(self.shapes[key][:2], []).append(key)
+        for key in sorted(self.nodes):
+            buckets.setdefault(_shape(self.nodes[key])[:2], []).append(key)
         for (wrapper, _), keys in buckets.items():
             if len(keys) > 1 and wrapper[-2] != PRONOUN:
                 members = set(keys)
@@ -596,13 +593,13 @@ def _lemmas(element, harvested: EdgeSet | None = None,
 
 
 def scan_syntactic_patterns(sentence: TaggedSentence,
-                            parsed: SentenceSyntax | None) -> list[tuple[SubclassEdge, Element, Element]]:
+                            parsed: SentenceSyntax | None) -> list[tuple[Phrase, Phrase, int]]:
     """Emit subclass edges found by surface patterns in one sentence.
 
     Noun-phrase patterns: "X is a/an Y", "X are Y (that ...)",
     "Y such as X", "Y including X", "X and other Y".
     Verb-phrase pattern: "to X is to Y".
-    Returns (edge, child element, parent element) triples.
+    Returns (child, parent, sentence id) triples, which `EdgeSet` keys.
     """
     return (_scan_copula(sentence, parsed) + _scan_list_patterns(sentence)
             + _scan_infinitive_pattern(parsed, sentence.sentence_id))
@@ -631,9 +628,7 @@ def _scan_copula(sentence, parsed):
     # the pattern parent is the bare nominal ("dogs that guard" -> "dogs")
     parent = _cut_post(predicate, "that")
     child = _cut_post(subject, "such", "include")
-    edge = SubclassEdge(canonical_key(child), canonical_key(parent), "np",
-                        SYNTACTIC, sentence.sentence_id)
-    return [(edge, child, parent)]
+    return [(child, parent, sentence.sentence_id)]
 
 
 def _cut_post(phrase: Phrase, *markers: str) -> Phrase:
@@ -670,11 +665,8 @@ def _scan_list_patterns(sentence):
 
 
 def _np_edge(child: Phrase, parent: Phrase, sid: int):
-    child = _cut_post(child, "such", "include")
-    parent = _cut_post(parent, "such", "include")
-    edge = SubclassEdge(canonical_key(child), canonical_key(parent), "np",
-                        SYNTACTIC, sid)
-    return edge, child, parent
+    return (_cut_post(child, "such", "include"),
+            _cut_post(parent, "such", "include"), sid)
 
 
 def _np_ending_before(parser, tokens, idx):
@@ -719,7 +711,7 @@ def _np_list(parser, tokens, i):
 
 
 def _scan_infinitive_pattern(parsed, sid):
-    """"to VP_child is to VP_parent": an edge between the two action keys."""
+    """"to VP_child is to VP_parent": an edge between the two actions."""
     if parsed is None or parsed.action is None or parsed.action.head != "be":
         return []
     subj, obj = parsed.subject, parsed.object and parsed.object.direct
@@ -727,9 +719,7 @@ def _scan_infinitive_pattern(parsed, sid):
                for c in (subj, obj)) \
             or canonical_key(subj.object) != canonical_key(obj.object):
         return []
-    edge = SubclassEdge(canonical_key(subj.action), canonical_key(obj.action),
-                        "vp", SYNTACTIC, sid)
-    return [(edge, subj.action, obj.action)]
+    return [(subj.action, obj.action, sid)]
 
 
 def harvest_edges(triples) -> EdgeSet:

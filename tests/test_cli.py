@@ -135,6 +135,22 @@ class TestPipeline:
             out += answers
         assert out == (DATA / "short_explain_synonyms.txt").read_text()
 
+    def test_adverbial_pairs_explain_matches_golden_file(self, tmp_path,
+                                                         capsys):
+        # two time adverbials below "on days": each question pairs them in
+        # order, the first one below a target taken
+        run(capsys, "ingest", DATA / "adverbial_pairs.txt", "-o",
+            tmp_path / "a.tsv")
+        run(capsys, "build", tmp_path / "a.tsv", "-o", tmp_path / "a")
+        out = ""
+        for question in ("Does the team build models on days on sunny days?",
+                         "Does the team build models on sunny days on days?"):
+            code, answers, _ = run(capsys, "query", tmp_path / "a", question,
+                                   "--explain")
+            assert code == 0
+            out += answers
+        assert out == (DATA / "adverbial_pairs_explain.txt").read_text()
+
     def test_dump_parse_matches_golden_file(self, tmp_path, capsys):
         demo = pathlib.Path(__file__).parent.parent / "demo" / "short.txt"
         run(capsys, "ingest", demo, "-o", tmp_path / "short.tsv")

@@ -80,9 +80,9 @@ from syntaxspace.space import (DIMENSIONS, _EVIDENCE_RANK, Dimension,
                                search, sentence_elements, transitive_reduce)
 from syntaxspace.subsume import (EQUAL, MODIFIER, RELATED, SUBCLASS,
                                  SUPERCLASS, SYNTACTIC, UNRELATED, EdgeSet,
-                                 KindMismatch, SearchIndex, SubclassEdge,
-                                 SynonymTable, _as_action_np, _inner_np,
-                                 _shape, at_or_below, clause_subclass,
+                                 KindMismatch, SearchIndex, SynonymTable,
+                                 _as_action_np, _inner_np, _shape,
+                                 at_or_below, clause_subclass,
                                  element_subclass, harvest_edges,
                                  question_subclass, reach, sentence_subclass,
                                  verb_phrase_subclass)
@@ -501,12 +501,7 @@ def ref_normalize_voice(sentence: TaggedSentence) -> TaggedSentence:
     tokens = sentence.tokens
     converted = False
     agentless = False
-    guard = 0
-    while guard < 10:
-        guard += 1
-        window = _find_passive_window(tokens)
-        if window is None:
-            break
+    while (window := _find_passive_window(tokens)) is not None:
         if window["agent_start"] is None:
             agentless = True
             break
@@ -619,18 +614,15 @@ def harvested(draw):
     """Random np and vp edges, plus a chain in each pool that may close
     into a cycle; repeated and reversed pairs exercise conflict drops."""
     triples = []
-    for kind, pool in (("np", NOUNS), ("vp", VERBS)):
+    for pool in (NOUNS, VERBS):
         pairs = draw(_pairs(pool))
         chain = draw(st.lists(st.integers(0, len(pool) - 1), max_size=6,
                               unique=True))
         pairs += list(zip(chain, chain[1:]))
         if len(chain) > 2 and draw(st.booleans()):
             pairs.append((chain[-1], chain[0]))
-        for sid, (i, j) in enumerate(pairs):
-            child, parent = pool[i], pool[j]
-            edge = SubclassEdge(canonical_key(child), canonical_key(parent),
-                                kind, SYNTACTIC, sid)
-            triples.append((edge, child, parent))
+        triples += [(pool[i], pool[j], sid)
+                    for sid, (i, j) in enumerate(pairs)]
     return harvest_edges(triples)
 
 
@@ -1446,7 +1438,7 @@ def ref_match_answer(q: QuestionSyntax, s: SentenceSyntax,
             if cand.kind != q_adv.kind:
                 continue
             rel = at_or_below(cand.content, q_adv.content, edges, syn)
-            if rel is not None:
+            if rel is not None and (hit is None or rel == EQUAL):
                 hit = (pos, "same" if rel == EQUAL else "subclass")
                 if rel == EQUAL:
                     break
@@ -1588,7 +1580,7 @@ def ref_build_dimension(name: str, items: list[tuple[int, object]],
         while changed:
             changed = False
             for edge in pending:
-                entry = (edge.child, edge.parent, edge.source, edge.evidence)
+                entry = (edge.child, edge.parent, SYNTACTIC, edge.evidence)
                 if entry in seen_entries:
                     continue
                 child_elem = harvested.elements[edge.child]

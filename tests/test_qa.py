@@ -7,7 +7,8 @@ from syntaxspace.qa import (AnswerJudgment, NotAQuestion, QuestionSyntax,
                             parse_question, question_relevant,
                             sentence_relevant)
 from syntaxspace.space import build_space
-from syntaxspace.subsume import EQUAL, SynonymTable, at_or_below
+from syntaxspace.subsume import (EQUAL, SynonymTable, at_or_below,
+                                 sentence_subclass)
 from syntaxspace.syntax import (Adverbial, SentenceSyntax, display,
                                 parse_sentence)
 
@@ -195,6 +196,18 @@ class TestMatchAnswer:
         assert judgment.accepted
         assert judgment.matched["adverbial[0]"] == "same"
         assert judgment.strict_count == 0
+
+    @pytest.mark.parametrize("sentence", [
+        "The team builds models on rainy days on sunny days.",
+        "The team builds models on sunny days on rainy days.",
+    ])
+    def test_adverbials_pair_as_sentence_subclass_pairs_them(self, sentence):
+        # "on days" takes the first time adverbial below it, whichever
+        # order the sentence gives them, and "on sunny days" what is left
+        question = q("Does the team build models on days on sunny days?")
+        s = parsed(sentence)
+        assert match_answer(question, s).accepted \
+            == sentence_subclass(s, question)
 
     def test_general_affirmed_flag(self):
         question = q("does unsupervised algorithm need labelled data?")

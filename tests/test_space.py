@@ -11,8 +11,8 @@ from syntaxspace.space import (CycleDetected, Dimension, ResourceSpace,
                                build_space, check_normal_forms, coverage,
                                search, serialize_space, space_stats,
                                transitive_reduce)
-from syntaxspace.subsume import (MODIFIER, SYNTACTIC, EdgeSet, SubclassEdge,
-                                 SynonymTable, harvest_edges)
+from syntaxspace.subsume import (MODIFIER, SYNTACTIC, EdgeSet, SynonymTable,
+                                 harvest_edges)
 from syntaxspace.syntax import (PRONOUN, Adverbial, Clause, Phrase,
                                 canonical_key)
 
@@ -227,10 +227,8 @@ class TestSearch:
 
 def _harvested(*pairs):
     """An edge set with one np edge per (child, parent) pair, in order."""
-    return harvest_edges(
-        (SubclassEdge(canonical_key(child), canonical_key(parent), "np",
-                      SYNTACTIC, sid), child, parent)
-        for sid, (child, parent) in enumerate(pairs, 1))
+    return harvest_edges((child, parent, sid)
+                         for sid, (child, parent) in enumerate(pairs, 1))
 
 
 def _subject_space(items, edges):

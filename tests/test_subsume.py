@@ -246,6 +246,19 @@ class TestScanPatterns:
         edges = harvest("to sprint is to run")
         assert ("vp(sprint|)", "vp(run|)") in edges.edges
 
+    @pytest.mark.parametrize("text", [
+        "Dogs are dogs.", "A dog is a dog.", "Animals such as animals run.",
+        "To run is to run.",
+    ])
+    def test_self_loop_adds_no_edge_and_no_conflict(self, text):
+        tagged = corpus.normalize_voice(tag(text, sentence_id=1))
+        [(child, parent, _)] = scan_syntactic_patterns(
+            tagged, parse_sentence(tagged))
+        assert canonical_key(child) == canonical_key(parent)
+        edges = harvest(text)
+        assert len(edges) == 0
+        assert edges.dropped == []
+
 
 class TestElementSubclass:
     def test_with_harvested_edge(self):
