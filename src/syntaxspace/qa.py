@@ -12,7 +12,6 @@ subclass, and the asked-for slot must be filled by the answer.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 
 from . import lexicon as lx
 from .corpus import TaggedSentence
@@ -324,13 +323,6 @@ def _read_slot(found, asked, keys, syn) -> str | None:
     return EQUAL if same_class(found, asked, syn, key) else SUBCLASS
 
 
-def _adverbial_relation(asked, anchors, edges, syn, adv, idx) -> str | None:
-    """`at_or_below` of `adv` and `asked[idx]`, from anchor keys if kept."""
-    keys = anchors.get(f"adverbial[{idx}]")
-    return at_or_below(adv.content, asked[idx].content, edges, syn) \
-        if keys is None else _read_slot(adv, asked[idx], keys, syn)
-
-
 def match_answer(q: QuestionSyntax, s: SentenceSyntax,
                  edges: EdgeSet | None = None,
                  syn: SynonymTable | None = None,
@@ -369,8 +361,11 @@ def match_answer(q: QuestionSyntax, s: SentenceSyntax,
 
     pairs, remaining = (), s.adverbials
     if q.adverbials:  # most questions have none: make no relation for them
-        pairs, remaining = pair_adverbials(s.adverbials, q.adverbials, partial(
-            _adverbial_relation, q.adverbials, anchors or {}, edges, syn))
+        asked, kept = q.adverbials, anchors or {}
+        pairs, remaining = pair_adverbials(s.adverbials, asked, lambda a, i: (
+            at_or_below(a.content, asked[i].content, edges, syn)
+            if f"adverbial[{i}]" not in kept
+            else _read_slot(a, asked[i], kept[f"adverbial[{i}]"], syn)))
     for idx, rel in enumerate(pairs):
         matched[f"adverbial[{idx}]"] = ("missing" if rel is None else
                                         "same" if rel == EQUAL else "subclass")

@@ -107,7 +107,7 @@ class EdgeSet:
             self.elements.setdefault(pair[0], child)
             self.elements.setdefault(pair[1], parent)
             if pair not in first:
-                kind = "np" if child.kind == NOUN else "vp"
+                kind = "vp" if child.kind == VERB else "np"
                 first[pair] = SubclassEdge(*pair, kind, sid)
                 if pair[::-1] in first:
                     self.dropped.append(pair)
@@ -340,6 +340,8 @@ def _tuple_subclass(t1, t2, edges, syn) -> bool:
     relations = [_optional(at_or_below, e1, e2, edges, syn)
                  for e1, e2 in zip(slot_elements(t1), slot_elements(t2))]
     targets = t2.adverbials
+    if len(t1.adverbials) < len(targets):  # some target would stay unpaired
+        return False
     pairs, extra = pair_adverbials(
         t1.adverbials, targets,
         lambda a, i: at_or_below(a.content, targets[i].content, edges, syn))

@@ -197,6 +197,15 @@ class TestScanPatterns:
         edges = harvest("the corpus contains algorithms including LexRank")
         assert ("np(lexrank|)", "np(algorithm|)") in edges.edges
 
+    def test_pronoun_list_child_is_an_np_edge(self):
+        # only the infinitive pattern yields verbs: a pronoun child stays np
+        space = build_space(tag_corpus(["Researchers such as it build models.",
+                                        "It builds models."]))
+        edge = space.edge_set.edges[("prn(it|)", "np(researcher|)")]
+        assert edge.kind == "np"
+        assert ("prn(it|)", "np(researcher|)") in \
+            space.dimensions["subject"].edges
+
     def test_and_other(self):
         edges = harvest("LexRank and other algorithms build extracts")
         assert ("np(lexrank|)", "np(algorithm|)") in edges.edges
