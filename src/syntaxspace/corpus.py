@@ -177,7 +177,6 @@ _AUX_TAGS = {
     "be": "VB", "been": "VBN", "being": "VBG",
     "have": "VBP", "has": "VBZ", "had": "VBD",
     "do": "VBP", "does": "VBZ", "did": "VBD", "done": "VBN",
-    "doing": "VBG", "having": "VBG",
 }
 
 
@@ -437,32 +436,31 @@ def normalize_voice(sentence: TaggedSentence) -> TaggedSentence:
     """Rewrite `NP1 be-aux VBN by NP2` windows as `NP2 verb NP1`.
 
     The verb is re-inflected to agree with NP2 (modals and perfect "have"
-    are kept).  A passive window without a "by" agent leaves the sentence
-    unchanged but flags it.  Idempotent: converted output contains no
-    remaining convertible window.
+    are kept).  Every agent window is rewritten; a passive window without a
+    "by" agent stays as it is but flags the sentence.  Idempotent: the
+    output holds no convertible window, and a converted sentence stays so.
     """
     tokens = sentence.tokens
-    converted = False
+    converted = sentence.voice == PASSIVE_CONVERTED
     agentless = False
-    # each rewrite drops the be-form and "by", so the loop ends
-    while (window := _find_passive_window(tokens)) is not None:
+    start = 0
+    # each rewrite drops the be-form and "by", so the loop ends; the search
+    # goes on past an agentless window, and starts again after a rewrite
+    while (window := _find_passive_window(tokens, start)) is not None:
         if window["agent_start"] is None:
-            agentless = True
-            break
-        tokens = _rewrite_window(tokens, window)
-        converted = True
-    if converted:
-        voice = PASSIVE_CONVERTED
-    elif agentless:
-        voice = PASSIVE_AGENTLESS
-    else:
-        voice = sentence.voice
+            agentless, start = True, window["participle"] + 1
+        else:
+            tokens, converted, start = _rewrite_window(tokens, window), True, 0
+    voice = PASSIVE_CONVERTED if converted else \
+        PASSIVE_AGENTLESS if agentless else sentence.voice
     return TaggedSentence(sentence.sentence_id, sentence.doc_id, tokens, voice,
                           sentence.raw)
 
 
-def _find_passive_window(tokens: list[Token]):
-    for i, tok in enumerate(tokens):
+def _find_passive_window(tokens: list[Token], start: int = 0):
+    """The first passive window whose be-form is at `start` or later."""
+    for i in range(start, len(tokens)):
+        tok = tokens[i]
         if tok.lemma != "be" or tok.pos not in ("VBZ", "VBP", "VBD", "VB", "VBN"):
             continue
         # Optional adverbs between the auxiliary and the participle.

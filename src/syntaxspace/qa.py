@@ -196,43 +196,37 @@ def _parse_object_question(parser, tokens, i, end, word, type_np):
     action = _strip_aux(action)
 
     present = None
-    indirect_prep = None
-    if i < end and tokens[i].lemma in lx.OBJECT_PREPOSITIONS \
-            and tokens[i].pos in ("TO", "IN") and _nominal_start(tokens, i + 1):
-        indirect_prep = tokens[i].lemma
+    # a preposition before the nominal rules out the complement reading
+    indirect_prep = i < end and tokens[i].lemma in lx.OBJECT_PREPOSITIONS \
+        and tokens[i].pos in ("TO", "IN") and _nominal_start(tokens, i + 1)
+    if indirect_prep:
         present, i = parser.parse_np(i + 1, end)
     elif i < end and _nominal_start(tokens, i):
         present, i = parser.parse_np(i, end)
-    dangling = None
-    if i < end and tokens[i].lemma in lx.OBJECT_PREPOSITIONS \
-            and tokens[i].pos in ("TO", "IN") \
-            and (i + 1 >= end or tokens[i + 1].pos in (".", ",")):
-        dangling = tokens[i].lemma
+    dangling = i < end and tokens[i].lemma in lx.OBJECT_PREPOSITIONS \
+        and tokens[i].pos in ("TO", "IN") \
+        and (i + 1 >= end or tokens[i + 1].pos in (".", ","))
+    if dangling:
         i += 1
     advs, i = parser.parse_trailing_adverbials(i, end)
 
-    if dangling is not None:
+    if dangling:
         # "which node does the network send the weight to?"
-        group = ObjectGroup(present, type_np, None, "after_preposition",
-                            dangling) if present is not None else \
-            ObjectGroup(type_np, None, None, "none", None)
+        group = ObjectGroup(present, type_np) if present is not None else \
+            ObjectGroup(type_np)
         kind = INDIRECT_OBJECT_Q if present is not None else DIRECT_OBJECT_Q
-    elif indirect_prep is not None:
-        # "which weight does the network send to node?"
-        group = ObjectGroup(type_np, present, None, "after_preposition",
-                            indirect_prep)
-        kind = DIRECT_OBJECT_Q
-    elif present is not None and action.head in lx.COMPLEMENT_VERBS:
+    elif present is not None and not indirect_prep \
+            and action.head in lx.COMPLEMENT_VERBS:
         # "what do researchers call deep learning?"
-        group = ObjectGroup(present, None, type_np, "none", None)
+        group = ObjectGroup(present, None, type_np)
         kind = OBJECT_COMPLEMENT_Q
-    elif present is not None:
-        # "what does the school award Mike?": the present nominal receives
-        group = ObjectGroup(type_np, present, None, "before_direct", None)
+    elif present is not None or indirect_prep:
+        # "which weight does the network send (to) node?" and "what does the
+        # school award Mike?": the present nominal receives
+        group = ObjectGroup(type_np, present)
         kind = DIRECT_OBJECT_Q
     else:
-        group = ObjectGroup(type_np, None, None, "none", None) \
-            if type_np is not None else None
+        group = ObjectGroup(type_np) if type_np is not None else None
         kind = DIRECT_OBJECT_Q
     return QuestionSyntax(kind, word, subject, action, group, tuple(advs),
                           polarity)

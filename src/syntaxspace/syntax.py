@@ -14,7 +14,7 @@ before) are left out.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import KW_ONLY, dataclass, replace
 
 from . import lexicon as lx
 from .corpus import (FINITE_VERB_TAGS, NOUN_TAGS, TaggedSentence, Token,
@@ -83,8 +83,8 @@ Element = Phrase | Clause
 @dataclass(frozen=True)
 class Adverbial:
     kind: str
-    content: Element
-    marker: str | None = None
+    content: Element  # its marker is the content's lead or preposition()
+    _: KW_ONLY
     span: tuple[int, int] = (0, 0)
 
 
@@ -95,8 +95,6 @@ class ObjectGroup:
     direct: Element
     indirect: Element | None = None
     complement: Element | None = None
-    indirect_position: str = "none"  # none | before_direct | after_preposition
-    preposition: str | None = None
     span: tuple[int, int] = (0, 0)
 
 
@@ -510,25 +508,25 @@ class _Parser:
                 kind = classify_marker(marker, content, has_finite)
                 if isinstance(content, Phrase) and content.kind == PREPOSITIONAL:
                     kind = _noun_kind(content.head, kind)
-                return Adverbial(kind, content, marker, (start, k)), k
+                return Adverbial(kind, content, span=(start, k)), k
         if i >= end:
             return None, start
         tok = tokens[i]
         # bare adverb phrase -> adverbial of method ("quickly", "again")
         if tok.pos in ("RB", "RBR", "RBS") and tok.lemma not in ("not", "never"):
             phrase = Phrase(ADVERB, tok.lemma, (), (), (i, i + 1))
-            return Adverbial("method", phrase, None, (i, i + 1)), i + 1
+            return Adverbial("method", phrase, span=(i, i + 1)), i + 1
         # method verb phrase without preposition: "using clustering algorithm"
         if tok.pos == "VBG" and tok.lemma in lx.METHOD_VERBS:
             clause, j = self._parse_verb_clause(i, end)
             if clause is not None:
-                return Adverbial("method", clause, None, (start, j)), j
+                return Adverbial("method", clause, span=(start, j)), j
         # "to" + verb: purpose clause ("to select the relevance sentences")
         if _infinitive_start(tokens, i, end):
             clause, j = self._parse_verb_clause(i, end, "to",
                                                 stop_at_finite=False)
             if clause is not None:
-                return Adverbial("purpose", clause, "to", (start, j)), j
+                return Adverbial("purpose", clause, span=(start, j)), j
         # generic preposition + NP: unclassified unless the noun decides it
         if tok.pos == "IN" and tok.lemma in lx.PREPOSITIONS \
                 and _nominal_start(tokens, i + 1):
@@ -537,12 +535,12 @@ class _Parser:
                 pp = Phrase(PREPOSITIONAL, inner.head, (tok.lemma,) + inner.pre,
                             inner.post, (start, j))
                 kind = _noun_kind(inner.head, "unclassified")
-                return Adverbial(kind, pp, tok.lemma, (start, j)), j
+                return Adverbial(kind, pp, span=(start, j)), j
         # bare time noun phrase: "next week"
         if _nominal_start(tokens, i):
             inner, j = self.parse_np(i, end)
             if inner is not None and _noun_kind(inner.head, None) == "time":
-                return Adverbial("time", inner, None, (start, j)), j
+                return Adverbial("time", inner, span=(start, j)), j
         return None, start
 
     def _parse_adverbial_content(self, i: int, end: int, marker: str):
@@ -676,20 +674,17 @@ class _Parser:
         if i < end and tokens[i].pos in ("TO", "IN") \
                 and tokens[i].lemma in ("to", "for") \
                 and _nominal_start(tokens, i + 1):
-            prep = tokens[i].lemma
             indirect, j = self.parse_np(i + 1, end)
             if indirect is not None \
                     and _noun_kind(indirect.head, None) != "time":
-                return ObjectGroup(first, indirect, None, "after_preposition",
-                                   prep, (start, j)), j
+                return ObjectGroup(first, indirect, span=(start, j)), j
         # adjective complement: "makes results excellent"; an adjective that
         # opens a marker ("due to") belongs to the adverbial layer instead
         if i < end and tokens[i].pos in ("JJ", "JJR", "JJS") \
                 and not _nominal_start(tokens, i) \
                 and match_marker(tokens, i) is None:
             adj = Phrase(ADJECTIVE, tokens[i].lemma, (), (), (i, i + 1))
-            return ObjectGroup(first, None, adj, "none", None,
-                               (start, i + 1)), i + 1
+            return ObjectGroup(first, None, adj, span=(start, i + 1)), i + 1
         # second bare nominal: indirect-before-direct, or a complement when
         # the verb names/classifies ("call X Y")
         if i < end and _nominal_start(tokens, i) \
@@ -697,11 +692,9 @@ class _Parser:
             second, j = self.parse_np(i, end)
             if second is not None:
                 if verb is not None and verb.head in lx.COMPLEMENT_VERBS:
-                    return ObjectGroup(first, None, second, "none", None,
-                                       (start, j)), j
-                return ObjectGroup(second, first, None, "before_direct", None,
-                                   (start, j)), j
-        return ObjectGroup(first, None, None, "none", None, (start, i)), i
+                    return ObjectGroup(first, None, second, span=(start, j)), j
+                return ObjectGroup(second, first, span=(start, j)), j
+        return ObjectGroup(first, span=(start, i)), i
 
     # -- adverbial sequences -------------------------------------------------
 

@@ -162,7 +162,7 @@ def _planned_adverbial_key(text):
     inner = np(noun_lemma, *noun_mods)
     clause = Clause(marker, None, vp(verb), inner, ())
     kind = "method" if marker == "by" else "purpose"
-    return canonical_key(Adverbial(kind, clause, marker))
+    return canonical_key(Adverbial(kind, clause))
 
 
 def _planned_gold(used, hearst_edges):
@@ -275,7 +275,7 @@ def random_question_pair(rng: random.Random):
     obj = _random_np(rng, 1)
     adverbial = Adverbial(
         "place", Phrase("prepositional", rng.choice(RANDOM_PLACES).lower(),
-                        ("in",)), "in") if rng.random() < 0.5 else None
+                        ("in",))) if rng.random() < 0.5 else None
 
     def build(subj_phrase, obj_phrase, advs):
         return QuestionSyntax(
@@ -292,7 +292,7 @@ def random_question_pair(rng: random.Random):
     extra_advs = list(q2.adverbials)
     if rng.random() < 0.5:
         extra_advs.append(Adverbial(
-            "method", Phrase("adverb", rng.choice(RANDOM_ADVERBS)), None))
+            "method", Phrase("adverb", rng.choice(RANDOM_ADVERBS))))
     q1 = build(spec_subj, spec_obj, extra_advs)
     return q1, q2
 

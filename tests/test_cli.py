@@ -151,6 +151,15 @@ class TestPipeline:
             out += answers
         assert out == (DATA / "adverbial_pairs_explain.txt").read_text()
 
+    def test_passives_match_golden_file(self, tmp_path, capsys):
+        # every agent passive rewritten, before and after an agentless one,
+        # with a modal and a perfect; agentless ones kept as written
+        run(capsys, "ingest", DATA / "passives.txt", "-o", tmp_path / "p.tsv")
+        assert run(capsys, "build", tmp_path / "p.tsv", "-o",
+                   tmp_path / "p.space")[0] == 0
+        assert (tmp_path / "p.space").read_bytes() \
+            == (DATA / "passives.space").read_bytes()
+
     def test_dump_parse_matches_golden_file(self, tmp_path, capsys):
         demo = pathlib.Path(__file__).parent.parent / "demo" / "short.txt"
         run(capsys, "ingest", demo, "-o", tmp_path / "short.tsv")

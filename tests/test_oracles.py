@@ -47,7 +47,12 @@ token afresh and built each token as a frozen dataclass: `tag`, `_tag_word`,
 `_aux_tag`, `_contextual_fixups`, `normalize_voice`, `_rewrite_window` and
 `_reinflect` are copied unchanged but for the `ref_` prefix on the public
 names, together with a dataclass `Token` of their own; the helpers they call
-and that did not change are read from `corpus`.  `tag` and `ingest_text`
+and that did not change are read from `corpus`.  `normalize_voice` searches
+on past an agentless window and keeps `passive_converted` (the rule that
+made it rewrite every agent window and idempotent on the voice), through
+`ref_find_passive_window`: the window finder as it was when it always
+searched from the first token, copied unchanged but for its name and a
+`start` index to search from.  `tag` and `ingest_text`
 are also checked, token for token and of the type `corpus.Token`, against
 `ref_loop_tag` and `ref_contextual_fixups`: the tagger that built each
 namedtuple token in a loop and visited every token in its fixups, copied
@@ -67,8 +72,8 @@ from hypothesis import given, settings, strategies as st
 from syntaxspace import corpus, evaluation, qa
 from syntaxspace import lexicon as lx
 from syntaxspace.corpus import (ACTIVE, NOUN_TAGS, PASSIVE_AGENTLESS,
-                                PASSIVE_CONVERTED, VERB_TAGS, _PUNCT_TAGS,
-                                TaggedSentence, _find_passive_window,
+                                PASSIVE_CONVERTED, VERB_TAGS, _NP_TAGS,
+                                _PUNCT_TAGS, TaggedSentence,
                                 _open_class_reading, _strip_with,
                                 _verb_inflection_tag, tokenize)
 from syntaxspace.evaluation import (BASELINE_METHODS, BaselineConfig,
@@ -494,19 +499,22 @@ def ref_normalize_voice(sentence: TaggedSentence) -> TaggedSentence:
     """Rewrite `NP1 be-aux VBN by NP2` windows as `NP2 verb NP1`.
 
     The verb is re-inflected to agree with NP2 (modals and perfect "have"
-    are kept).  A passive window without a "by" agent leaves the sentence
-    unchanged but flags it.  Idempotent: converted output contains no
-    remaining convertible window.
+    are kept).  Every agent window is rewritten; a passive window without a
+    "by" agent stays as it is but flags the sentence.  Idempotent: the
+    output holds no convertible window, and a converted sentence stays so.
     """
     tokens = sentence.tokens
-    converted = False
+    converted = sentence.voice == PASSIVE_CONVERTED
     agentless = False
-    while (window := _find_passive_window(tokens)) is not None:
+    start = 0
+    while (window := ref_find_passive_window(tokens, start)) is not None:
         if window["agent_start"] is None:
             agentless = True
-            break
+            start = window["participle"] + 1
+            continue
         tokens = _rewrite_window(tokens, window)
         converted = True
+        start = 0
     if converted:
         voice = PASSIVE_CONVERTED
     elif agentless:
@@ -515,6 +523,63 @@ def ref_normalize_voice(sentence: TaggedSentence) -> TaggedSentence:
         voice = sentence.voice
     return TaggedSentence(sentence.sentence_id, sentence.doc_id, tokens, voice,
                           sentence.raw)
+
+
+def ref_find_passive_window(tokens: list[Token], start: int = 0):
+    for i, tok in enumerate(tokens[start:], start):
+        if tok.lemma != "be" or tok.pos not in ("VBZ", "VBP", "VBD", "VB", "VBN"):
+            continue
+        # Optional adverbs between the auxiliary and the participle.
+        j = i + 1
+        while j < len(tokens) and tokens[j].pos == "RB":
+            j += 1
+        if j >= len(tokens) or tokens[j].pos != "VBN":
+            continue
+        participle = j
+        # NP1 directly before the auxiliary chain (chain may include modals
+        # and have-forms before the be-form).
+        chain_start = i
+        k = i - 1
+        while k >= 0 and (tokens[k].pos in ("MD", "RB") or tokens[k].lemma in ("have", "be")):
+            chain_start = k
+            k -= 1
+        np_end = chain_start  # exclusive
+        np_start = np_end
+        while np_start - 1 >= 0 and tokens[np_start - 1].pos in _NP_TAGS:
+            np_start -= 1
+        if np_start == np_end:
+            continue
+        if not any(tokens[t].pos in NOUN_TAGS or tokens[t].pos == "PRP"
+                   for t in range(np_start, np_end)):
+            continue
+        # Post-participle adverbs, then the "by" agent.
+        m = participle + 1
+        while m < len(tokens) and tokens[m].pos == "RB":
+            m += 1
+        post_adv_end = m
+        agent_start = agent_end = None
+        if m < len(tokens) and tokens[m].lemma == "by" and tokens[m].pos == "IN":
+            start = end = m + 1
+            while end < len(tokens) and (
+                tokens[end].pos in _NP_TAGS
+                or tokens[end].lemma in ("of", "in", "that")
+                and tokens[end].pos in ("IN", "DT")
+            ):
+                end += 1
+            while end > start and tokens[end - 1].lemma in ("of", "in", "that"):
+                end -= 1
+            if end > start and any(
+                tokens[t].pos in NOUN_TAGS or tokens[t].pos == "PRP"
+                for t in range(start, end)
+            ):
+                agent_start, agent_end = start, end
+        return {
+            "np_start": np_start, "np_end": np_end, "chain_start": chain_start,
+            "be_index": i, "participle": participle,
+            "post_adv_end": post_adv_end, "agent_start": agent_start,
+            "agent_end": agent_end,
+        }
+    return None
 
 
 def _rewrite_window(tokens: list[Token], w) -> list[Token]:

@@ -9,8 +9,8 @@ from syntaxspace.qa import (AnswerJudgment, NotAQuestion, QuestionSyntax,
 from syntaxspace.space import build_space
 from syntaxspace.subsume import (EQUAL, SynonymTable, at_or_below,
                                  sentence_subclass)
-from syntaxspace.syntax import (Adverbial, SentenceSyntax, display,
-                                parse_sentence)
+from syntaxspace.syntax import (Adverbial, SentenceSyntax, canonical_key,
+                                display, parse_sentence)
 
 from conftest import SHORT_QUESTION, np, pp, tag_corpus, vp
 
@@ -39,7 +39,32 @@ class TestParseQuestion:
         assert out.kind == "indirect_object"
         assert display(out.object.direct) == "weight"
         assert display(out.object.indirect) == "node"
-        assert out.object.indirect_position == "after_preposition"
+
+    @pytest.mark.parametrize("text,kind,slots", [
+        ("Which node does the network send the weight to?", "indirect_object",
+         ("np(weight|)", "np(node|)", None)),
+        ("What does the network send to?", "direct_object",
+         (None, None, None)),
+        ("Which node does the network send to?", "direct_object",
+         ("np(node|)", None, None)),
+        ("Which weight does the network send to node?", "direct_object",
+         ("np(weight|)", "np(node|)", None)),
+        ("What do researchers call deep learning?", "object_complement",
+         ("np(learning|deep)", None, None)),
+        ("Which weight does the network send each node?", "direct_object",
+         ("np(weight|)", "np(node|each)", None)),
+        ("What does the team build?", "direct_object", None),
+        ("Which model does the team build?", "direct_object",
+         ("np(model|)", None, None)),
+    ])
+    def test_object_question_shapes(self, text, kind, slots):
+        # one case per shape of the object group; None is no group at all
+        out = q(text)
+        assert out.kind == kind
+        group = out.object
+        assert slots == (None if group is None else tuple(
+            None if e is None else canonical_key(e)
+            for e in (group.direct, group.indirect, group.complement)))
 
     def test_adverbial_question_with_extra_adverbial(self):
         out = q("When did Marie Curie win the Nobel Prize again?")

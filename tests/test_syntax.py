@@ -50,8 +50,8 @@ class TestParseSentence:
         assert len(parsed.adverbials) == 1
         adv = parsed.adverbials[0]
         assert adv.kind == "method"
-        assert adv.marker == "by"
         assert isinstance(adv.content, Clause)
+        assert adv.content.lead == "by"
         assert adv.content.action.head == "select"
 
     def test_reason_adverbial(self):
@@ -59,7 +59,7 @@ class TestParseSentence:
         assert parsed.action.head == "be"
         assert canonical_key(parsed.object.direct) == "np(algorithm|unsupervised)"
         assert parsed.adverbials[0].kind == "reason"
-        assert parsed.adverbials[0].marker == "due to"
+        assert parsed.adverbials[0].content.lead == "due to"
 
     def test_clause_object_after_voice_normalization(self):
         tagged = corpus.normalize_voice(tag(SHORT_INPUT[2], sentence_id=3))
@@ -158,20 +158,20 @@ class TestConstructions:
         clause = Clause(None, None, _vp("use", (4, 5)),
                         _np("algorithm", ("clustering",), span=(5, 8)),
                         (), (4, 8))
-        assert parsed.adverbials == (Adverbial("method", clause, None, (4, 8)),)
+        assert parsed.adverbials == (Adverbial("method", clause, span=(4, 8)),)
 
     def test_bare_time_noun_phrase(self):
         parsed = parse_sentence(tag(
             "The team builds the model quickly next week.", 1))
         assert parsed.adverbials[1] == Adverbial(
-            "time", _np("week", ("next",), span=(6, 8)), None, (6, 8))
+            "time", _np("week", ("next",), span=(6, 8)), span=(6, 8))
 
     def test_marker_with_infinitive_content(self):
         parsed = parse_sentence(tag(
             "The system ranks them as to build an extract.", 1))
         clause = Clause("as", None, _vp("build", (6, 7)),
                         _np("extract", span=(7, 9)), (), (5, 9))
-        assert parsed.adverbials == (Adverbial("reason", clause, "as", (4, 9)),)
+        assert parsed.adverbials == (Adverbial("reason", clause, span=(4, 9)),)
 
     def test_call_complement(self):
         parsed = parse_sentence(tag("Researchers call it LexRank.", 1))
@@ -203,8 +203,8 @@ class TestConstructions:
     def test_leading_prepositional_phrase_without_comma(self):
         parsed = parse_sentence(tag("In 2020 the team built a model.", 1))
         assert parsed.adverbials == (Adverbial(
-            "time", Phrase(PREPOSITIONAL, "2020", ("in",), (), (0, 2)), "in",
-            (0, 2)),)
+            "time", Phrase(PREPOSITIONAL, "2020", ("in",), (), (0, 2)),
+            span=(0, 2)),)
         assert parsed.subject == _np("team", span=(2, 4))
         assert parsed.action == _vp("build", (4, 5))
 
@@ -241,8 +241,6 @@ class TestParseObject:
         group = parsed.object
         assert group.direct.head == "weight"
         assert group.indirect.head == "node"
-        assert group.indirect_position == "after_preposition"
-        assert group.preposition == "to"
 
     def test_adjective_complement(self):
         parsed = parse_sentence(tag("The algorithm makes results excellent.", 1))
@@ -264,11 +262,17 @@ class TestParseObject:
         group = parsed.object
         assert group.indirect.head == "node"
         assert group.direct.head == "weight"
-        assert group.indirect_position == "before_direct"
 
     def test_no_object(self):
         parsed = parse_sentence(tag("The algorithm works well.", 1))
         assert parsed.object is None
+
+
+def _marker(adverbial):
+    """The marker that opened an adverbial: its clause lead or preposition."""
+    content = adverbial.content
+    return content.lead if isinstance(content, Clause) \
+        else content.preposition()
 
 
 class TestClassifyAdverbial:
@@ -301,7 +305,7 @@ class TestClassifyAdverbial:
         parsed = parse_sentence(tag(text, 1))
         assert len(parsed.adverbials) == 1
         assert parsed.adverbials[0].kind == kind
-        assert parsed.adverbials[0].marker == marker
+        assert _marker(parsed.adverbials[0]) == marker
 
     def test_bare_adverb_is_method(self):
         parsed = parse_sentence(tag("He solves the problems quickly.", 1))
@@ -337,9 +341,9 @@ class TestClassifyAdverbial:
                          or adv.content.head in lx.TIME_NOUNS
                          or adv.content.head in lx.PLACE_NOUNS
                          or lx.is_year(adv.content.head))
-                ) or (adv.kind == "purpose" and adv.marker == "to"
+                ) or (adv.kind == "purpose" and _marker(adv) == "to"
                       and isinstance(adv.content, Clause))
-                assert structural or adv.marker in table[adv.kind]
+                assert structural or _marker(adv) in table[adv.kind]
 
 
 class TestInvariants:
@@ -402,7 +406,6 @@ class TestStandaloneOps:
         group = parse_object(tag("the weight to each node", 1).tokens)
         assert group.direct.head == "weight"
         assert group.indirect.head == "node"
-        assert group.indirect_position == "after_preposition"
 
     def test_parse_object_none(self):
         from syntaxspace.syntax import parse_object
@@ -411,7 +414,7 @@ class TestStandaloneOps:
     def test_classify_adverbial_window(self):
         from syntaxspace.syntax import classify_adverbial
         adv = classify_adverbial(tag("when the optimization is done", 1).tokens)
-        assert adv.kind == "time" and adv.marker == "when"
+        assert adv.kind == "time" and _marker(adv) == "when"
         adv = classify_adverbial(
             tag("because the algorithm successfully reduces the complexity", 1).tokens)
         assert adv.kind == "reason"
