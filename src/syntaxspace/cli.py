@@ -7,9 +7,11 @@ byte-identical files.  Exit codes: 0 ok, 1 usage error, 2 data error.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from . import evaluation, qa, space as space_mod
@@ -53,7 +55,7 @@ def load_config(args) -> Config:
     config = Config()
     path = os.environ.get(CONFIG_ENV)
     if path:
-        with open(path, encoding="utf-8") as handle:
+        with _naming(path, ValueError), open(path, encoding="utf-8") as handle:
             values = json.load(handle)
         if not isinstance(values, dict):
             raise ValueError(f"{path}: top level must be a JSON object")
@@ -88,7 +90,8 @@ def load_config(args) -> Config:
 
 def _load_synonyms(config: Config) -> SynonymTable:
     if config.synonym_path:
-        return SynonymTable.load(config.synonym_path)
+        with _naming(config.synonym_path):
+            return SynonymTable.load(config.synonym_path)
     return SynonymTable()
 
 
@@ -191,12 +194,14 @@ def cmd_dump_parse(args, config: Config) -> int:
 def cmd_eval(args, config: Config) -> int:
     space = _load_space(args.space, config)
     if args.what == "relations":
-        gold = evaluation.load_gold_relations(args.gold)
+        with _naming(args.gold):
+            gold = evaluation.load_gold_relations(args.gold)
         predicted = evaluation.space_closure(space)
         report = evaluation.relation_prf(gold, predicted)
         print("relations " + report.line())
         return 0
-    gold = evaluation.load_gold_answers(args.gold)
+    with _naming(args.gold):
+        gold = evaluation.load_gold_answers(args.gold)
     unknown = set().union(*gold.values(), set()) - set(space.records)
     if unknown:
         print(f"warning: gold answer ids not in corpus: {sorted(unknown)}",
@@ -240,8 +245,18 @@ def cmd_eval(args, config: Config) -> int:
 # ---------------------------------------------------------------------------
 
 
+@contextmanager
+def _naming(path: str, errors=UnicodeDecodeError):
+    """Name `path` in an error of the type `errors` raised in the block, by
+    default the one for a file that is not UTF-8."""
+    try:
+        yield
+    except errors as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def _read(path: str) -> str:
-    with open(path, encoding="utf-8") as handle:
+    with _naming(path), open(path, encoding="utf-8") as handle:
         return handle.read()
 
 
@@ -336,7 +351,7 @@ def main(argv=None) -> int:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     try:
         config = load_config(args)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     try:
@@ -356,5 +371,14 @@ def main(argv=None) -> int:
         return DATA_ERROR
 
 
+def run() -> int:
+    """The process entry: `main()` with the cyclic collector off, then
+    `gc.freeze()`, so the shutdown collection skips all the command made."""
+    gc.disable()
+    status = main()
+    gc.freeze()
+    return status
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -367,44 +367,38 @@ def load_pretagged(path) -> list[TaggedSentence]:
 @gc_paused
 def parse_pretagged(text: str) -> list[TaggedSentence]:
     sentences: list[TaggedSentence] = []
-    doc_id = ""
-    voice = ACTIVE
-    current: list[Token] = []
-    next_id = 1
+    doc_id, voice, current = "", ACTIVE, []
 
     def flush():
-        nonlocal current, next_id, voice
+        nonlocal current, voice
         if current:
-            sentences.append(TaggedSentence(next_id, doc_id, current, voice))
-            next_id += 1
-        current = []
-        voice = ACTIVE
+            sentences.append(TaggedSentence(len(sentences) + 1, doc_id,
+                                            current, voice))
+        current, voice = [], ACTIVE
 
     for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped:
+        lead = line.lstrip()  # `line` itself unless it starts with a space
+        if not lead:
             flush()
-            continue
-        if stripped.startswith("#doc"):
+        elif lead[0] != "#":
+            parts = line.split("\t")
+            if len(parts) != 3:
+                raise MalformedLine(lineno,
+                                    f"expected 3 columns, got {len(parts)}")
+            _, lemma, pos = parts
+            if pos not in TAGSET:
+                raise MalformedLine(lineno, f"unknown tag {pos!r}")
+            if lemma.split() != [lemma]:
+                raise MalformedLine(lineno, f"bad lemma {lemma!r}")
+            current.append(_new_tuple(Token, parts))
+        elif lead.startswith("#doc"):
             flush()
-            doc_id = stripped[4:].strip()
-            continue
-        if stripped.startswith("#voice"):
-            voice = stripped[6:].strip() or ACTIVE
+            doc_id = lead[4:].strip()
+        elif lead.startswith("#voice"):
+            voice = lead[6:].strip() or ACTIVE
             if voice not in (ACTIVE, PASSIVE_CONVERTED, PASSIVE_AGENTLESS):
                 raise MalformedLine(lineno, f"unknown voice {voice!r}")
-            continue
-        if stripped.startswith("#"):
-            continue
-        parts = line.rstrip("\n").split("\t")
-        if len(parts) != 3:
-            raise MalformedLine(lineno, f"expected 3 columns, got {len(parts)}")
-        surface, lemma, pos = parts
-        if pos not in TAGSET:
-            raise MalformedLine(lineno, f"unknown tag {pos!r}")
-        if lemma.split() != [lemma]:
-            raise MalformedLine(lineno, f"bad lemma {lemma!r}")
-        current.append(Token(surface, lemma, pos))
+        # any other line led by "#" is a comment
     flush()
     return sentences
 

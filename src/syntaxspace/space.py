@@ -401,13 +401,13 @@ def serialize_space(space: ResourceSpace, corpus_text: str) -> str:
                          f"{'' if evidence is None else evidence}")
         lines.append("[POSTINGS]")
         for key in sorted(dim.postings):
-            ids = ",".join(str(s) for s in sorted(dim.postings[key]))
+            ids = ",".join(map(str, sorted(dim.postings[key])))
             lines.append(f"{key}\t{ids}")
         lines.append("[DROPPED]")
         for child, parent, source in dim.dropped_edges:
             lines.append(f"{child}\t{parent}\t{source}")
     lines.append("[UNCOVERED]")
-    lines.append(",".join(str(s) for s in sorted(space.uncovered)))
+    lines.append(",".join(map(str, sorted(space.uncovered))))
     lines.append("")
     return "\n".join(lines)
 
@@ -427,10 +427,7 @@ def corpus_section(snapshot_text: str) -> str:
     if not (snapshot_text.startswith(_SNAPSHOT_HEAD) and tail
             and _SNAPSHOT_TAIL.fullmatch(snapshot_text, tail)):
         raise ValueError("not a complete #space v1 snapshot")
-    out = []
-    for line in snapshot_text.splitlines()[2:]:
-        # the first section header, never a corpus line (three columns)
-        if line == f"[DIMENSION {DIMENSIONS[0]}]":
-            break
-        out.append(line)
-    return "\n".join(out)
+    header = f"[DIMENSION {DIMENSIONS[0]}]"  # never a corpus line (3 columns)
+    lines = snapshot_text.splitlines()
+    lines.append(header)  # a snapshot without one: the corpus runs to the end
+    return "\n".join(lines[2:lines.index(header, 2)])

@@ -2,15 +2,18 @@ import gc
 import json
 import os
 import pathlib
+import subprocess
 import sys
 
 import pytest
 
+from syntaxspace import cli
 from syntaxspace.cli import main
 
 from conftest import SHORT_INPUT, SHORT_QUESTION
 
 DATA = pathlib.Path(__file__).parent / "data"
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture()
@@ -459,6 +462,98 @@ def test_malformed_side_file_names_file_and_line(workspace, capsys, kind):
     assert code == 2
     assert err.startswith(f"error: {bad}:{line}: ") and err.count("\n") == 1
     assert out == ""
+
+
+_DECODE_ERROR = ("'utf-8' codec can't decode byte 0xff in position 0: "
+                 "invalid start byte")
+# each place where a command reads a file that is not UTF-8
+NOT_UTF8 = {
+    "build": lambda snap, bad: ["build", bad, "-o", f"{bad}.space"],
+    "ingest": lambda snap, bad: ["ingest", bad, "-o", f"{bad}.tsv"],
+    "dump-parse": lambda snap, bad: ["dump-parse", bad],
+    "query": lambda snap, bad: ["query", bad, SHORT_QUESTION],
+    "synonyms": lambda snap, bad: ["--synonyms", bad, "query", snap,
+                                   SHORT_QUESTION],
+    "eval_qa": lambda snap, bad: ["eval", "qa", snap, bad],
+    "eval_relations": lambda snap, bad: ["eval", "relations", snap, bad],
+}
+
+
+@pytest.mark.parametrize("kind", [*sorted(NOT_UTF8), "config_not_utf8",
+                                  "config_not_json"])
+def test_unreadable_file_is_named(workspace, capsys, monkeypatch, kind):
+    _, space_snap = build_short(workspace, capsys)
+    bad = workspace / "bad"
+    bad.write_bytes(b"{bad" if kind == "config_not_json" else b"\xff\xfe{}\n")
+    if kind.startswith("config"):
+        monkeypatch.setenv("SYNTAXSPACE_CONFIG", str(bad))
+        code, out, err = run(capsys, "stats", space_snap)
+        message = _DECODE_ERROR if kind == "config_not_utf8" else \
+            "Expecting property name enclosed in double quotes: line 1"
+        assert code == 1
+        assert err.startswith(f"config error: {bad}: {message}")
+    else:
+        code, out, err = run(capsys, *NOT_UTF8[kind](space_snap, bad))
+        assert code == 2
+        assert err == f"error: {bad}: {_DECODE_ERROR}\n"
+    assert out == "" and err.count("\n") == 1
+
+
+class TestProcessEntry:
+    def test_run_calls_main_without_the_collector_then_freezes(
+            self, monkeypatch):
+        seen = []
+
+        def fake_main():
+            seen.append((gc.isenabled(), gc.get_freeze_count()))
+            return 3
+
+        monkeypatch.setattr(cli, "main", fake_main)
+        assert gc.isenabled() and gc.get_freeze_count() == 0
+        try:
+            assert cli.run() == 3
+            assert seen == [(False, 0)]
+            assert not gc.isenabled() and gc.get_freeze_count() > 0
+        finally:
+            gc.unfreeze()
+            gc.enable()
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_main_leaves_the_collector_as_it_found_it(self, workspace,
+                                                      capsys, enabled):
+        corpus_snap = workspace / "corpus.tsv"
+        space_snap = workspace / "space.snap"
+        assert run(capsys, "ingest", workspace / "short.txt", "-o",
+                   corpus_snap)[0] == 0
+        try:
+            (gc.enable if enabled else gc.disable)()
+            for argv in (["build", corpus_snap, "-o", space_snap],
+                         ["query", space_snap, SHORT_QUESTION],
+                         ["stats", space_snap]):
+                assert run(capsys, *argv)[0] == 0
+                assert gc.isenabled() is enabled, argv[0]
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("case", ["answered", "not_a_question",
+                                      "damaged"])
+    def test_module_entry_prints_what_main_prints(self, workspace, capsys,
+                                                  case):
+        _, space_snap = build_short(workspace, capsys)
+        question = "hello there" if case == "not_a_question" \
+            else SHORT_QUESTION
+        if case == "damaged":
+            text = space_snap.read_text()
+            space_snap.write_text(text[:text.index("[DIMENSION ") - 40])
+        argv = ["query", str(space_snap), question]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]))
+        proc = subprocess.run([sys.executable, "-m", "syntaxspace.cli", *argv],
+                              capture_output=True, text=True, env=env,
+                              timeout=120)
+        want = run(capsys, *argv)
+        assert (proc.returncode, proc.stdout, proc.stderr) == want
+        assert want[0] == (0 if case == "answered" else 2)
 
 
 class TestConfig:

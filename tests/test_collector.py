@@ -1,10 +1,11 @@
 """The bulk calls run with the cyclic garbage collector paused.
 
 `ingest_text`, `parse_pretagged`, `build_space` and `baseline_rank` turn the
-collector off for their duration and restore the caller's setting.  That is
-safe only because the pipeline's data holds no reference cycles, which the
-last tests here check: with the collector off, `gc.collect()` finds nothing
-after any step.
+collector off for their duration and restore the caller's setting, and
+`cli.run` runs a whole CLI process without it.  That is safe only because
+the pipeline's data holds no reference cycles, which the last tests here
+check: with the collector off, `gc.collect()` finds nothing after any step,
+and after a CLI command only the cycles that argparse leaves.
 """
 
 import dataclasses
@@ -19,6 +20,7 @@ from pathlib import Path
 import pytest
 
 from syntaxspace import qa
+from syntaxspace.cli import build_parser, main
 from syntaxspace.corpus import (MalformedLine, ingest_text, parse_pretagged,
                                 serialize_pretagged, tag)
 from syntaxspace.evaluation import BASELINE_METHODS, baseline_rank
@@ -180,8 +182,16 @@ def workload(name):
     return generated.documents, generated.questions
 
 
+def argparse_cycles(argv) -> int:
+    """The objects in the reference cycles that building the CLI's parser
+    and parsing `argv` leave: argparse's help formatters and their
+    sections refer to each other."""
+    build_parser().parse_args(argv)
+    return gc.collect()
+
+
 @pytest.mark.parametrize("name", ["demo", "hearst-build", "plain-longdoc"])
-def test_pipeline_data_has_no_reference_cycles(name):
+def test_pipeline_data_has_no_reference_cycles(name, tmp_path):
     documents, questions = workload(name)
     gc.collect()
     with collector_off():
@@ -213,3 +223,21 @@ def test_pipeline_data_has_no_reference_cycles(name):
         assert gc.collect() == 0, "parse_pretagged"
         del space
         assert gc.collect() == 0, "del space"
+        # the commands a CLI process runs, which `cli.run` runs with the
+        # collector off
+        tsv, snap, gold = (tmp_path / f"{name}.{suffix}"
+                           for suffix in ("tsv", "space", "gold"))
+        tsv.write_text(corpus_text, encoding="utf-8")
+        gold.write_text("".join(f"Q: {question}\nA: 1\n"
+                                for question in questions),
+                        encoding="utf-8")
+        for argv in (["build", tsv, "-o", snap],
+                     *(["query", snap, question, "--explain"]
+                       for question in questions[:3]),
+                     ["stats", snap], ["dump-edges", snap],
+                     ["eval", "qa", snap, gold],
+                     ["eval", "baselines", snap, gold]):
+            argv = [str(arg) for arg in argv]
+            cycles = argparse_cycles(argv)
+            assert main(argv) == 0, argv
+            assert gc.collect() == cycles, argv

@@ -72,17 +72,19 @@ from hypothesis import given, settings, strategies as st
 from syntaxspace import corpus, evaluation, qa
 from syntaxspace import lexicon as lx
 from syntaxspace.corpus import (ACTIVE, NOUN_TAGS, PASSIVE_AGENTLESS,
-                                PASSIVE_CONVERTED, VERB_TAGS, _NP_TAGS,
-                                _PUNCT_TAGS, TaggedSentence,
-                                _open_class_reading, _strip_with,
-                                _verb_inflection_tag, tokenize)
+                                PASSIVE_CONVERTED, TAGSET, VERB_TAGS,
+                                _NP_TAGS, _PUNCT_TAGS, MalformedLine,
+                                TaggedSentence, _open_class_reading,
+                                _strip_with, _verb_inflection_tag, tokenize)
 from syntaxspace.evaluation import (BASELINE_METHODS, BaselineConfig,
                                     UnknownMethod)
 from syntaxspace.lexicon import ALL_MARKERS, FUNCTION_LEMMAS
 from syntaxspace.qa import GENERAL_Q, AnswerJudgment, QuestionSyntax
-from syntaxspace.space import (DIMENSIONS, _EVIDENCE_RANK, Dimension,
-                               ResourceSpace, _break_cycles, build_dimension,
-                               search, sentence_elements, transitive_reduce)
+from syntaxspace.space import (DIMENSIONS, _EVIDENCE_RANK, _SNAPSHOT_HEAD,
+                               _SNAPSHOT_TAIL, Dimension, ResourceSpace,
+                               _break_cycles, build_dimension,
+                               corpus_section, search, sentence_elements,
+                               transitive_reduce)
 from syntaxspace.subsume import (EQUAL, MODIFIER, RELATED, SUBCLASS,
                                  SUPERCLASS, SYNTACTIC, UNRELATED, EdgeSet,
                                  KindMismatch, SearchIndex, SynonymTable,
@@ -1930,3 +1932,170 @@ def test_baseline_rank_matches_reference(sentences, question, config):
         assert evaluation.baseline_rank(method, question, index,
                                         config) == expected, method
     check_corpus(index)  # statistics read from partly filtered documents
+
+
+# ---------------------------------------------------------------------------
+# The snapshot reader
+# ---------------------------------------------------------------------------
+#
+# `ref_parse_pretagged` is the reader that stripped each line and tested it
+# with three `startswith` calls before splitting it, and built each token
+# through `Token`; `ref_corpus_section` the section that appended the
+# snapshot's lines one by one up to the first `[DIMENSION subject]` line.
+# Both are copied unchanged but for their names.
+
+
+def ref_parse_pretagged(text: str) -> list[TaggedSentence]:
+    sentences: list[TaggedSentence] = []
+    doc_id = ""
+    voice = ACTIVE
+    current: list[corpus.Token] = []
+    next_id = 1
+
+    def flush():
+        nonlocal current, next_id, voice
+        if current:
+            sentences.append(TaggedSentence(next_id, doc_id, current, voice))
+            next_id += 1
+        current = []
+        voice = ACTIVE
+
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        stripped = line.strip()
+        if not stripped:
+            flush()
+            continue
+        if stripped.startswith("#doc"):
+            flush()
+            doc_id = stripped[4:].strip()
+            continue
+        if stripped.startswith("#voice"):
+            voice = stripped[6:].strip() or ACTIVE
+            if voice not in (ACTIVE, PASSIVE_CONVERTED, PASSIVE_AGENTLESS):
+                raise MalformedLine(lineno, f"unknown voice {voice!r}")
+            continue
+        if stripped.startswith("#"):
+            continue
+        parts = line.rstrip("\n").split("\t")
+        if len(parts) != 3:
+            raise MalformedLine(lineno, f"expected 3 columns, got {len(parts)}")
+        surface, lemma, pos = parts
+        if pos not in TAGSET:
+            raise MalformedLine(lineno, f"unknown tag {pos!r}")
+        if lemma.split() != [lemma]:
+            raise MalformedLine(lineno, f"bad lemma {lemma!r}")
+        current.append(corpus.Token(surface, lemma, pos))
+    flush()
+    return sentences
+
+
+def ref_corpus_section(snapshot_text: str) -> str:
+    tail = snapshot_text.rfind("\n[UNCOVERED]\n") + 1
+    if not (snapshot_text.startswith(_SNAPSHOT_HEAD) and tail
+            and _SNAPSHOT_TAIL.fullmatch(snapshot_text, tail)):
+        raise ValueError("not a complete #space v1 snapshot")
+    out = []
+    for line in snapshot_text.splitlines()[2:]:
+        # the first section header, never a corpus line (three columns)
+        if line == f"[DIMENSION {DIMENSIONS[0]}]":
+            break
+        out.append(line)
+    return "\n".join(out)
+
+
+_LINE_BREAKS = st.sampled_from(["\n", "\n", "\r", "\r\n", "\x0b", "\x1c",
+                                "\x85", " "])
+_TOKEN_LINE = st.tuples(
+    st.sampled_from(["LexRank", "builds", "x y", "#x", " #"]),
+    st.sampled_from(["lexrank", "build", "x"]),
+    st.sampled_from(["NNP", "VBZ", "."])).map("\t".join)
+_BLANK_LINE = st.text(alphabet=UNICODE_SPACES, max_size=3)
+# "#"-led lines: #doc, #voice and comments, some with tabs or led by spaces
+_HASH_LINE = st.sampled_from([
+    "#doc d1", "#doc", " #doc  d 2\t", "#docs", "#doc\td3",
+    "#voice passive_converted", "\t#voice passive_agentless", "#voice",
+    "#voice active ", "#voicepassive_converted", "# a comment", "#",
+    "#\tx\tNN", " #a\tb\tNNP", "#\t\t", "\u3000#x\tx\tNN"])
+# fields that are empty, spaced, led by "#" or not a tag
+_TSV_FIELD = st.sampled_from(["LexRank", "builds", "lexrank", "build", "",
+                              "a b", " x", "#", "#doc", "x\u3000"])
+_WELL_FORMED_LINES = st.one_of(_TOKEN_LINE, _TOKEN_LINE, _TOKEN_LINE,
+                               _BLANK_LINE, _HASH_LINE)
+_TSV_LINES = st.one_of(
+    _WELL_FORMED_LINES, _WELL_FORMED_LINES, _WELL_FORMED_LINES,
+    st.tuples(_TSV_FIELD, _TSV_FIELD,
+              st.sampled_from(["NNP", "VBZ", "XX", "", " NN"])
+              ).map("\t".join),
+    st.lists(_TSV_FIELD, min_size=1, max_size=4).map("\t".join),
+    st.just("#voice bogus"),
+)
+
+
+@st.composite
+def tsv_texts(draw):
+    """Tagged texts, well formed or with odd lines anywhere, under any
+    line breaks."""
+    lines = draw(st.sampled_from([_WELL_FORMED_LINES, _TSV_LINES]))
+    parts = []
+    for line in draw(st.lists(lines, max_size=14)):
+        parts += [line, draw(_LINE_BREAKS)]
+    return "".join(parts[:-1] if draw(st.booleans()) else parts)
+
+
+def _read_tsv(parse, text):
+    try:
+        sentences = parse(text)
+    except MalformedLine as exc:
+        return exc.line_number, exc.message, str(exc)
+    return [(s.sentence_id, s.doc_id, s.voice, s.tokens) for s in sentences]
+
+
+@settings(max_examples=400, deadline=None)
+@given(tsv_texts())
+def test_parse_pretagged_matches_the_loop_reference(text):
+    got = _read_tsv(corpus.parse_pretagged, text)
+    assert got == _read_tsv(ref_parse_pretagged, text)
+    for _, _, _, tokens in got if isinstance(got, list) else ():
+        assert all(type(t) is corpus.Token for t in tokens)
+
+
+_SECTION_LINES = st.one_of(
+    _TSV_LINES,
+    st.sampled_from(["[DIMENSION subject]", "[DIMENSION subject]",
+                     "[DIMENSION action]", "[NODES]", "[UNCOVERED]",
+                     " [DIMENSION subject]", "[DIMENSION subject] ",
+                     "[dimension subject]"]),
+)
+
+
+@st.composite
+def snapshot_texts(draw):
+    """Snapshot-like texts with no, one or several `[DIMENSION subject]`
+    lines, perhaps cut off or with trailing lines."""
+    body = "".join(line + draw(_LINE_BREAKS)
+                   for line in draw(st.lists(_SECTION_LINES, max_size=10)))
+    text = (draw(st.sampled_from(["#space v1\n[CORPUS]\n"] * 4
+                                 + ["#space v1\n",
+                                    "#space v1\r\n[CORPUS]\n"]))
+            + body + "\n[UNCOVERED]\n"
+            + draw(st.sampled_from(["", "3", "1,12", "", "1,"])) + "\n")
+    cut = draw(st.sampled_from(["", "", "", "cut", "more"]))
+    if cut == "cut":
+        text = text[:draw(st.integers(0, len(text)))]
+    elif cut == "more":
+        text += draw(st.sampled_from(["x\n", "\n", "[UNCOVERED]\n\n"]))
+    return text
+
+
+def _section(func, text):
+    try:
+        return func(text)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(snapshot_texts())
+def test_corpus_section_matches_the_loop_reference(text):
+    assert _section(corpus_section, text) == _section(ref_corpus_section,
+                                                      text)
