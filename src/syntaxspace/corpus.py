@@ -75,7 +75,7 @@ def gc_paused(func):
     return paused
 
 
-@dataclass
+@dataclass(slots=True)
 class TaggedSentence:
     sentence_id: int
     doc_id: str

@@ -45,7 +45,7 @@ class NotAQuestion(ValueError):
     pass
 
 
-@dataclass
+@dataclass(slots=True)
 class QuestionSyntax:
     kind: str  # the slot asked for: a `_SLOTS` kind, ADVERBIAL_Q or GENERAL_Q
     interrogative: str
@@ -56,7 +56,7 @@ class QuestionSyntax:
     polarity: str = "affirmative"
 
 
-@dataclass
+@dataclass(slots=True)
 class AnswerJudgment:
     sentence_id: int
     accepted: bool

@@ -44,7 +44,7 @@ class Dimension:
     covered: frozenset[int] = frozenset()  # sentences posted at any node
 
 
-@dataclass
+@dataclass(slots=True)
 class SentenceRecord:
     sentence_id: int
     doc_id: str
@@ -428,6 +428,15 @@ def corpus_section(snapshot_text: str) -> str:
             and _SNAPSHOT_TAIL.fullmatch(snapshot_text, tail)):
         raise ValueError("not a complete #space v1 snapshot")
     header = f"[DIMENSION {DIMENSIONS[0]}]"  # never a corpus line (3 columns)
-    lines = snapshot_text.splitlines()
-    lines.append(header)  # a snapshot without one: the corpus runs to the end
-    return "\n".join(lines[2:lines.index(header, 2)])
+    # the corpus ends at the first match that is a line of its own by the
+    # breaks of `str.splitlines`: with the characters around it (the text
+    # ends in the tail, so one follows), it splits into "" and the header
+    start = end = len(_SNAPSHOT_HEAD)
+    while (end := snapshot_text.find(header, end)) >= 0:
+        window = snapshot_text[end - 1:end + len(header) + 1]
+        if window.splitlines()[:2] == ["", header]:
+            break
+        end += 1
+    else:
+        end = len(snapshot_text)  # no header: the corpus runs to the end
+    return "\n".join(snapshot_text[start:end].splitlines())

@@ -41,7 +41,7 @@ class KindMismatch(TypeError):
     """Compared elements have different lexical categories."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SubclassEdge:
     child: str
     parent: str
@@ -497,17 +497,20 @@ class SearchIndex:
             self.below.setdefault((wrapper, self.edges.elements[k].head),
                                   {}).setdefault(k, set()).add(key)
 
-    def anchors(self, query, syn: SynonymTable | None = None) -> set[str]:
-        """Keys of the nodes `at_or_below` the query.  A phrase takes its
-        bucket's members (a verb's synonym heads' too) posted under all its
-        modifiers, counted if one repeats, and the nodes posted under a
-        harvested key that `EdgeSet.puts_below` its side; it judges none.
-        A clause judges the clauses of its lead posted under all of
-        `_lemmas(query, syn=syn)`, which holds every clause below it."""
+    def anchors(self, query, syn: SynonymTable | None = None,
+                among: set[str] | None = None) -> set[str]:
+        """Keys of the nodes `at_or_below` the query, of those in `among`
+        alone if it is given.  A phrase takes its bucket's members (a verb's
+        synonym heads' too) posted under all its modifiers, counted if one
+        repeats, and the nodes posted under a harvested key that
+        `EdgeSet.puts_below` its side; it judges none.  A clause judges the
+        clauses of its lead posted under all of `_lemmas(query, syn=syn)`,
+        which holds every clause below it, that are in `among`."""
         wrapper, head, side, mods = _shape(query)
         if wrapper[-2] == "clause":
             clauses = self.buckets.get((wrapper, None), {})
-            return {k for k in _common(clauses, _lemmas(query, syn=syn))
+            found = _common(clauses, _lemmas(query, syn=syn))
+            return {k for k in (found if among is None else found & among)
                     if at_or_below(self.nodes[k], query, self.edges, syn)}
         verb = side is not None and side.kind == VERB
         heads = {head} | (syn.synonyms(head) if verb and syn else set())
@@ -536,8 +539,9 @@ class SearchIndex:
         for (wrapper, _), keys in buckets.items():
             if len(keys) > 1 and wrapper[-2] != PRONOUN:
                 members = set(keys)
-                yield from sorted((c, p) for p in keys for c in members
-                                  & self.anchors(self.nodes[p]) if c != p)
+                yield from sorted(
+                    (c, p) for p in keys for c in members
+                    & self.anchors(self.nodes[p], among=members) if c != p)
 
 
 def _common(bucket: dict, lemmas) -> set[str]:

@@ -39,7 +39,7 @@ class NoFiniteVerb(ParseError):
     """The sentence has no verb group to serve as its action."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Phrase:
     """(pre-head, head, post-head) decomposition of a phrase.
 
@@ -65,7 +65,7 @@ class Phrase:
         return self.pre[0] if self.kind == PREPOSITIONAL and self.pre else None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Clause:
     """Lead word plus a nested (subject, action, object, adverbials) body."""
 
@@ -80,7 +80,7 @@ class Clause:
 Element = Phrase | Clause
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Adverbial:
     kind: str
     content: Element  # its marker is the content's lead or preposition()
@@ -88,7 +88,7 @@ class Adverbial:
     span: tuple[int, int] = (0, 0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ObjectGroup:
     """The three object shapes: direct; indirect+direct; direct+complement."""
 
@@ -98,7 +98,7 @@ class ObjectGroup:
     span: tuple[int, int] = (0, 0)
 
 
-@dataclass
+@dataclass(slots=True)
 class SentenceSyntax:
     sentence_id: int
     subject: Element | None
@@ -254,8 +254,10 @@ def match_marker(tokens, i) -> tuple[str, int] | None:
     """Longest marker (possibly multi-word) starting at position i."""
     for marker, words in (lx.MARKERS_BY_FIRST.get(tokens[i].lemma, ())
                           if i < len(tokens) else ()):
-        if tuple(tok.lemma for tok in tokens[i:i + len(words)]) == words:
-            return marker, i + len(words)
+        n = len(words)  # a longer one fails on a short window or 2nd lemma
+        if n == 1 or (i + n <= len(tokens) and tokens[i + 1].lemma == words[1]
+                      and tuple(t.lemma for t in tokens[i:i + n]) == words):
+            return marker, i + n
     return None
 
 
@@ -290,7 +292,7 @@ def classify_marker(marker: str, content: Element | None,
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(slots=True)
 class _Parser:
     tokens: list[Token]
 
@@ -326,13 +328,14 @@ class _Parser:
             run.append(tokens[i])
             i += 1
         # give trailing modifiers back to the stream, but keep a gerund that
-        # completes a compound nominal ("question answering")
+        # completes a compound nominal ("question answering"): a run left
+        # ends in a noun, a number or such a gerund, so it holds one of them
         while run and run[-1].pos not in NOUN_TAGS and run[-1].pos != "CD" \
                 and not (run[-1].pos == "VBG" and len(run) > 1
                          and run[-2].pos in NOUN_TAGS):
             run.pop()
             i -= 1
-        if not any(t.pos in NOUN_TAGS or t.pos == "CD" for t in run):
+        if not run:
             return None, start
         head = run[-1].lemma
         pre.extend(t.lemma for t in run[:-1] if t.lemma not in lx.ARTICLES)

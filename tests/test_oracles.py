@@ -40,7 +40,8 @@ every call built two `Counter`s, copied unchanged, so that they never call
 the length-first rule under test.  `match_marker` is checked against the
 loop that tried every marker at each token that can start one, copied
 unchanged but for reading `ALL_MARKERS` and `MARKER_FIRST_TOKENS` (a copy of
-the set that `lexicon` no longer has) without the `lx.` prefix.
+the set that `lexicon` no longer has) without the `lx.` prefix, also on
+texts that end inside a multi-word marker.
 
 `tag` and `normalize_voice` are checked against the tagger that read every
 token afresh and built each token as a frozen dataclass: `tag`, `_tag_word`,
@@ -779,8 +780,17 @@ _LEMMA_RUNS = st.lists(st.one_of(
         lambda w: [w])), max_size=8).map(lambda runs: sum(runs, []))
 
 
-@settings(max_examples=300, deadline=None)
-@given(_LEMMA_RUNS)
+# Also runs that end with a multi-word marker cut off after one or more of
+# its words, so that the sentence ends inside the marker.
+_CUT_MARKERS = sorted(m for m in ALL_MARKERS if " " in m)
+_CUT_RUNS = st.tuples(
+    _LEMMA_RUNS, st.sampled_from(_CUT_MARKERS).map(str.split).flatmap(
+        lambda words: st.integers(1, len(words) - 1).map(
+            lambda n: words[:n]))).map(lambda pair: pair[0] + pair[1])
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(_LEMMA_RUNS, _CUT_RUNS))
 def test_match_marker_matches_reference(lemmas):
     tokens = [corpus.Token(w, w, "IN") for w in lemmas]
     for i in range(len(tokens) + 1):

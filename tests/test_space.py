@@ -86,6 +86,27 @@ class TestBuildDimension:
         assert len(dim.edges) == k + 1
         assert len(calls) <= n + k
 
+    def test_clause_judges_no_clause_outside_its_bucket(self, monkeypatch):
+        # the "build" clause holds every lemma of the "rank" clause, so the
+        # index names it for the modifier rule; it is in another bucket
+        # (action head), so no pair of the two is judged
+        calls, real = [], subsume.at_or_below
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+        monkeypatch.setattr(subsume, "at_or_below", counted)
+        parent = Clause("that", None, vp("rank"), np("sentence"))
+        child = Clause("that", None, vp("rank"), np("sentence", "long"))
+        other = Clause("that", np("rank"), vp("build"), np("sentence"))
+        dim = build_dimension("subject", [(1, parent), (2, child),
+                                          (3, other)], EdgeSet())
+        assert dim.edges.keys() == {(canonical_key(child),
+                                     canonical_key(parent))}
+        judged = [(c, p) for c, p, *_ in calls if isinstance(p, Clause)]
+        assert judged and all(c.action.head == p.action.head
+                              for c, p in judged)
+
     def test_clause_edge_through_a_pronoun_equal_by_its_head(self):
         # the pronouns are equal by their head, modifiers aside, so the
         # clause with one more adverbial is below the other

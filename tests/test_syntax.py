@@ -235,6 +235,41 @@ class TestParseAction:
         assert i == 0
 
 
+def _tagged(text):
+    """Tokens from "surface/TAG" words, or "surface/TAG/lemma" where the
+    lemma is not the surface."""
+    tokens = []
+    for word in text.split():
+        surface, pos, *lemma = word.split("/")
+        tokens.append(corpus.Token(surface, lemma[0] if lemma else surface,
+                                   pos))
+    return tokens
+
+
+class TestParseNounPhrase:
+    # the modifiers given back leave no noun or number: no phrase, and the
+    # parse stays where it started
+    @pytest.mark.parametrize("text", [
+        "of/IN the/DT big/JJ red/JJ ./.",
+        "of/IN the/DT very/RB fast/JJ running/VBG/run ./.",
+        "of/IN the/DT fast/JJ running/VBG/run ./.",
+    ])
+    def test_run_without_a_noun_or_number(self, text):
+        tokens = _tagged(text)
+        assert _Parser(tokens).parse_np(1, len(tokens)) == (None, 1)
+
+    def test_gerund_completing_a_compound_is_the_head(self):
+        tokens = _tagged("question/NN answering/VBG/answer works/VBZ/work "
+                         "./.")
+        phrase, i = _Parser(tokens).parse_np(0, len(tokens))
+        assert (phrase.head, phrase.pre, i) == ("answer", ("question",), 2)
+
+    def test_number_alone_is_a_phrase(self):
+        tokens = _tagged("the/DT 3/CD big/JJ ./.")
+        phrase, i = _Parser(tokens).parse_np(0, len(tokens))
+        assert (phrase.head, phrase.pre, i) == ("3", (), 2)
+
+
 class TestParseObject:
     def test_indirect_after_preposition(self):
         parsed = parse_sentence(tag("The algorithm gives the weight to each node.", 1))
