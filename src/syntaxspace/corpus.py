@@ -440,101 +440,76 @@ def normalize_voice(sentence: TaggedSentence) -> TaggedSentence:
     start = 0
     # each rewrite drops the be-form and "by", so the loop ends; the search
     # goes on past an agentless window, and starts again after a rewrite
-    while (window := _find_passive_window(tokens, start)) is not None:
-        if window["agent_start"] is None:
-            agentless, start = True, window["participle"] + 1
+    while (window := _passive_window(tokens, start)) is not None:
+        participle, rewritten = window
+        if rewritten is None:
+            agentless, start = True, participle + 1
         else:
-            tokens, converted, start = _rewrite_window(tokens, window), True, 0
+            tokens, converted, start = rewritten, True, 0
     voice = PASSIVE_CONVERTED if converted else \
         PASSIVE_AGENTLESS if agentless else sentence.voice
     return TaggedSentence(sentence.sentence_id, sentence.doc_id, tokens, voice,
                           sentence.raw)
 
 
-def _find_passive_window(tokens: list[Token], start: int = 0):
-    """The first passive window whose be-form is at `start` or later."""
-    for i in range(start, len(tokens)):
+def _passive_window(tokens: list[Token], start: int = 0):
+    """(participle index, rewritten tokens) of the first passive window whose
+    be-form is at `start` or later, with None for the tokens when it has no
+    "by" agent; None when no window is left."""
+    n = len(tokens)
+    for i in range(start, n):
         tok = tokens[i]
         if tok.lemma != "be" or tok.pos not in ("VBZ", "VBP", "VBD", "VB", "VBN"):
             continue
         # Optional adverbs between the auxiliary and the participle.
         j = i + 1
-        while j < len(tokens) and tokens[j].pos == "RB":
+        while j < n and tokens[j].pos == "RB":
             j += 1
-        if j >= len(tokens) or tokens[j].pos != "VBN":
+        if j >= n or tokens[j].pos != "VBN":
             continue
-        participle = j
         # NP1 directly before the auxiliary chain (chain may include modals
         # and have-forms before the be-form).
         chain_start = i
-        k = i - 1
-        while k >= 0 and (tokens[k].pos in ("MD", "RB") or tokens[k].lemma in ("have", "be")):
-            chain_start = k
-            k -= 1
-        np_end = chain_start  # exclusive
-        np_start = np_end
-        while np_start - 1 >= 0 and tokens[np_start - 1].pos in _NP_TAGS:
+        while chain_start > 0 and (
+                tokens[chain_start - 1].pos in ("MD", "RB")
+                or tokens[chain_start - 1].lemma in ("have", "be")):
+            chain_start -= 1
+        np_start = chain_start
+        while np_start > 0 and tokens[np_start - 1].pos in _NP_TAGS:
             np_start -= 1
-        if np_start == np_end:
-            continue
-        if not any(tokens[t].pos in NOUN_TAGS or tokens[t].pos == "PRP"
-                   for t in range(np_start, np_end)):
+        np1 = tokens[np_start:chain_start]
+        if not _holds_nominal(np1):
             continue
         # Post-participle adverbs, then the "by" agent.
-        m = participle + 1
-        while m < len(tokens) and tokens[m].pos == "RB":
+        m = j + 1
+        while m < n and tokens[m].pos == "RB":
             m += 1
-        post_adv_end = m
-        agent_start = agent_end = None
-        if m < len(tokens) and tokens[m].lemma == "by" and tokens[m].pos == "IN":
-            start = end = m + 1
-            while end < len(tokens) and (
-                tokens[end].pos in _NP_TAGS
-                or tokens[end].lemma in ("of", "in", "that")
-                and tokens[end].pos in ("IN", "DT")
-            ):
-                end += 1
-            while end > start and tokens[end - 1].lemma in ("of", "in", "that"):
-                end -= 1
-            if end > start and any(
-                tokens[t].pos in NOUN_TAGS or tokens[t].pos == "PRP"
-                for t in range(start, end)
-            ):
-                agent_start, agent_end = start, end
-        return {
-            "np_start": np_start, "np_end": np_end, "chain_start": chain_start,
-            "be_index": i, "participle": participle,
-            "post_adv_end": post_adv_end, "agent_start": agent_start,
-            "agent_end": agent_end,
-        }
+        if m == n or tokens[m].lemma != "by" or tokens[m].pos != "IN":
+            return j, None
+        end = m + 1
+        while end < n and (tokens[end].pos in _NP_TAGS
+                           or tokens[end].lemma in ("of", "in", "that")
+                           and tokens[end].pos in ("IN", "DT")):
+            end += 1
+        while end > m + 1 and tokens[end - 1].lemma in ("of", "in", "that"):
+            end -= 1
+        agent = tokens[m + 1:end]
+        if not _holds_nominal(agent):
+            return j, None
+        # Auxiliaries kept in front of the verb: modals, have-forms, negation.
+        kept = [t for t in tokens[chain_start:i]
+                if t.pos in ("MD", "RB") or t.lemma == "have"]
+        # Tense/agreement: modal or have keeps the stored form; otherwise the
+        # new finite verb agrees with the agent head.
+        verb = _reinflect(tokens[j], kept, tok, agent)
+        return j, (tokens[:np_start] + agent + kept + tokens[i + 1:j] + [verb]
+                   + np1 + tokens[j + 1:m] + tokens[end:])
     return None
 
 
-def _rewrite_window(tokens: list[Token], w) -> list[Token]:
-    np1 = tokens[w["np_start"]:w["np_end"]]
-    agent = tokens[w["agent_start"]:w["agent_end"]]
-    # Auxiliaries kept in front of the verb: modals, have-forms, negation.
-    kept = [t for t in tokens[w["chain_start"]:w["be_index"]]
-            if t.pos in ("MD", "RB") or t.lemma == "have"]
-    participle = tokens[w["participle"]]
-    pre_adv = tokens[w["be_index"] + 1:w["participle"]]
-    post_adv = tokens[w["participle"] + 1:w["post_adv_end"]]
-
-    be_tok = tokens[w["be_index"]]
-    # Tense/agreement: modal or have keeps the stored form; otherwise the
-    # new finite verb agrees with the agent head.
-    verb = _reinflect(participle, kept, be_tok, agent)
-
-    return (
-        tokens[:w["np_start"]]
-        + agent
-        + kept
-        + pre_adv
-        + [verb]
-        + np1
-        + post_adv
-        + tokens[w["agent_end"]:]
-    )
+def _holds_nominal(tokens: list[Token]) -> bool:
+    """Whether the tokens hold a noun or a pronoun."""
+    return any(t.pos in NOUN_TAGS or t.pos == "PRP" for t in tokens)
 
 
 def _reinflect(participle: Token, kept: list[Token], be_tok: Token,

@@ -519,14 +519,15 @@ class SearchIndex:
         found = {k for bucket in buckets for k in _common(bucket, mods)
                  if not repeated or _contains(_shape(self.nodes[k])[3], mods)}
         reached = self.below.get((wrapper, side.head)) if side else None
-        if not reached:
-            return found
-        side_key = canonical_key(side)
-        below = {key for k, keys in reached.items()
-                 if self.edges.puts_below(k, side, side_key) for key in keys}
-        if verb:  # of the same or a synonym head, modifiers alone decide
-            below -= {k for bucket in buckets for k in bucket.get(None, ())}
-        return found | below
+        if reached:
+            side_key = canonical_key(side)
+            below = {key for k, keys in reached.items()
+                     if self.edges.puts_below(k, side, side_key)
+                     for key in keys}
+            if verb:  # of the same or a synonym head, modifiers alone decide
+                below -= {k for bucket in buckets for k in bucket.get(None, ())}
+            found |= below
+        return found if among is None else found & among
 
     def modifier_pairs(self):
         """The modifier rule's (child, parent) pairs: in each bucket of one
@@ -540,8 +541,9 @@ class SearchIndex:
             if len(keys) > 1 and wrapper[-2] != PRONOUN:
                 members = set(keys)
                 yield from sorted(
-                    (c, p) for p in keys for c in members
-                    & self.anchors(self.nodes[p], among=members) if c != p)
+                    (c, p) for p in keys
+                    for c in self.anchors(self.nodes[p], among=members)
+                    if c != p)
 
 
 def _common(bucket: dict, lemmas) -> set[str]:
@@ -624,7 +626,7 @@ def _scan_copula(sentence, parsed):
                for x in (subject, predicate)):
         return []
     tokens = sentence.tokens
-    det = tokens[predicate.span[0]].lemma if predicate.span[0] < len(tokens) else ""
+    det = tokens[predicate.span[0]].lemma
     head_plural = any(
         t.pos in ("NNS", "NNPS") and t.lemma == predicate.head
         for t in tokens[predicate.span[0]:predicate.span[1]]

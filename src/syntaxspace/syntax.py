@@ -350,11 +350,8 @@ class _Parser:
             # verb after it ends this phrase).
             if tok.pos == "IN" and tok.lemma in lx.NP_ATTACH_PREPOSITIONS:
                 if i + 1 < end and tokens[i + 1].pos == "VBG":
-                    clause, j = self._parse_verb_clause(i + 1, end)
-                    if clause is None:
-                        break
-                    post.append(tok.lemma)
-                    post.extend(self._flatten_lemmas(i + 1, j))
+                    _, j = self._parse_verb_clause(i + 1, end)
+                    post.extend(self._flatten_lemmas(i, j))
                     i = j
                     continue
                 fold = (tok.lemma,), i + 1, False, False
@@ -522,8 +519,7 @@ class _Parser:
         # method verb phrase without preposition: "using clustering algorithm"
         if tok.pos == "VBG" and tok.lemma in lx.METHOD_VERBS:
             clause, j = self._parse_verb_clause(i, end)
-            if clause is not None:
-                return Adverbial("method", clause, span=(start, j)), j
+            return Adverbial("method", clause, span=(start, j)), j
         # "to" + verb: purpose clause ("to select the relevance sentences")
         if _infinitive_start(tokens, i, end):
             clause, j = self._parse_verb_clause(i, end, "to",
@@ -819,21 +815,18 @@ def _parse_one(parser: _Parser, sentence: TaggedSentence, i: int, end: int):
     action, i = parser.parse_verb_group(i, end)
     obj = None
     trailing: list[Adverbial] = []
-    if action is not None:
+    while action is not None:
         obj, i = parser.parse_object_group(i, end, action)
         trailing, i = parser.parse_trailing_adverbials(i, end)
-
-    # Clause-subject wrap: another finite verb at top level means what was
-    # parsed so far is a clause acting as the subject.
-    while action is not None and i < end and _finite_verb_start(tokens, i):
+        if not _finite_verb_start(tokens, i):
+            break
+        # Clause-subject wrap: another finite verb at top level means what
+        # was parsed so far is a clause acting as the subject.
         span_start = subject.span[0] if subject is not None else action.span[0]
-        clause = Clause(None, subject, action,
-                        obj.direct if obj is not None else None,
-                        tuple(trailing), (span_start, i))
-        subject = clause
+        subject = Clause(None, subject, action,
+                         obj.direct if obj is not None else None,
+                         tuple(trailing), (span_start, i))
         action, i = parser.parse_verb_group(i, end)
-        obj, i = parser.parse_object_group(i, end, action)
-        trailing, i = parser.parse_trailing_adverbials(i, end)
 
     if action is None and subject is None:
         return None, i

@@ -164,11 +164,16 @@ class TestPipeline:
             == (DATA / "passives.space").read_bytes()
 
     def test_dump_parse_matches_golden_file(self, tmp_path, capsys):
+        # object_shapes renders an indirect object, a complement, no
+        # object, an unclassified adverbial and a list of adverbials
         demo = pathlib.Path(__file__).parent.parent / "demo" / "short.txt"
-        run(capsys, "ingest", demo, "-o", tmp_path / "short.tsv")
-        code, out, _ = run(capsys, "dump-parse", tmp_path / "short.tsv")
-        assert code == 0
-        assert out == (DATA / "short_parse.txt").read_text()
+        for text, golden in ((demo, "short_parse.txt"),
+                             (DATA / "object_shapes.txt",
+                              "object_shapes_parse.txt")):
+            run(capsys, "ingest", text, "-o", tmp_path / "c.tsv")
+            code, out, _ = run(capsys, "dump-parse", tmp_path / "c.tsv")
+            assert code == 0
+            assert out == (DATA / golden).read_text(), golden
 
     def test_stats(self, workspace, capsys):
         _, space_snap = build_short(workspace, capsys)

@@ -1287,14 +1287,18 @@ _OFF_DIMENSION = [np("method", "fast", "fast"), np("model", "tiny"),
 def test_search_index_anchors_equal_the_scan(edges, syn):
     """The anchors `search` takes from a dimension's index are exactly the
     nodes that `at_or_below` accepts when every node is tested, for queries
-    that are nodes of the dimension and for queries that are not."""
+    that are nodes of the dimension and for queries that are not; with
+    `among`, those of them in `among`."""
     base = ELEMENTS + _PLAIN_ADVERBIALS + _MODIFIED
     for members in (base, base + NOUNS + VERBS):
         dim = build_dimension("subject", list(enumerate(members)), edges)
+        among = set(sorted(dim.nodes)[::2])
         for query in base + NOUNS + VERBS + _OFF_DIMENSION:
             scan = {key for key, element in dim.nodes.items()
                     if at_or_below(element, query, edges, syn)}
             assert dim.index.anchors(query, syn) == scan, (query, len(members))
+            assert dim.index.anchors(query, syn, among=among) \
+                == scan & among, (query, len(members))
 
 
 # `search` as it was when it also walked the reduced edges below its

@@ -101,6 +101,10 @@ class TestParseQuestion:
     def test_negative_polarity(self):
         out = q("does the algorithm not need labelled data?")
         assert out.polarity == "negative"
+        # a negation right after the inverted auxiliary is no action word
+        out = q("Does not the team build models?")
+        assert (out.kind, out.polarity) == ("general", "negative")
+        assert "not" not in out.action.pre
 
     def test_how_to_form(self):
         out = q("how to build an extract?")
@@ -241,6 +245,21 @@ class TestMatchAnswer:
         assert match_answer(question, yes).affirmed is True
         assert match_answer(question, no).affirmed is False
 
+    def test_unanchored_adverbial_judgment_equals_anchored(self):
+        space = build_space(tag_corpus(
+            ["The team builds models in the laboratory."]))
+        question = q("What does the team build in the laboratory?")
+        anchors: dict = {}
+        assert candidate_search(space, question, anchors=anchors) == {1}
+        assert "adverbial[0]" in anchors
+        sentence = space.sentences[1][0]
+        anchored = match_answer(question, sentence, space.edge_set,
+                                space.synonyms, anchors=anchors)
+        assert anchored.accepted
+        assert anchored.matched["adverbial[0]"] == "same"
+        assert match_answer(question, sentence, space.edge_set,
+                            space.synonyms) == anchored
+
 
 class TestAnswer:
     def test_motivation_example(self, short_space):
@@ -280,6 +299,16 @@ class TestAnswer:
         ]))
         results = answer(space, tag("How does unsupervised algorithm build an extract?"))
         assert [sid for sid, _ in results] == [2, 1]
+
+    def test_best_scoring_accepted_part_is_kept(self):
+        space = build_space(tag_corpus([
+            "The team does not build models, but the team builds models."]))
+        assert len(space.sentences[1]) == 2
+        results = answer(space, tag("Does the team build models?"))
+        assert [sid for sid, _ in results] == [1]
+        judgment = results[0][1]
+        assert judgment.consistency_penalty == 0
+        assert judgment.affirmed is True
 
     def test_k_truncation(self):
         texts = [f"unsupervised algorithm builds an extract by classifying sentences."

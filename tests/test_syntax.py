@@ -208,6 +208,14 @@ class TestConstructions:
         assert parsed.subject == _np("team", span=(2, 4))
         assert parsed.action == _vp("build", (4, 5))
 
+    def test_comma_inside_parentheses_ends_no_leading_adverbial(self):
+        parsed = parse_sentence(tag(
+            "In the system (LexRank, TextRank), the team builds models.", 1))
+        assert parsed.adverbials == (Adverbial(
+            "unclassified", Phrase(PREPOSITIONAL, "system", ("in",), (),
+                                   (0, 8)), span=(0, 8)),)
+        assert parsed.subject == _np("team", span=(9, 11))
+
 
 class TestParseAction:
     def test_long_pre_head_chain(self):
