@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, compress
-from operator import itemgetter, mul, neg, not_
+from operator import countOf, itemgetter, mul, neg, not_
 
 from .corpus import gc_paused
 from .lexicon import FUNCTION_LEMMAS
@@ -200,14 +200,20 @@ class BaselineIndex:
                            for d in self.lemmas]
         self.n_docs = len(pairs)
         self._unread = [True] * self.n_docs
+        self._sharing = None, ()  # the last question's lemma set, positions
         self.vectors = {}  # position -> tf-idf vector and norm
         self.bm25_df = {}  # question lemma -> df
 
-    def sharing(self, q) -> list[int]:
+    def sharing(self, q) -> tuple[int, ...]:
         """Positions of the documents holding a lemma of `q`; `q` holds
-        content lemmas only, so a document's lemmas tell before filtering."""
-        return list(compress(range(self.n_docs), map(
-            not_, map(set(q).isdisjoint, self.lemmas))))
+        content lemmas only, so a document's lemmas tell before filtering.
+        Kept for the last lemma set, which each method of a question asks."""
+        qs, (last, positions) = set(q), self._sharing
+        if qs != last:
+            positions = tuple(compress(range(self.n_docs), map(
+                not_, map(qs.isdisjoint, self.lemmas))))
+            self._sharing = qs, positions
+        return positions
 
     def content(self, positions) -> list[list[str]]:
         """Content lemmas of the documents at `positions`."""
@@ -216,6 +222,11 @@ class BaselineIndex:
             lemmas[i] = content_lemmas(lemmas[i])
             unread[i] = False
         return list(map(lemmas.__getitem__, positions))
+
+    @cached_property
+    def by_sid(self) -> list[int]:
+        """Positions in sentence id order; equal ids in corpus order."""
+        return sorted(range(self.n_docs), key=self.sids.__getitem__)
 
     @property
     def docs(self) -> list[tuple[int, list[str]]]:
@@ -265,7 +276,12 @@ def baseline_rank(method: str, question: list[str],
         keys = [0.0] * index.n_docs
         for i, score in zip(scored, scorer(q, index, config, scored)):
             keys[i] = -score
-    return list(map(itemgetter(1), sorted(zip(keys, index.sids))))
+    if math.isnan(sum(keys)):  # a NaN orders with nothing: keep the pairs
+        return list(map(itemgetter(1), sorted(zip(keys, index.sids))))
+    # a stable sort by key of the documents in id order orders as the
+    # (key, id) pairs do, and compares floats alone
+    return list(map(index.sids.__getitem__,
+                    sorted(index.by_sid, key=keys.__getitem__)))
 
 
 def _common_words(q, index, config, positions):
@@ -289,7 +305,11 @@ def _tfidf_cosine(q, index, config, positions):
     nq = math.sqrt(sum(map(mul, vq.values(), vq.values())))
     for i, d in zip(positions, index.content(positions)):
         if i not in memo:
-            vd = vector(d)
+            # vector(d) without a Counter: each lemma of a document has an
+            # idf, and the keys come in the same order
+            vd = dict(zip(d, map(idf.__getitem__, d)))
+            if len(vd) < len(d):  # a lemma repeats
+                vd = {w: d.count(w) * weight for w, weight in vd.items()}
             memo[i] = vd, math.sqrt(sum(map(mul, vd.values(), vd.values())))
     scores = []
     for vd, nd in map(memo.__getitem__, positions):
@@ -343,6 +363,8 @@ def _bm25(q, index, config, positions):
 
 def _lcs(q, d) -> float:
     """Longest common subsequence length over lemma sequences."""
+    if len(d) == 1:
+        return float(d[0] in q)
     row = [0] * (len(d) + 1)
     for w in q:
         above, row = row, [0]
@@ -389,6 +411,14 @@ def _gst(q, d, min_tile) -> float:
     return float(total)
 
 
+def _gst_scorer(q, index, config, positions):
+    # a tile covers `gst_min_tile` positions of the document, each holding a
+    # lemma of the question, so a document with fewer such positions has none
+    qs, least = set(q), config.gst_min_tile
+    return [_gst(q, d, least) if countOf(map(qs.__contains__, d), True)
+            >= least else 0.0 for d in index.content(positions)]
+
+
 # method -> scorer(q, index, config, positions): the scores of the documents
 # at `positions`, in order; `unigram_lm` is given all of them
 _SCORERS = {
@@ -397,8 +427,7 @@ _SCORERS = {
     "tfidf_cosine": _tfidf_cosine,
     "unigram_lm": _unigram_lm,
     "bm25": _bm25,
-    "gst": lambda q, index, config, positions: [
-        _gst(q, d, config.gst_min_tile) for d in index.content(positions)],
+    "gst": _gst_scorer,
     "lcs": _lcs_scorer,
 }
 BASELINE_METHODS = tuple(_SCORERS)

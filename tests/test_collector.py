@@ -110,12 +110,13 @@ class TestPause:
         assert passes(lambda: build_space(large_tagged)) == ([0], [])
 
     def test_baseline_rank_runs_at_most_the_pass_at_exit(self, large_list):
+        # the method that allocates most: a vector per document it scores
         question = tag(SHORT_QUESTION).lemmas()
-        during, _ = passes(
-            lambda: baseline_rank.__wrapped__("bm25", question, large_list))
+        during, _ = passes(lambda: baseline_rank.__wrapped__(
+            "tfidf_cosine", question, large_list))
         assert len(during) >= 3
         during, after = passes(
-            lambda: baseline_rank("bm25", question, large_list))
+            lambda: baseline_rank("tfidf_cosine", question, large_list))
         assert during in ([], [0]) and after == []
 
     @pytest.mark.parametrize("name", ["ingest_text", "parse_pretagged",

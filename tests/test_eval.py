@@ -152,6 +152,13 @@ class TestBaselines:
         ranked = baseline_rank("common_words", ["alpha"], sentences)
         assert ranked == [1, 2]
 
+    def test_nan_scores_keep_the_order_of_the_pairs(self):
+        # k1 = inf scores inf / inf = NaN, which orders with nothing: the
+        # sorted (score, id) pairs keep such documents in corpus order
+        sentences = [(2, ["alpha"]), (1, ["alpha"]), (3, ["beta"])]
+        config = BaselineConfig(bm25_k1=math.inf)
+        assert baseline_rank("bm25", ["alpha"], sentences, config) == [2, 1, 3]
+
     def test_content_lemma_filter(self):
         lemmas = tag("How does unsupervised algorithm build an extract?").lemmas()
         assert content_lemmas(lemmas) == ["unsupervised", "algorithm", "build",
@@ -222,6 +229,15 @@ class TestBaselines:
         read = [d for d in calls if d is not self.QUESTION
                 and d is not self.WORD_7]
         assert sorted(map(id, read)) == sorted(map(id, docs))
+
+    def test_sharing_is_kept_for_the_last_question(self):
+        index = BaselineIndex(self.WORK_CORPUS)
+        shared = index.sharing(["rank", "sentence"])
+        assert shared == (500, 501)
+        # each method of one question asks again: one pass serves them all
+        assert index.sharing(["sentence", "rank", "rank"]) is shared
+        assert index.sharing(["model"]) == (501,)
+        assert index.sharing(["rank", "sentence"]) == shared
 
     def test_one_shot_documents_are_read_in_full(self, short_lemmas,
                                                  question_lemmas):

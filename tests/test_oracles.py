@@ -1897,10 +1897,10 @@ _QUESTION = st.one_of(st.lists(_LEMMAS, max_size=6),
                       st.lists(st.sampled_from(_CONTENT[:2]), min_size=3,
                                max_size=6))
 _CONFIG = st.one_of(st.just(BaselineConfig()), st.builds(
-    BaselineConfig, st.floats(0, 3), st.floats(0, 1), st.integers(1, 4)),
+    BaselineConfig, st.floats(0, 3), st.floats(0, 1), st.integers(0, 4)),
     # bm25 scores NaN, which pins the rank of documents that score NaN
     st.builds(BaselineConfig, st.sampled_from([math.inf, 1.2]),
-              st.sampled_from([math.nan, 0.75]), st.integers(1, 4)))
+              st.sampled_from([math.nan, 0.75]), st.integers(0, 4)))
 
 
 @st.composite
@@ -1922,8 +1922,9 @@ def baseline_corpora(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(baseline_corpora(), _QUESTION, _CONFIG)
-def test_baseline_rank_matches_reference(sentences, question, config):
+@given(baseline_corpora(), _QUESTION, _CONFIG, _DOCUMENT, st.integers(0, 99))
+def test_baseline_rank_matches_reference(sentences, question, config,
+                                         edit, at):
     docs = [(sid, content_lemmas(doc)) for sid, doc in sentences]
     stats = _CorpusStats(docs)
 
@@ -1946,6 +1947,15 @@ def test_baseline_rank_matches_reference(sentences, question, config):
         assert evaluation.baseline_rank(method, question, index,
                                         config) == expected, method
     check_corpus(index)  # statistics read from partly filtered documents
+    # the plain list again, after a lemma list changed in place; then the
+    # same corpus with lemma tuples, and the lists once more
+    if sentences:
+        sentences[at % len(sentences)][1][:] = edit
+    tuples = [(sid, tuple(doc)) for sid, doc in sentences]
+    for pairs in (sentences, tuples, sentences):
+        for method in BASELINE_METHODS:
+            assert evaluation.baseline_rank(method, question, pairs, config) \
+                == baseline_rank(method, question, pairs, config), method
 
 
 # ---------------------------------------------------------------------------
