@@ -67,11 +67,12 @@ def gc_paused(func):
             return func(*args, **kwargs)
         finally:
             if was_enabled:
-                gc.enable()
                 # the young pass held off is due at the caller's next
-                # allocation; run it here, so the call pays for it
+                # allocation; run it here, so the call pays for it, and
+                # before the collector is on, so that it is the only one
                 if gc.get_count()[0] > gc.get_threshold()[0]:
                     gc.collect(0)
+                gc.enable()
     return paused
 
 

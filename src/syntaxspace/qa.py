@@ -311,10 +311,9 @@ def candidate_search(space: ResourceSpace, q: QuestionSyntax,
 
 def _read_slot(found, asked, keys, syn) -> str | None:
     """`at_or_below` of a searched slot, read from its anchor keys."""
-    key = canonical_key(found)
-    if key not in keys:
+    if canonical_key(found) not in keys:
         return None
-    return EQUAL if same_class(found, asked, syn, key) else SUBCLASS
+    return EQUAL if same_class(found, asked, syn) else SUBCLASS
 
 
 def match_answer(q: QuestionSyntax, s: SentenceSyntax,

@@ -9,6 +9,8 @@ Two sources of evidence are combined:
   `EdgeSet` closes its edges once, when it is built, and answers every
   "is A below B" with one `up()` lookup.
 
+`_phrase_relation` is the one judgment of two phrases that reads both.
+
 Composite rules (verb phrases, prepositional phrases, clauses, sentences,
 questions) use a product order: every aligned pair must be the same or a
 subclass, and at least one pair must be strictly more specific.
@@ -126,11 +128,12 @@ class EdgeSet:
     def _step(self, element: Phrase, key: str) -> set[str]:
         """Keys one harvested edge above `element` (whose key is `key`):
         edges from the key itself, and np edges from any phrase the element
-        is modifier-below.  The modifier rule needs equal heads, so only
-        np children with the element's head are tried."""
+        is modifier-below (`_phrase_relation` without edges).  The modifier
+        rule needs equal heads, so only np children with the element's head
+        are tried."""
         out = set(self._parents.get(key, ()))
         for child in self._np_children.get(element.head, ()):
-            if _modifier_below(element, self.elements[child]):
+            if _phrase_relation(element, self.elements[child]) == SUBCLASS:
                 out |= self._parents[child]
         return out
 
@@ -147,14 +150,13 @@ class EdgeSet:
     def puts_below(self, k: str, target: Phrase, key: str) -> bool:
         """Whether reaching harvested key `k` puts a phrase at or below
         `target`, whose key is `key`: `k` is that key or, for a noun target,
-        a harvested phrase of the target's head modifier-below it.  A verb
-        target takes its key alone."""
+        a harvested phrase modifier-below it (`_phrase_relation` without
+        edges).  A verb target takes its key alone."""
         if k == key:
             return True
         if target.kind != NOUN:
             return False
-        element = self.elements[k]
-        return element.head == target.head and _modifier_below(element, target)
+        return _phrase_relation(self.elements[k], target) == SUBCLASS
 
     def __len__(self) -> int:
         return len(self.edges)
@@ -185,6 +187,8 @@ def _contains(larger: tuple[str, ...], smaller: tuple[str, ...]) -> bool:
     """True when `larger`, as a multiset of lemmas, contains `smaller`."""
     if len(smaller) <= 1:
         return not smaller or smaller[0] in larger
+    if len(larger) == len(smaller):
+        return sorted(larger) == sorted(smaller)
     counts = Counter(larger)
     counts.subtract(smaller)
     return min(counts.values()) >= 0
@@ -201,26 +205,39 @@ def phrase_subclass(p1: Phrase, p2: Phrase) -> bool:
         raise KindMismatch(f"{p1.kind} vs {p2.kind}")
     if p1.kind not in (NOUN, ADJECTIVE, ADVERB, VERB):
         raise KindMismatch(f"modifier rule does not apply to {p1.kind}")
-    if p1.head != p2.head:
-        return False
-    m1, m2 = p1.modifiers(), p2.modifiers()
-    return len(m1) > len(m2) and _contains(m1, m2)
+    return _phrase_relation(p1, p2) == SUBCLASS
 
 
-def _harvested_below(child: Phrase, target: Phrase, edges) -> bool:
-    """True when a key that `child` reaches through harvested edges puts
-    it at or below `target` (`EdgeSet.puts_below`)."""
-    if not edges:
-        return False
-    key = canonical_key(target)
-    return any(edges.puts_below(k, target, key) for k in edges.up(child))
-
-
-def _modifier_below(child: Phrase, parent: Phrase) -> bool:
-    try:
-        return phrase_subclass(child, parent)
-    except KindMismatch:
-        return False
+def _phrase_relation(p1: Phrase, p2, edges: EdgeSet | None = None,
+                     syn: SynonymTable | None = None) -> str | None:
+    """Whether phrase p1 is at or below p2: Equal, Subclass or None (also
+    across kinds and prepositions).  Where the heads meet (one head, or
+    synonym verb heads) the modifier multisets decide, and for a verb
+    nothing else counts; a pronoun is Equal by its head.  Otherwise a noun,
+    verb or prepositional phrase is below when a key that its noun or verb
+    side (a PP's inner noun phrase) reaches in `edges` puts it at or below
+    the other side (`EdgeSet.puts_below`)."""
+    kind = p1.kind
+    if not isinstance(p2, Phrase) or kind != p2.kind or (
+            kind == PREPOSITIONAL and p1.preposition() != p2.preposition()):
+        return None
+    verb = kind == VERB
+    if p1.head == p2.head or (verb and syn is not None
+                              and syn.related(p1.head, p2.head)):
+        if kind == PRONOUN:
+            return EQUAL
+        m1, m2 = p1.modifiers(), p2.modifiers()
+        if len(m1) >= len(m2) and _contains(m1, m2):
+            return SUBCLASS if len(m1) > len(m2) else EQUAL
+        if verb:
+            return None
+    if not edges or kind not in (NOUN, VERB, PREPOSITIONAL):
+        return None
+    if kind == PREPOSITIONAL:
+        p1, p2 = _inner_np(p1), _inner_np(p2)
+    key = canonical_key(p2)
+    return SUBCLASS if any(edges.puts_below(k, p2, key)
+                           for k in edges.up(p1)) else None
 
 
 # ---------------------------------------------------------------------------
@@ -238,25 +255,13 @@ def _as_action_np(v) -> tuple[Phrase, Element | None]:
     raise KindMismatch("not a verb phrase")
 
 
-def _action_at_or_below(a1: Phrase, a2: Phrase, edges: EdgeSet,
-                        syn: SynonymTable) -> str | None:
-    """Same or synonym heads compare modifier multisets; other heads meet
-    only through harvested verb-phrase edges ("to sprint is to run")."""
-    if a1.head == a2.head or (syn is not None and syn.related(a1.head, a2.head)):
-        m1, m2 = a1.modifiers(), a2.modifiers()
-        if len(m1) < len(m2) or not _contains(m1, m2):
-            return None
-        return SUBCLASS if len(m1) > len(m2) else EQUAL
-    return SUBCLASS if _harvested_below(a1, a2, edges) else None
-
-
 def verb_phrase_subclass(v1, v2, edges: EdgeSet | None = None,
                          syn: SynonymTable | None = None) -> bool:
     """Verb phrases compare component-wise: each pair same-or-subclass,
     at least one strictly more specific."""
     a1, np1 = _as_action_np(v1)
     a2, np2 = _as_action_np(v2)
-    pairs = (_action_at_or_below(a1, a2, edges, syn),
+    pairs = (_phrase_relation(a1, a2, edges, syn),
              _optional(at_or_below, np1, np2, edges, syn))
     return None not in pairs and SUBCLASS in pairs
 
@@ -281,9 +286,7 @@ def prep_phrase_subclass(q1: Phrase, q2: Phrase,
     if not (isinstance(q1, Phrase) and isinstance(q2, Phrase)
             and q1.kind == PREPOSITIONAL and q2.kind == PREPOSITIONAL):
         raise KindMismatch("prep_phrase_subclass expects prepositional phrases")
-    if q1.preposition() != q2.preposition():
-        return False
-    return at_or_below(_inner_np(q1), _inner_np(q2), edges) == SUBCLASS
+    return _phrase_relation(q1, q2, edges) == SUBCLASS
 
 
 def _inner_np(pp: Phrase) -> Phrase:
@@ -371,30 +374,24 @@ def question_subclass(q1, q2, edges: EdgeSet | None = None,
 # ---------------------------------------------------------------------------
 
 
-def same_class(e1, e2, syn: SynonymTable | None = None,
-               key1: str | None = None) -> bool:
-    """`at_or_below`'s Equal: equal canonical keys (`key1` is e1's, if
-    known), but pronouns by their head, verbs of one or synonym heads by
-    their modifier multisets, adverbials of one kind by their contents and
-    clauses of one lead by their parts in order (a missing part's key only
-    equals a missing part's)."""
+def same_class(e1, e2, syn: SynonymTable | None = None) -> bool:
+    """`at_or_below`'s Equal: phrases by `_phrase_relation` without edges
+    (one head, or synonym verb heads, and equal modifier multisets; a
+    pronoun by its head), adverbials of one kind by their contents and
+    clauses of one lead by their parts in order (a missing part only equals
+    a missing part)."""
     if isinstance(e1, Phrase):
-        if not isinstance(e2, Phrase) or e1.kind != e2.kind:
-            return False
-        if e1.kind == VERB:
-            return _action_at_or_below(e1, e2, None, syn) == EQUAL
-        if e1.kind == PRONOUN or e1.head != e2.head:  # a key embeds its head
-            return e1.head == e2.head
-    elif isinstance(e1, Adverbial):
+        return _phrase_relation(e1, e2, syn=syn) == EQUAL
+    if isinstance(e1, Adverbial):
         return (isinstance(e2, Adverbial) and e1.kind == e2.kind
                 and same_class(e1.content, e2.content, syn))
-    elif isinstance(e1, Clause) and isinstance(e2, Clause):
-        return (e1.lead == e2.lead
+    if isinstance(e1, Clause):
+        return (isinstance(e2, Clause) and e1.lead == e2.lead
                 and len(e1.adverbials) == len(e2.adverbials)
                 and all(same_class(a, b, syn) for a, b in zip(
                     (*slot_elements(e1), *e1.adverbials),
                     (*slot_elements(e2), *e2.adverbials))))
-    return (key1 or canonical_key(e1)) == canonical_key(e2)
+    return e1 is None and e2 is None
 
 
 def at_or_below(e1, e2, edges: EdgeSet | None = None,
@@ -402,21 +399,7 @@ def at_or_below(e1, e2, edges: EdgeSet | None = None,
     """Equal when `same_class`, Subclass when e1 is strictly below e2,
     otherwise None (also across kinds).  One direction only."""
     if isinstance(e1, Phrase):
-        if not isinstance(e2, Phrase) or e1.kind != e2.kind:
-            return None
-        if e1.kind == VERB:
-            return _action_at_or_below(e1, e2, edges, syn)
-        if same_class(e1, e2, syn):
-            return EQUAL
-        if e1.kind == NOUN:
-            below = phrase_subclass(e1, e2) or _harvested_below(e1, e2, edges)
-        elif e1.kind == PREPOSITIONAL:
-            below = prep_phrase_subclass(e1, e2, edges)
-        elif e1.kind == PRONOUN:
-            below = False
-        else:  # adjective / adverb phrases: plain modifier rule
-            below = phrase_subclass(e1, e2)
-        return SUBCLASS if below else None
+        return _phrase_relation(e1, e2, edges, syn)
     if isinstance(e1, Clause):
         if not isinstance(e2, Clause):
             return None

@@ -110,13 +110,16 @@ class TestPause:
         assert passes(lambda: build_space(large_tagged)) == ([0], [])
 
     def test_baseline_rank_runs_at_most_the_pass_at_exit(self, large_list):
-        # the method that allocates most: a vector per document it scores
+        # the method that allocates most: a vector per document it scores;
+        # `large_list` makes 7 young passes under a threshold of 700
+        # (Python 3.11's), so repeat it as often as the threshold has 700s
+        documents = large_list * -(-gc.get_threshold()[0] // 700)
         question = tag(SHORT_QUESTION).lemmas()
         during, _ = passes(lambda: baseline_rank.__wrapped__(
-            "tfidf_cosine", question, large_list))
+            "tfidf_cosine", question, documents))
         assert len(during) >= 3
         during, after = passes(
-            lambda: baseline_rank("tfidf_cosine", question, large_list))
+            lambda: baseline_rank("tfidf_cosine", question, documents))
         assert during in ([], [0]) and after == []
 
     @pytest.mark.parametrize("name", ["ingest_text", "parse_pretagged",

@@ -2,7 +2,7 @@
 
 The two ```python blocks run in order, in one namespace and from the repo
 root, as a reader pasting them into one interpreter would: the second (the
-ranking baselines) reuses `sp` and `corpus` from the first.
+ranking baselines) reuses `sp`, `corpus` and `question` from the first.
 """
 
 import re
@@ -31,5 +31,8 @@ def test_examples_run_in_order(monkeypatch, capsys):
             exec(compile(block, "README.md", "exec"), namespace)
     assert [w for w in caught if w.category is ResourceWarning] == []
     lines = capsys.readouterr().out.splitlines()
+    # the first block prints one line per answer, led by its sentence id
+    answers = lines[:-len(BASELINE_METHODS)]
+    assert answers and all(line.split()[0].isdigit() for line in answers)
     assert [line.split()[0] for line in lines[-len(BASELINE_METHODS):]] == \
         list(BASELINE_METHODS)
