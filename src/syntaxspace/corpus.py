@@ -242,9 +242,9 @@ def _tag_word(word: str, inside: bool):
     if word[0].isupper() and inside:
         return lower, "NNP"
     if lower.endswith("ing"):
-        return _strip_with(lower, lx.verb_lemma_candidates, lx.VERBS), "VBG"
+        return lower, "VBG"
     if lower.endswith("ed"):
-        return _strip_with(lower, lx.verb_lemma_candidates, lx.VERBS), "VBN"
+        return lower, "VBN"
     if lower.endswith("ly"):
         return lower, "RB"
     if lower.endswith(("tion", "ment", "ness", "ity", "ism", "ance", "ence")):
@@ -294,13 +294,6 @@ def _verb_inflection_tag(surface: str, base: str) -> str:
     if surface.endswith("s"):
         return "VBZ"
     return "VB"
-
-
-def _strip_with(word, candidates, vocab):
-    for cand in candidates(word):
-        if cand in vocab:
-            return cand
-    return word
 
 
 _FIXUP_TAGS = frozenset(["NN", "NNS", "VB", "TO"])  # the tags a rule changes

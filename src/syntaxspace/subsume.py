@@ -262,17 +262,17 @@ def verb_phrase_subclass(v1, v2, edges: EdgeSet | None = None,
     a1, np1 = _as_action_np(v1)
     a2, np2 = _as_action_np(v2)
     pairs = (_phrase_relation(a1, a2, edges, syn),
-             _optional(at_or_below, np1, np2, edges, syn))
+             _optional(np1, np2, edges, syn))
     return None not in pairs and SUBCLASS in pairs
 
 
-def _optional(relation, e1, e2, edges, syn) -> str | None:
-    """`relation` of two optional slots: both empty Equal, one empty None."""
+def _optional(e1, e2, edges, syn) -> str | None:
+    """`at_or_below` of optional slots: both empty Equal, one empty None."""
     if e1 is None and e2 is None:
         return EQUAL
     if e1 is None or e2 is None:
         return None
-    return relation(e1, e2, edges, syn)
+    return at_or_below(e1, e2, edges, syn)
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +303,8 @@ def clause_subclass(c1: Clause, c2: Clause, edges: EdgeSet | None = None,
     """Equal lead words plus the component-wise product order."""
     if not (isinstance(c1, Clause) and isinstance(c2, Clause)):
         raise KindMismatch("clause_subclass expects clauses")
-    return c1.lead == c2.lead and _tuple_subclass(c1, c2, edges, syn)
+    return c1.lead == c2.lead \
+        and _tuple_relation(c1, c2, edges, syn) == SUBCLASS
 
 
 # ---------------------------------------------------------------------------
@@ -334,23 +335,32 @@ def pair_adverbials(advs, targets, relation) -> tuple[list, list]:
     return relations, remaining
 
 
-def _tuple_subclass(t1, t2, edges, syn) -> bool:
-    """The product order of two clauses, sentences or questions over the
-    slots of `slot_elements` and the adverbials.  An object group, even
-    an empty one ("What does X send to?"), never stands against none."""
-    if (t1.object is None) != (t2.object is None):
-        return False
-    relations = [_optional(at_or_below, e1, e2, edges, syn)
-                 for e1, e2 in zip(slot_elements(t1), slot_elements(t2))]
-    targets = t2.adverbials
-    if len(t1.adverbials) < len(targets):  # some target would stay unpaired
-        return False
+def _tuple_relation(t1, t2, edges, syn) -> str | None:
+    """Whether clause, sentence or question t1 is at or below t2 over the
+    slots of `slot_elements` and the adverbials: Equal when every slot and,
+    in order, every adverbial is Equal; else Subclass when every slot is at
+    or below, `pair_adverbials` pairs every target, and a slot or pair is
+    Subclass or an adverbial is left over.  An object group, even an empty
+    one ("What does X send to?"), never stands against none."""
+    advs, targets = t1.adverbials, t2.adverbials
+    if (t1.object is None) != (t2.object is None) \
+            or len(advs) < len(targets):  # some target would stay unpaired
+        return None
+    slots = []
+    for e1, e2 in zip(slot_elements(t1), slot_elements(t2)):
+        slots.append(_optional(e1, e2, edges, syn))
+        if slots[-1] is None:
+            return None
+    if SUBCLASS not in slots and len(advs) == len(targets) and all(
+            same_class(a, b, syn) for a, b in zip(advs, targets)):
+        return EQUAL
     pairs, extra = pair_adverbials(
-        t1.adverbials, targets,
+        advs, targets,
         lambda a, i: at_or_below(a.content, targets[i].content, edges, syn))
-    relations.extend(pairs)
-    return all(r in (EQUAL, SUBCLASS) for r in relations) \
-        and (SUBCLASS in relations or bool(extra))
+    slots += pairs
+    if None in slots or not (extra or SUBCLASS in slots):
+        return None
+    return SUBCLASS
 
 
 def sentence_subclass(s1: SentenceSyntax, s2: SentenceSyntax,
@@ -358,7 +368,7 @@ def sentence_subclass(s1: SentenceSyntax, s2: SentenceSyntax,
                       syn: SynonymTable | None = None) -> bool:
     """Component-wise same-or-subclass with n>=m adverbials and at least
     one strictly more specific pair (an extra adverbial counts)."""
-    return _tuple_subclass(s1, s2, edges, syn)
+    return _tuple_relation(s1, s2, edges, syn) == SUBCLASS
 
 
 def question_subclass(q1, q2, edges: EdgeSet | None = None,
@@ -366,7 +376,7 @@ def question_subclass(q1, q2, edges: EdgeSet | None = None,
     """The sentence comparison plus equal interrogative words (and
     question kinds)."""
     return (q1.interrogative == q2.interrogative and q1.kind == q2.kind
-            and _tuple_subclass(q1, q2, edges, syn))
+            and _tuple_relation(q1, q2, edges, syn) == SUBCLASS)
 
 
 # ---------------------------------------------------------------------------
@@ -375,37 +385,27 @@ def question_subclass(q1, q2, edges: EdgeSet | None = None,
 
 
 def same_class(e1, e2, syn: SynonymTable | None = None) -> bool:
-    """`at_or_below`'s Equal: phrases by `_phrase_relation` without edges
-    (one head, or synonym verb heads, and equal modifier multisets; a
-    pronoun by its head), adverbials of one kind by their contents and
-    clauses of one lead by their parts in order (a missing part only equals
-    a missing part)."""
+    """`at_or_below`'s Equal, which reads no harvested edges (a phrase's
+    straight from `_phrase_relation`); a missing part only equals a missing
+    part."""
     if isinstance(e1, Phrase):
         return _phrase_relation(e1, e2, syn=syn) == EQUAL
-    if isinstance(e1, Adverbial):
-        return (isinstance(e2, Adverbial) and e1.kind == e2.kind
-                and same_class(e1.content, e2.content, syn))
-    if isinstance(e1, Clause):
-        return (isinstance(e2, Clause) and e1.lead == e2.lead
-                and len(e1.adverbials) == len(e2.adverbials)
-                and all(same_class(a, b, syn) for a, b in zip(
-                    (*slot_elements(e1), *e1.adverbials),
-                    (*slot_elements(e2), *e2.adverbials))))
-    return e1 is None and e2 is None
+    if e1 is None:
+        return e2 is None
+    return at_or_below(e1, e2, syn=syn) == EQUAL
 
 
 def at_or_below(e1, e2, edges: EdgeSet | None = None,
                 syn: SynonymTable | None = None) -> str | None:
-    """Equal when `same_class`, Subclass when e1 is strictly below e2,
-    otherwise None (also across kinds).  One direction only."""
+    """Equal, Subclass when e1 is strictly below e2, otherwise None (also
+    across kinds): phrases by `_phrase_relation`, clauses of one lead by
+    `_tuple_relation`, adverbials of one kind by their contents.  One
+    direction only."""
     if isinstance(e1, Phrase):
         return _phrase_relation(e1, e2, edges, syn)
-    if isinstance(e1, Clause):
-        if not isinstance(e2, Clause):
-            return None
-        if same_class(e1, e2, syn):
-            return EQUAL
-        return SUBCLASS if clause_subclass(e1, e2, edges, syn) else None
+    if isinstance(e1, Clause) and isinstance(e2, Clause) \
+            and e1.lead == e2.lead:
+        return _tuple_relation(e1, e2, edges, syn)
     if isinstance(e1, Adverbial) and isinstance(e2, Adverbial) \
             and e1.kind == e2.kind:
         return at_or_below(e1.content, e2.content, edges, syn)

@@ -76,7 +76,7 @@ from syntaxspace.corpus import (ACTIVE, NOUN_TAGS, PASSIVE_AGENTLESS,
                                 PASSIVE_CONVERTED, TAGSET, VERB_TAGS,
                                 _NP_TAGS, _PUNCT_TAGS, MalformedLine,
                                 TaggedSentence, _open_class_reading,
-                                _strip_with, _verb_inflection_tag, tokenize)
+                                _verb_inflection_tag, tokenize)
 from syntaxspace.evaluation import (BASELINE_METHODS, BaselineConfig,
                                     UnknownMethod)
 from syntaxspace.lexicon import ALL_MARKERS, FUNCTION_LEMMAS
@@ -387,6 +387,13 @@ def _tag_word(word: str, i: int):
     if lower.endswith("s") and lower not in lx.S_FINAL_SINGULARS:
         return lx.noun_lemma_candidates(lower)[0], "NNS"
     return lower, "NN"
+
+
+def _strip_with(word, candidates, vocab):
+    for cand in candidates(word):
+        if cand in vocab:
+            return cand
+    return word
 
 
 def _aux_tag(lower: str) -> str:
@@ -1161,7 +1168,12 @@ _CLAUSES = [Clause("to", None, action, obj)
     + [Clause("to", None, vp("jog"), np("model", "neural")),
        Clause("that", np("system", "neural"), vp("run"), None,
               (Adverbial("place", pp("in", "model")),)),
-       Clause("whether", np("system"), vp("move"), None)]
+       Clause("whether", np("system"), vp("move"), None)] \
+    + [Clause("that", np("system"), vp("move"), None, advs)  # both orders
+       for advs in ((Adverbial("place", pp("in", "model")),
+                     Adverbial("place", pp("on", "system"))),
+                    (Adverbial("place", pp("on", "system")),
+                     Adverbial("place", pp("in", "model"))))]
 _ADVERBIALS = [Adverbial(kind, content) for kind in ("place", "time")
                for content in (pp("in", "model"), pp("in", "model", "neural"),
                                pp("on", "system"))] \
