@@ -31,12 +31,10 @@ TAGGERS = ("builtin", "pretagged")
 
 
 @dataclass
-class Config:
+class Config(evaluation.BaselineConfig):
+    """The baseline options and the commands' own."""
     tagger: str = "builtin"  # one of TAGGERS
     synonym_path: str | None = None
-    bm25_k1: float = 1.2
-    bm25_b: float = 0.75
-    gst_min_tile: int = 2
     top_k: int = 5
 
 
@@ -55,7 +53,8 @@ def load_config(args) -> Config:
     config = Config()
     path = os.environ.get(CONFIG_ENV)
     if path:
-        with _naming(path, ValueError), open(path, encoding="utf-8") as handle:
+        with _naming(path, ValueError), \
+                open(path, encoding="utf-8-sig") as handle:
             values = json.load(handle)
         if not isinstance(values, dict):
             raise ValueError(f"{path}: top level must be a JSON object")
@@ -222,15 +221,13 @@ def cmd_eval(args, config: Config) -> int:
     # baselines: argparse admits no other target
     index = evaluation.BaselineIndex(
         (sid, space.records[sid].lemmas) for sid in space.sentence_ids())
-    bconfig = evaluation.BaselineConfig(config.bm25_k1, config.bm25_b,
-                                        config.gst_min_tile)
     questions = {question: tag(question).lemmas()
                  for question in sorted(gold)}
     for method in evaluation.BASELINE_METHODS:
         system = {}
         for question, q_lemmas in questions.items():
             ranked = evaluation.baseline_rank(method, q_lemmas, index,
-                                              bconfig)
+                                              config)
             system[question] = ranked[:config.top_k]
         precision, correct, returned = evaluation.qa_precision(
             gold, system, config.top_k)
@@ -256,7 +253,8 @@ def _naming(path: str, errors=UnicodeDecodeError):
 
 
 def _read(path: str) -> str:
-    with _naming(path), open(path, encoding="utf-8") as handle:
+    """The text of `path`, less a leading UTF-8 byte-order mark."""
+    with _naming(path), open(path, encoding="utf-8-sig") as handle:
         return handle.read()
 
 

@@ -354,7 +354,7 @@ def load_pretagged(path) -> list[TaggedSentence]:
     """Load sentences from TSV: `surface<TAB>lemma<TAB>pos`, blank-line
     separated; `#doc <id>` lines set the document id.  Bypasses the tagger.
     """
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8-sig") as handle:
         return parse_pretagged(handle.read())
 
 

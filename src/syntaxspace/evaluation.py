@@ -80,7 +80,7 @@ def space_closure(space) -> set[tuple[str, str, str]]:
 
 def load_gold_relations(path) -> set[tuple[str, str, str]]:
     out = set()
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8-sig") as handle:
         for lineno, line in enumerate(handle, 1):
             line = line.rstrip("\n")
             if not line or line.startswith("#"):
@@ -130,7 +130,7 @@ def load_gold_answers(path) -> dict[str, set[int]]:
     """`Q: <text>` lines followed by `A: <sentence_id>` lines."""
     out: dict[str, set[int]] = {}
     current: str | None = None
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8-sig") as handle:
         for lineno, line in enumerate(handle, 1):
             line = line.strip()
             if line.startswith("Q:"):

@@ -17,7 +17,7 @@ from . import lexicon as lx
 from .corpus import TaggedSentence
 from .space import ResourceSpace, search  # noqa: F401 (callers rebind it)
 from .subsume import (EQUAL, EdgeSet, SUBCLASS, SynonymTable, at_or_below,
-                      pair_adverbials, same_class)
+                      pair_adverbials)
 from .subsume import compare_elements  # noqa: F401 (callers rebind it)
 from .syntax import (Adverbial, Element, ObjectGroup, Phrase, SentenceSyntax,
                      VERB, _Parser, _nominal_start, _verb_group_start,
@@ -313,7 +313,7 @@ def _read_slot(found, asked, keys, syn) -> str | None:
     """`at_or_below` of a searched slot, read from its anchor keys."""
     if canonical_key(found) not in keys:
         return None
-    return EQUAL if same_class(found, asked, syn) else SUBCLASS
+    return EQUAL if at_or_below(found, asked, syn=syn) == EQUAL else SUBCLASS
 
 
 def match_answer(q: QuestionSyntax, s: SentenceSyntax,
@@ -412,9 +412,8 @@ def answer(space: ResourceSpace, question: TaggedSentence | QuestionSyntax,
 
 def _any_pair_related(a, b, edges, syn) -> bool:
     pairs = [pair for pair in zip(slot_elements(a), slot_elements(b))
-             if None not in pair]
-    pairs += [(x.content, y.content) for x in a.adverbials
-              for y in b.adverbials if x.kind == y.kind]
+             if None not in pair]  # a part both lack is no evidence
+    pairs += [(x, y) for x in a.adverbials for y in b.adverbials]
     return any(at_or_below(e1, e2, edges, syn)
                or at_or_below(e2, e1, edges, syn) for e1, e2 in pairs)
 

@@ -63,7 +63,7 @@ class SynonymTable:
     @classmethod
     def load(cls, path) -> "SynonymTable":
         pairs = []
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig") as handle:
             for lineno, line in enumerate(handle, 1):
                 line = line.strip()
                 if not line or line.startswith("#"):
@@ -262,17 +262,8 @@ def verb_phrase_subclass(v1, v2, edges: EdgeSet | None = None,
     a1, np1 = _as_action_np(v1)
     a2, np2 = _as_action_np(v2)
     pairs = (_phrase_relation(a1, a2, edges, syn),
-             _optional(np1, np2, edges, syn))
+             at_or_below(np1, np2, edges, syn))
     return None not in pairs and SUBCLASS in pairs
-
-
-def _optional(e1, e2, edges, syn) -> str | None:
-    """`at_or_below` of optional slots: both empty Equal, one empty None."""
-    if e1 is None and e2 is None:
-        return EQUAL
-    if e1 is None or e2 is None:
-        return None
-    return at_or_below(e1, e2, edges, syn)
 
 
 # ---------------------------------------------------------------------------
@@ -303,8 +294,7 @@ def clause_subclass(c1: Clause, c2: Clause, edges: EdgeSet | None = None,
     """Equal lead words plus the component-wise product order."""
     if not (isinstance(c1, Clause) and isinstance(c2, Clause)):
         raise KindMismatch("clause_subclass expects clauses")
-    return c1.lead == c2.lead \
-        and _tuple_relation(c1, c2, edges, syn) == SUBCLASS
+    return at_or_below(c1, c2, edges, syn) == SUBCLASS
 
 
 # ---------------------------------------------------------------------------
@@ -348,15 +338,15 @@ def _tuple_relation(t1, t2, edges, syn) -> str | None:
         return None
     slots = []
     for e1, e2 in zip(slot_elements(t1), slot_elements(t2)):
-        slots.append(_optional(e1, e2, edges, syn))
+        slots.append(at_or_below(e1, e2, edges, syn))
         if slots[-1] is None:
             return None
     if SUBCLASS not in slots and len(advs) == len(targets) and all(
-            same_class(a, b, syn) for a, b in zip(advs, targets)):
+            at_or_below(a, b, syn=syn) == EQUAL
+            for a, b in zip(advs, targets)):
         return EQUAL
     pairs, extra = pair_adverbials(
-        advs, targets,
-        lambda a, i: at_or_below(a.content, targets[i].content, edges, syn))
+        advs, targets, lambda a, i: at_or_below(a, targets[i], edges, syn))
     slots += pairs
     if None in slots or not (extra or SUBCLASS in slots):
         return None
@@ -384,23 +374,15 @@ def question_subclass(q1, q2, edges: EdgeSet | None = None,
 # ---------------------------------------------------------------------------
 
 
-def same_class(e1, e2, syn: SynonymTable | None = None) -> bool:
-    """`at_or_below`'s Equal, which reads no harvested edges (a phrase's
-    straight from `_phrase_relation`); a missing part only equals a missing
-    part."""
-    if isinstance(e1, Phrase):
-        return _phrase_relation(e1, e2, syn=syn) == EQUAL
-    if e1 is None:
-        return e2 is None
-    return at_or_below(e1, e2, syn=syn) == EQUAL
-
-
 def at_or_below(e1, e2, edges: EdgeSet | None = None,
                 syn: SynonymTable | None = None) -> str | None:
     """Equal, Subclass when e1 is strictly below e2, otherwise None (also
-    across kinds): phrases by `_phrase_relation`, clauses of one lead by
-    `_tuple_relation`, adverbials of one kind by their contents.  One
-    direction only."""
+    across kinds): a missing part is Equal to a missing part alone, phrases
+    go by `_phrase_relation`, clauses of one lead by `_tuple_relation` and
+    adverbials of one kind by their contents.  One direction only.  Equal
+    never reads harvested edges, so `edges` may be left out to ask it."""
+    if e1 is None:
+        return EQUAL if e2 is None else None
     if isinstance(e1, Phrase):
         return _phrase_relation(e1, e2, edges, syn)
     if isinstance(e1, Clause) and isinstance(e2, Clause) \

@@ -516,6 +516,51 @@ def test_unreadable_file_is_named(workspace, capsys, monkeypatch, kind):
     assert out == "" and err.count("\n") == 1
 
 
+# each kind of input file: its text, given the short corpus and space, and
+# the command that reads it at `path`, writing to `out` if it writes
+BOM_INPUTS = {
+    "config": (lambda corpus, space: '{"top_k": 1}',
+               lambda space, path, out: ["query", space, SHORT_QUESTION]),
+    "gold_answers": (lambda corpus, space: f"Q: {SHORT_QUESTION}\nA: 1\n",
+                     lambda space, path, out: ["eval", "qa", space, path]),
+    "gold_relations": (
+        lambda corpus, space: "np(lexrank|)\tnp(algorithm|unsupervised)"
+                              "\tsubject\n",
+        lambda space, path, out: ["eval", "relations", space, path]),
+    "pretagged": (lambda corpus, space: corpus.read_text(),
+                  lambda space, path, out: ["--tagger", "pretagged", "ingest",
+                                            path, "-o", out]),
+    "snapshot": (lambda corpus, space: space.read_text(),
+                 lambda space, path, out: ["query", path, SHORT_QUESTION]),
+    "synonyms": (lambda corpus, space: "build\tconstruct\n",
+                 lambda space, path, out: ["--synonyms", path, "query", space,
+                                           "What constructs an extract?"]),
+    "text": (lambda corpus, space: " ".join(SHORT_INPUT) + "\n",
+             lambda space, path, out: ["ingest", path, "-o", out]),
+    "tsv": (lambda corpus, space: corpus.read_text(),
+            lambda space, path, out: ["build", path, "-o", out]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BOM_INPUTS))
+def test_byte_order_mark_is_not_read_as_text(workspace, capsys, monkeypatch,
+                                             kind):
+    text, argv = BOM_INPUTS[kind]
+    corpus_snap, space_snap = build_short(workspace, capsys)
+    text = text(corpus_snap, space_snap)
+    path, out = workspace / kind, workspace / f"{kind}.out"
+    if kind == "config":
+        monkeypatch.setenv("SYNTAXSPACE_CONFIG", str(path))
+    results = []
+    for mark in ("", "\ufeff"):
+        path.write_text(mark + text, encoding="utf-8")
+        out.unlink(missing_ok=True)
+        code, stdout, err = run(capsys, *argv(space_snap, path, out))
+        results.append((code, stdout, err,
+                        out.read_bytes() if out.exists() else None))
+    assert results[0][0] == 0 and results[1] == results[0]
+
+
 class TestProcessEntry:
     def test_run_calls_main_without_the_collector_then_freezes(
             self, monkeypatch):

@@ -137,6 +137,14 @@ class TestPretagged:
         assert len(sentences[0].tokens) == 4
         assert sentences[0].doc_id == "d1"
 
+    def test_byte_order_mark_is_not_read_as_text(self, tmp_path):
+        path = tmp_path / "one.tsv"
+        path.write_text("\ufeff#doc d1\nLexRank\tlexrank\tNNP\n",
+                        encoding="utf-8")
+        sentences = load_pretagged(path)
+        assert sentences[0].doc_id == "d1"
+        assert sentences[0].tokens[0].surface == "LexRank"
+
     def test_unknown_tag_rejected(self, tmp_path):
         path = tmp_path / "bad.tsv"
         path.write_text("word\tword\tXX\n")

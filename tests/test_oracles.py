@@ -92,7 +92,7 @@ from syntaxspace.subsume import (EQUAL, MODIFIER, RELATED, SUBCLASS,
                                  _as_action_np, _inner_np, _shape,
                                  at_or_below, clause_subclass,
                                  element_subclass, harvest_edges,
-                                 question_subclass, reach, same_class,
+                                 question_subclass, reach,
                                  sentence_subclass, verb_phrase_subclass)
 from syntaxspace.syntax import (ADJECTIVE, ADVERB, NOUN, PREPOSITIONAL,
                                 PRONOUN, VERB, Adverbial, Clause, ObjectGroup,
@@ -1217,14 +1217,16 @@ def test_at_or_below_derives_the_five_valued_relation(edges, syn):
                 == expected, (e1, e2)
             below = expected if expected in (EQUAL, SUBCLASS) else None
             assert at_or_below(e1, e2, edges, syn) == below, (e1, e2)
-    # `same_class` is `at_or_below`'s Equal, and a missing part is the same
-    # only as a missing part
+    # a missing part is Equal to a missing part alone, and Equal never reads
+    # harvested edges
     parts = ELEMENTS + _MODIFIED + _OFF_DIMENSION + [None]
     for e1 in parts:
         for e2 in parts:
-            same = e2 is None if e1 is None \
-                else at_or_below(e1, e2, edges, syn) == EQUAL
-            assert same_class(e1, e2, syn) == same, (e1, e2)
+            relation = at_or_below(e1, e2, edges, syn)
+            if None in (e1, e2):
+                assert relation == (EQUAL if e1 is e2 else None), (e1, e2)
+            assert (at_or_below(e1, e2, syn=syn) == EQUAL) \
+                == (relation == EQUAL), (e1, e2)
     for v1 in VERB_PHRASES:
         for v2 in VERB_PHRASES:
             assert verb_phrase_subclass(v1, v2, edges, syn) \

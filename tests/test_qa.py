@@ -388,12 +388,14 @@ class TestSearchedSlots:
     def test_searched_slots_ask_no_at_or_below(self, short_space,
                                                monkeypatch):
         # subject (typed gap and given), action, direct object and question
-        # adverbials are read; only the indirect slot asks
+        # adverbials are read; only the indirect slot asks with the harvested
+        # edges (a read slot asks its Equal without them)
         calls = []
 
-        def recorded(*args):
-            calls.append(args)
-            return at_or_below(*args)
+        def recorded(found, asked, edges=None, syn=None):
+            if edges is not None:
+                calls.append((found, asked))
+            return at_or_below(found, asked, edges, syn)
         monkeypatch.setattr(qa, "at_or_below", recorded)
         for question in (SHORT_QUESTION, "What algorithm builds an extract?",
                          "Does supervised algorithm build an extract by "
@@ -406,7 +408,7 @@ class TestSearchedSlots:
         question = q("Which node does the network send the weight to?")
         # a typed gap takes only a strictly more specific answer
         assert [sid for sid, _ in answer(space, question)] == [2]
-        assert [asked for _, asked, *_ in calls] \
+        assert [asked for _, asked in calls] \
             == [question.object.indirect] * 2
 
 

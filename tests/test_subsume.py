@@ -7,13 +7,15 @@ from syntaxspace import corpus, subsume
 from syntaxspace.corpus import tag
 from syntaxspace.subsume import (EQUAL, KindMismatch, RELATED, SUBCLASS,
                                  SUPERCLASS, UNRELATED, SynonymTable,
-                                 clause_subclass, element_subclass,
+                                 at_or_below, clause_subclass,
+                                 compare_elements, element_subclass,
                                  harvest_edges, phrase_subclass,
                                  prep_phrase_subclass, question_subclass,
                                  scan_syntactic_patterns, sentence_subclass,
                                  verb_phrase_subclass)
-from syntaxspace.syntax import (Clause, canonical_key, parse_sentence)
-from syntaxspace.qa import parse_question
+from syntaxspace.syntax import (Adverbial, Clause, SentenceSyntax,
+                                canonical_key, parse_sentence)
+from syntaxspace.qa import parse_question, sentence_relevant
 from syntaxspace.space import build_space
 
 from conftest import adjp, advp, np, pp, tag_corpus, vp
@@ -306,6 +308,30 @@ class TestElementSubclass:
         syn = SynonymTable([("build", "construct")])
         assert element_subclass(vp("build"), vp("construct"), None, syn) == EQUAL
         assert element_subclass(vp("build"), vp("construct")) == UNRELATED
+
+
+class TestMissingParts:
+    PARTS = [np("algorithm"), vp("build"), pp("in", "model"),
+             Clause("that", np("system"), vp("run"), None, ()),
+             Adverbial("place", pp("in", "model"))]
+
+    def test_missing_part_equals_missing_part(self):
+        assert at_or_below(None, None) == EQUAL
+
+    @pytest.mark.parametrize("part", PARTS)
+    def test_missing_part_against_a_part_is_unrelated(self, part):
+        assert at_or_below(None, part) is None
+        assert at_or_below(part, None) is None
+
+    def test_element_relations_still_refuse_missing_parts(self):
+        with pytest.raises(KindMismatch):
+            element_subclass(None, None)
+        assert compare_elements(None, None) == UNRELATED
+
+    def test_sentences_lacking_one_part_are_not_relevant_by_it(self):
+        s1 = SentenceSyntax(1, np("algorithm"), vp("build"), None, ())
+        s2 = SentenceSyntax(2, np("extract"), vp("rank"), None, ())
+        assert not sentence_relevant(s1, s2)
 
 
 class TestSynonymTable:
