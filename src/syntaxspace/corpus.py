@@ -220,7 +220,7 @@ def _tag_word(word: str, inside: bool):
         return lower, "IN"  # complementizer reading; NP rule handles the rest
     if lower in ("such", "other", "own"):
         return lower, "JJ"
-    if lower in lx.DETERMINERS and lower not in ("many", "most", "several", "few", "one", "more", "such", "all", "both"):
+    if lower in lx.DETERMINERS and lower not in ("many", "most", "several", "few", "one", "more", "all", "both"):
         return lower, "DT"
     if lower in lx.PRONOUNS:
         return lower, "PRP"
@@ -291,9 +291,7 @@ def _verb_inflection_tag(surface: str, base: str) -> str:
         return "VBD"
     if surface.endswith("ed"):
         return "VBN"  # spelling-variant participles ("labelled")
-    if surface.endswith("s"):
-        return "VBZ"
-    return "VB"
+    return "VBZ"  # every other inflection the candidates strip ends in -s
 
 
 _FIXUP_TAGS = frozenset(["NN", "NNS", "VB", "TO"])  # the tags a rule changes
@@ -323,19 +321,16 @@ def _contextual_fixups(out: list[Token]) -> None:
                 # plural/proper noun + base form agrees as a finite verb; a
                 # singular common noun before keeps the compound reading
                 out[i] = tok._replace(pos="VBP")
-        # Base verbs in the lexicon: -s surface means VBZ after a nominal; a
-        # determiner or true preposition before forces the noun reading
-        # (subordinators like "that" do precede verbs).
+        # Base verbs in the lexicon (surface and lemma alike): a determiner,
+        # adjective, possessive or true preposition before forces the noun
+        # reading (subordinators like "that" do precede verbs); a plural or
+        # proper noun or a plural pronoun before makes it VBP.
         if tok.pos == "VB":
-            surf = tok.surface.lower()
             noun_trigger = prev is not None and (
                 prev.pos in ("DT", "JJ", "PRP$", "POS")
-                or (prev.pos == "IN" and prev.lemma in lx.PREPOSITIONS
-                    and prev.lemma not in ("that", "whether")))
+                or (prev.pos == "IN" and prev.lemma in lx.PREPOSITIONS))
             if noun_trigger:
-                out[i] = tok._replace(pos="NNS" if surf != tok.lemma else "NN")
-            elif surf != tok.lemma:
-                out[i] = tok._replace(pos=_verb_inflection_tag(surf, tok.lemma))
+                out[i] = tok._replace(pos="NN")
             elif prev is not None and prev.pos in ("NNS", "NNPS", "NNP") or (prev is not None and prev.pos == "PRP" and prev.lemma in ("i", "you", "we", "they")):
                 out[i] = tok._replace(pos="VBP")
         # "to" before a base verb is infinitival TO, before a nominal it is IN.

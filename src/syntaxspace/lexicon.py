@@ -103,7 +103,7 @@ CONDITION_MARKERS = frozenset(
      "in case of", "on condition that"]
 )
 
-# Priority order used when a marker appears in several tables.
+# Priority order: a marker in several tables takes the first one's kind.
 MARKER_TABLES = (
     ("condition", CONDITION_MARKERS),
     ("reason", REASON_MARKERS),
@@ -113,7 +113,10 @@ MARKER_TABLES = (
     ("time", TIME_MARKERS),
 )
 
-ALL_MARKERS = frozenset().union(*(table for _, table in MARKER_TABLES))
+# Marker -> the kind of the first table that lists it.
+MARKER_KINDS = {marker: kind for kind, table in reversed(MARKER_TABLES)
+                for marker in table}
+ALL_MARKERS = frozenset(MARKER_KINDS)
 
 # First lemma -> the (marker, words) pairs it starts, longest first: the
 # first that `match_marker` finds is the longest, as no two share words.

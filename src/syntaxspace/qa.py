@@ -245,9 +245,7 @@ def _strip_aux(action: Phrase) -> Phrase:
     """Drop auxiliary/modal pre-head items from a question action: they are
     functional and would block matching declarative actions.  Negation is
     kept for polarity-sensitive comparison."""
-    keep = tuple(m for m in action.pre
-                 if m in lx.NEGATION_WORDS
-                 or m not in _AUX_LEMMAS and m not in lx.MODAL_VERBS)
+    keep = tuple(m for m in action.pre if m not in _AUX_LEMMAS)
     return Phrase(VERB, action.head, keep, action.post, action.span)
 
 

@@ -261,32 +261,6 @@ def match_marker(tokens, i) -> tuple[str, int] | None:
     return None
 
 
-def classify_marker(marker: str, content: Element | None,
-                    has_finite: bool) -> str:
-    """Pick the adverbial kind for a marker, in table priority order.
-
-    Ambiguous markers are resolved by content: a clause with a finite verb
-    prefers the reason/condition reading; a bare nominal headed by a time
-    noun prefers time.
-    """
-    kinds = [kind for kind, table in lx.MARKER_TABLES if marker in table]
-    if not kinds:
-        return "unclassified"
-    if len(kinds) == 1:
-        return kinds[0]
-    noun_kind = _noun_kind(content.head, None) \
-        if isinstance(content, Phrase) else None
-    if noun_kind == "time" and "time" in kinds:
-        return "time"
-    if has_finite:
-        for kind in ("condition", "reason"):
-            if kind in kinds:
-                return kind
-    if noun_kind == "place" and "place" in kinds:
-        return "place"
-    return kinds[0]
-
-
 # ---------------------------------------------------------------------------
 # Parser
 # ---------------------------------------------------------------------------
@@ -503,10 +477,11 @@ class _Parser:
         matched = match_marker(tokens, i)
         if matched:
             marker, j = matched
-            content, k, has_finite = self._parse_adverbial_content(j, end, marker)
+            content, k = self._parse_adverbial_content(j, end, marker)
             if content is not None:
-                kind = classify_marker(marker, content, has_finite)
-                if isinstance(content, Phrase) and content.kind == PREPOSITIONAL:
+                # a prepositional content's head noun may overrule the marker
+                kind = lx.MARKER_KINDS[marker]
+                if isinstance(content, Phrase):
                     kind = _noun_kind(content.head, kind)
                 return Adverbial(kind, content, span=(start, k)), k
         if i >= end:
@@ -546,25 +521,22 @@ class _Parser:
         """Content after a marker: a clause, a gerund clause, or a flat PP."""
         tokens = self.tokens
         if i >= end or _is_punct(tokens[i]):
-            return None, i, False
+            return None, i
         if tokens[i].pos == "VBG" or _infinitive_start(tokens, i, end):
-            clause, k = self._parse_verb_clause(
+            return self._parse_verb_clause(
                 i, end, marker, stop_at_finite=tokens[i].pos == "VBG")
-            return clause, k, False
         if _verb_group_start(tokens, i):
-            clause, k = self._parse_clause_body(i, end, lead=marker)
-            return clause, k, True
+            return self._parse_clause_body(i, end, lead=marker)
         if _nominal_start(tokens, i):
             probe, j = self.parse_np(i, end)
             if probe is None:
-                return None, i, False
+                return None, i
             if j < end and _verb_group_start(tokens, j):
-                clause, k = self._parse_clause_body(i, end, lead=marker)
-                return clause, k, True
+                return self._parse_clause_body(i, end, lead=marker)
             pp = Phrase(PREPOSITIONAL, probe.head, (marker,) + probe.pre,
                         probe.post, (i, j))
-            return pp, j, False
-        return None, i, False
+            return pp, j
+        return None, i
 
     # -- clause bodies -----------------------------------------------------
 

@@ -207,6 +207,17 @@ class TestPipeline:
         assert code == 0
         assert '"action": ("", "build", "")' in out
 
+    def test_dump_parse_marks_a_sentence_without_a_verb(self, tmp_path,
+                                                         capsys):
+        raw, corpus_snap = tmp_path / "v.txt", tmp_path / "v.snap"
+        raw.write_text("Hello there. The team builds models.\n")
+        assert run(capsys, "ingest", raw, "-o", corpus_snap)[0] == 0
+        code, out, _ = run(capsys, "dump-parse", corpus_snap)
+        assert code == 0
+        assert out.startswith("# sentence 1: Hello there .\n"
+                              "# unparsed: sentence 1: no verb group found\n"
+                              "\n# sentence 2: The team builds models .\n")
+
     def test_build_is_byte_identical(self, workspace, capsys):
         corpus_snap, space_snap = build_short(workspace, capsys)
         first = space_snap.read_bytes()
@@ -246,6 +257,18 @@ class TestEvalCommands:
         code, out, _ = run(capsys, "eval", "qa", space_snap, gold)
         assert code == 0
         assert "qa precision@5 = 100.00% (1/1)" in out
+
+    def test_eval_qa_reads_a_non_question_as_no_answers(self, workspace,
+                                                        capsys):
+        # "hello there" returns nothing, and 99 is no sentence of the corpus
+        _, space_snap = build_short(workspace, capsys)
+        gold = workspace / "gold_answers.txt"
+        gold.write_text(f"Q: {SHORT_QUESTION}\nA: 1\nQ: hello there\nA: 2\n"
+                        "A: 99\n")
+        code, out, err = run(capsys, "eval", "qa", space_snap, gold)
+        assert code == 0
+        assert out == "qa precision@5 = 100.00% (1/1)\n"
+        assert err == "warning: gold answer ids not in corpus: [99]\n"
 
     def test_eval_baselines(self, workspace, capsys):
         _, space_snap = build_short(workspace, capsys)

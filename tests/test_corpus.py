@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from syntaxspace import corpus
+from syntaxspace import lexicon as lx
 from syntaxspace.corpus import (MalformedLine, load_pretagged, normalize_voice,
                                 parse_pretagged, serialize_pretagged,
                                 split_sentences, tag)
@@ -70,6 +71,29 @@ class TestTagger:
         # before it gives the verb reading
         tags = {t.surface: t.pos for t in tag(text).tokens}
         assert tags["test"] == "VB"
+
+    @pytest.mark.parametrize("word, lemma, pos", [
+        ("whose", "whose", "WP$"),
+        ("wrote", "write", "VBD"),  # irregular past
+        ("addes", "add", "VBZ"),  # an -es form that is not `third_singular`
+        ("applied", "apply", "VBN"),
+        ("corpora", "corpus", "NNS"),  # irregular plural
+    ])
+    def test_word_readings(self, word, lemma, pos):
+        tok = tag(word).tokens[0]
+        assert (tok.lemma, tok.pos) == (lemma, pos)
+
+    @pytest.mark.parametrize("text, pos", [("Researchers test models.", "VBP"),
+                                           ("The team tests models.", "VBZ")])
+    def test_noun_and_verb_after_a_noun_is_a_verb(self, text, pos):
+        # "test" is a lexicon noun and verb: a base form after a plural
+        # noun agrees with it, an -s form after any noun is VBZ
+        tags = [t.pos for t in tag(text).tokens]
+        assert tags[-3:] == [pos, "NNS", "."]
+
+    def test_third_singular_of_the_auxiliaries(self):
+        assert [lx.third_singular(v) for v in ("be", "have", "do")] \
+            == ["is", "has", "does"]
 
     def test_unknown_word_suffixes(self):
         tags = {t.surface: t.pos for t in tag("zorbing zorbed zorbly zorbness").tokens}
@@ -187,6 +211,17 @@ class TestPretagged:
             == [[(t.surface, t.lemma, t.pos) for t in s.tokens] for s in sentences]
         assert [s.doc_id for s in again] == ["d1", "d2"]
 
+    def test_voices_round_trip(self):
+        sentences = [normalize_voice(tag(text)) for text in (
+            "the extract is built by LexRank", "LexRank builds an extract",
+            "the extract is built well")]
+        text = serialize_pretagged(sentences)
+        assert [line for line in text.splitlines()
+                if line.startswith("#voice")] \
+            == ["#voice passive_converted", "#voice passive_agentless"]
+        assert [s.voice for s in parse_pretagged(text)] == [
+            corpus.PASSIVE_CONVERTED, corpus.ACTIVE, corpus.PASSIVE_AGENTLESS]
+
 
 class TestNormalizeVoice:
     def test_agentful_passive_converted(self):
@@ -215,6 +250,29 @@ class TestNormalizeVoice:
     def test_past_tense_preserved(self):
         out = normalize_voice(tag("the prize was won by the researcher"))
         assert "won" in [t.surface for t in out.tokens]
+
+    def test_irregular_do_agrees_with_the_agent(self):
+        out = normalize_voice(tag("The model is done by the team."))
+        assert [t.surface for t in out.tokens] \
+            == ["the", "team", "does", "The", "model", "."]
+        assert out.tokens[2].lemma == "do"
+
+    def test_trailing_preposition_is_cut_from_the_agent(self):
+        out = normalize_voice(tag("The model is built by the team in."))
+        assert [t.surface for t in out.tokens] \
+            == ["the", "team", "builds", "The", "model", "in", "."]
+
+    def test_agent_without_a_noun_is_agentless(self):
+        tagged = tag("The model is built by the large.")
+        out = normalize_voice(tagged)
+        assert out.voice == corpus.PASSIVE_AGENTLESS
+        assert out.tokens == tagged.tokens
+
+    def test_window_without_a_noun_before_it_is_left_alone(self):
+        tagged = tag("The big is built by the team.")
+        out = normalize_voice(tagged)
+        assert out.voice == corpus.ACTIVE
+        assert out.tokens == tagged.tokens
 
     def test_modal_keeps_base_form(self):
         out = normalize_voice(tag("the extract can be built well by unsupervised algorithm"))

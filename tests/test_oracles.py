@@ -58,14 +58,22 @@ are also checked, token for token and of the type `corpus.Token`, against
 `ref_loop_tag` and `ref_contextual_fixups`: the tagger that built each
 namedtuple token in a loop and visited every token in its fixups, copied
 unchanged but for their names and for reading the memoized `_tag_word` and
-`Token` from `corpus`.
+`Token` from `corpus`.  The two fixups call `ref_verb_inflection_tag`.
+
+`classify_marker`, `_verb_inflection_tag` and `qa._strip_aux` are kept as
+they were before each became the one rule it always gave: a marker's kind
+from its first table, then a prepositional content's head noun; "VBZ" for
+every inflection left after the participle test; every pre-head item that
+is not an auxiliary.  Their tests run every marker against every content
+shape, every inflected form of a `VERBS` lemma, and every pre-head of up to
+two closed-class words.
 """
 
 import math
 import re
 from collections import Counter
 from dataclasses import dataclass, replace
-from itertools import combinations
+from itertools import combinations, product
 from unittest import mock
 
 from hypothesis import given, settings, strategies as st
@@ -96,7 +104,8 @@ from syntaxspace.subsume import (EQUAL, MODIFIER, RELATED, SUBCLASS,
                                  sentence_subclass, verb_phrase_subclass)
 from syntaxspace.syntax import (ADJECTIVE, ADVERB, NOUN, PREPOSITIONAL,
                                 PRONOUN, VERB, Adverbial, Clause, ObjectGroup,
-                                Phrase, SentenceSyntax, canonical_key,
+                                Phrase, SentenceSyntax, _noun_kind,
+                                canonical_key, classify_adverbial,
                                 match_marker)
 
 from conftest import UNICODE_SPACES, adjp, advp, np, pp, vp
@@ -439,7 +448,7 @@ def _contextual_fixups(tokens: list[Token]) -> list[Token]:
             if noun_trigger:
                 out[i] = replace(tok, pos="NNS" if surf != tok.lemma else "NN")
             elif surf != tok.lemma:
-                out[i] = replace(tok, pos=_verb_inflection_tag(surf, tok.lemma))
+                out[i] = replace(tok, pos=ref_verb_inflection_tag(surf, tok.lemma))
             elif prev is not None and prev.pos in ("NNS", "NNPS", "NNP") or (prev is not None and prev.pos == "PRP" and prev.lemma in ("i", "you", "we", "they")):
                 out[i] = replace(tok, pos="VBP")
         # "to" before a base verb is infinitival TO, before a nominal it is IN.
@@ -494,7 +503,7 @@ def ref_contextual_fixups(tokens: list[corpus.Token]) -> list[corpus.Token]:
             if noun_trigger:
                 out[i] = tok._replace(pos="NNS" if surf != tok.lemma else "NN")
             elif surf != tok.lemma:
-                out[i] = tok._replace(pos=_verb_inflection_tag(surf, tok.lemma))
+                out[i] = tok._replace(pos=ref_verb_inflection_tag(surf, tok.lemma))
             elif prev is not None and prev.pos in ("NNS", "NNPS", "NNP") or (prev is not None and prev.pos == "PRP" and prev.lemma in ("i", "you", "we", "they")):
                 out[i] = tok._replace(pos="VBP")
         # "to" before a base verb is infinitival TO, before a nominal it is IN.
@@ -904,6 +913,131 @@ def test_tag_and_ingest_text_match_the_loop_reference(text):
         assert len(got) == len(want)
         for g, w in zip(got, want):
             _same_tokens(g, w)
+
+
+# ---------------------------------------------------------------------------
+# Front-end rules that always gave one result
+# ---------------------------------------------------------------------------
+#
+# `classify_marker` (followed by the head-noun rule `parse_adverbial` applied
+# to a prepositional content), `_verb_inflection_tag` and `qa._strip_aux`
+# as they were before each became the rule it reduces to, copied unchanged
+# but for the `ref_` prefix.  Each test runs every input that the lexicon
+# facts behind the reduction cover, so a lexicon change that breaks one of
+# those facts fails here.
+
+
+def ref_classify_marker(marker: str, content, has_finite: bool) -> str:
+    kinds = [kind for kind, table in lx.MARKER_TABLES if marker in table]
+    if not kinds:
+        return "unclassified"
+    if len(kinds) == 1:
+        return kinds[0]
+    noun_kind = _noun_kind(content.head, None) \
+        if isinstance(content, Phrase) else None
+    if noun_kind == "time" and "time" in kinds:
+        return "time"
+    if has_finite:
+        for kind in ("condition", "reason"):
+            if kind in kinds:
+                return kind
+    if noun_kind == "place" and "place" in kinds:
+        return "place"
+    return kinds[0]
+
+
+def ref_marker_kind(marker: str, content, has_finite: bool) -> str:
+    kind = ref_classify_marker(marker, content, has_finite)
+    if isinstance(content, Phrase) and content.kind == PREPOSITIONAL:
+        kind = _noun_kind(content.head, kind)
+    return kind
+
+
+# After a marker: a finite, a gerund and an infinitive clause, and a phrase
+# headed by a time noun, a place noun, a year and another noun.
+_MARKER_CONTENTS = ("the team builds models", "building models",
+                    "to build models", "the week", "the city", "2020",
+                    "the model")
+
+
+def test_marker_kind_matches_reference():
+    for marker in sorted(lx.ALL_MARKERS):
+        words = [corpus.Token(w, w, "IN") for w in marker.split()]
+        for text in _MARKER_CONTENTS:
+            tokens = words + corpus.tag(text).tokens
+            adv = classify_adverbial(tokens)
+            assert adv.span == (0, len(tokens)), (marker, text)
+            assert isinstance(adv.content, Clause) \
+                or adv.content.kind == PREPOSITIONAL
+            for has_finite in (False, True):
+                assert adv.kind == ref_marker_kind(
+                    marker, adv.content, has_finite), (marker, text, has_finite)
+
+
+def ref_verb_inflection_tag(surface: str, base: str) -> str:
+    if surface.endswith("ing"):
+        return "VBG"
+    if surface == lx.third_singular(base):
+        return "VBZ"
+    past, part = lx.past_tense(base), lx.past_participle(base)
+    if surface == part:
+        return "VBN"
+    if surface == past:
+        return "VBD"
+    if surface.endswith("ed"):
+        return "VBN"  # spelling-variant participles ("labelled")
+    if surface.endswith("s"):
+        return "VBZ"
+    return "VB"
+
+
+def _inflected_verbs() -> list[str]:
+    """Every word from which `verb_lemma_candidates` strips a `VERBS` lemma
+    by a suffix, and every irregular form."""
+    words = set(lx.IRREGULAR_VERB_LEMMAS)
+    for lemma in lx.VERBS:
+        stem, last = lemma[:-1], lemma[-1]
+        words.update(w for w in (
+            lemma + "s", lemma + "es", stem + "ies", lemma + "ing",
+            stem + "ing", lemma + last + "ing", stem + "ied", lemma + "ed",
+            lemma + "d", lemma + last + "ed")
+            if w != lemma and lemma in lx.verb_lemma_candidates(w))
+    return sorted(words)
+
+
+def test_verb_inflection_tag_matches_reference():
+    calls = 0
+    for word in _inflected_verbs():
+        for base in lx.verb_lemma_candidates(word):
+            if base != word and base in lx.VERBS:
+                calls += 1
+                assert _verb_inflection_tag(word, base) \
+                    == ref_verb_inflection_tag(word, base), (word, base)
+        # `_contextual_fixups` reads a VB token as its own lemma
+        lemma, pos = _open_class_reading(word) or (word, None)
+        assert pos != "VB" or lemma == word, word
+    assert calls > 900
+
+
+def ref_strip_aux(action: Phrase) -> Phrase:
+    keep = tuple(m for m in action.pre
+                 if m in lx.NEGATION_WORDS
+                 or m not in qa._AUX_LEMMAS and m not in lx.MODAL_VERBS)
+    return Phrase(VERB, action.head, keep, action.post, action.span)
+
+
+_PRE_HEAD_WORDS = sorted(
+    lx.MODAL_VERBS | lx.NEGATION_WORDS | lx.BE_FORMS | lx.HAVE_FORMS
+    | lx.DO_FORMS | {"be", "have", "do", "to", "able"} | lx.DETERMINERS
+    | lx.PRONOUNS | lx.PREPOSITIONS | lx.COORDINATING_CONJUNCTIONS
+    | lx.SUBORDINATE_CONJUNCTIONS | lx.ADVERBS)
+
+
+def test_strip_aux_matches_reference():
+    for n in (0, 1, 2):
+        for pre in product(_PRE_HEAD_WORDS, repeat=n):
+            action = Phrase(VERB, "build", pre, ("well",), (1, 4))
+            assert qa._strip_aux(action) == ref_strip_aux(action), pre
 
 
 # ---------------------------------------------------------------------------

@@ -98,6 +98,19 @@ class TestParseQuestion:
         with pytest.raises(NotAQuestion):
             q("hello there")
 
+    @pytest.mark.parametrize("text, message", [
+        ("The model ranks sentences?", "cannot classify"),
+        ("What does the model?", "no verb group in question"),
+        ("What does not?", "object question without a subject"),
+        ("What?", "question ends after interrogative"),
+        ("What quickly?", "unrecognized question shape after 'what'"),
+        ("When the team builds models?", "'when' question without auxiliary"),
+        ("Does the team?", "no verb group in question"),
+    ])
+    def test_unparsable_question_shapes(self, text, message):
+        with pytest.raises(NotAQuestion, match=message):
+            q(text)
+
     def test_negative_polarity(self):
         out = q("does the algorithm not need labelled data?")
         assert out.polarity == "negative"

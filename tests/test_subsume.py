@@ -57,6 +57,14 @@ class TestPhraseSubclass:
         with pytest.raises(KindMismatch):
             phrase_subclass(np("algorithm"), vp("use"))
 
+    @pytest.mark.parametrize("p1, p2", [
+        (np("algorithm"), "algorithm"),  # not a phrase
+        (pp("in", "china"), pp("in", "china")),  # no modifier rule
+    ])
+    def test_kind_mismatch_on_other_kinds(self, p1, p2):
+        with pytest.raises(KindMismatch):
+            phrase_subclass(p1, p2)
+
     def test_adjective_and_adverb_phrases(self):
         assert phrase_subclass(adjp("beautiful", "very"), adjp("beautiful"))
         assert not phrase_subclass(advp("quickly"), advp("quickly"))
@@ -93,6 +101,12 @@ class TestVerbPhraseSubclass:
         assert verb_phrase_subclass(vp("go", "slowly"), vp("go"))
         assert not verb_phrase_subclass(vp("go"), vp("go", "slowly"))
 
+    @pytest.mark.parametrize("v", [np("lexrank"), Clause(
+        "that", np("team"), vp("use"), None, ())])  # a clause with a subject
+    def test_kind_mismatch(self, v):
+        with pytest.raises(KindMismatch):
+            verb_phrase_subclass(v, vp("use"))
+
 
 class TestPrepPhraseSubclass:
     def test_worked_example(self):
@@ -113,6 +127,10 @@ class TestPrepPhraseSubclass:
     def test_equal_false(self):
         phrase = pp("in", "china")
         assert not prep_phrase_subclass(phrase, phrase)
+
+    def test_kind_mismatch(self):
+        with pytest.raises(KindMismatch):
+            prep_phrase_subclass(pp("in", "china"), np("china"))
 
 
 class TestClauseSubclass:
@@ -207,6 +225,28 @@ class TestScanPatterns:
         assert edge.kind == "np"
         assert ("prn(it|)", "np(researcher|)") in \
             space.dimensions["subject"].edges
+
+    def test_such_as_comma_list(self):
+        edges = harvest(
+            "Tools such as LexRank, TextRank and SumBasic build summaries.")
+        assert sorted(edges.edges) == [("np(lexrank|)", "np(tool|)"),
+                                       ("np(sumbasic|)", "np(tool|)"),
+                                       ("np(textrank|)", "np(tool|)")]
+
+    def test_such_as_parent_after_a_word_that_starts_no_phrase(self):
+        # "all" (read as a noun) heads no phrase that ends before "such"
+        edges = harvest("Researchers build all the tools such as LexRank.")
+        assert sorted(edges.edges) == [("np(lexrank|)", "np(tool|)")]
+
+    @pytest.mark.parametrize("text", [
+        "Researchers build models, such as LexRank.",  # no parent before
+        "Researchers build tools such as these.",  # no child after
+        "A dog is an animal for children.",  # a copula with an indirect object
+    ])
+    def test_incomplete_pattern_harvests_nothing(self, text):
+        edges = harvest(text)
+        assert len(edges) == 0
+        assert edges.dropped == []
 
     def test_and_other(self):
         edges = harvest("LexRank and other algorithms build extracts")

@@ -75,6 +75,11 @@ class TestParseSentence:
         with pytest.raises(NoFiniteVerb):
             parse_sentence(tag("hello there", sentence_id=9))
 
+    def test_unclosed_parenthesis_hides_the_verb(self):
+        # the noun phrase skips to the end looking for the ")"
+        with pytest.raises(NoFiniteVerb):
+            parse_sentence(tag("The model (works well.", 1))
+
     def test_imperative_has_no_subject(self):
         parsed = parse_sentence(tag("Run the test.", sentence_id=1))
         assert parsed.subject is None
@@ -215,6 +220,61 @@ class TestConstructions:
             "unclassified", Phrase(PREPOSITIONAL, "system", ("in",), (),
                                    (0, 8)), span=(0, 8)),)
         assert parsed.subject == _np("team", span=(9, 11))
+
+    def test_marker_before_a_participle_is_a_clause(self):
+        parsed = parse_sentence(tag("The model works if properly trained.", 1))
+        clause = Clause("if", None, Phrase(VERB, "train", ("properly",), (),
+                                           (4, 6)), None, (), (4, 6))
+        assert parsed.adverbials == (
+            Adverbial("condition", clause, span=(3, 6)),)
+
+
+class TestEarlyStops:
+    """Inputs on which a parse step stops short; each pins what is left."""
+
+    def test_preposition_ending_the_text_is_no_adverbial(self):
+        parsed = parse_sentence(tag("The team builds models with", 1))
+        assert parsed.object == ObjectGroup(_np("model", span=(3, 4)),
+                                            span=(3, 4))
+        assert parsed.adverbials == ()
+
+    @pytest.mark.parametrize("text", [
+        "The team builds models, big and small.",  # no item after the comma
+        "The team builds models, tools",  # no conjunction before the end
+    ])
+    def test_comma_that_continues_no_list_ends_the_object(self, text):
+        parsed = parse_sentence(tag(text, 1))
+        assert parsed.object == ObjectGroup(_np("model", span=(3, 4)),
+                                            span=(3, 4))
+        assert parsed.adverbials == ()
+
+    def test_adverb_before_no_verb_ends_the_chain(self):
+        parsed = parse_sentence(tag("The model is often.", 1))
+        assert parsed.action == Phrase(VERB, "be", (), ("often",), (2, 4))
+        assert parsed.object is None
+
+    def test_to_before_a_modal_is_no_infinitive(self):
+        parsed = parse_sentence(tag("The team wants to can models.", 1))
+        assert parsed.action == _vp("want", (2, 3))
+        assert (parsed.object, parsed.adverbials) == (None, ())
+
+    @pytest.mark.parametrize("text", [
+        "The team works because of these.",  # a determiner heads no phrase
+        "The team works because quickly.",  # neither a clause nor a phrase
+    ])
+    def test_marker_before_no_content_opens_no_adverbial(self, text):
+        parsed = parse_sentence(tag(text, 1))
+        assert parsed.action == _vp("work", (2, 3))
+        assert parsed.adverbials == ()
+
+    def test_whether_before_nothing_is_no_object(self):
+        parsed = parse_sentence(tag("The team knows whether.", 1))
+        assert (parsed.object, parsed.adverbials) == (None, ())
+
+    def test_that_before_a_noun_ending_the_text_is_a_determiner(self):
+        parsed = parse_sentence(tag("The team knows that model", 1))
+        assert parsed.object == ObjectGroup(
+            _np("model", ("that",), span=(3, 5)), span=(3, 5))
 
 
 class TestParseAction:
@@ -453,6 +513,14 @@ class TestStandaloneOps:
     def test_parse_object_none(self):
         from syntaxspace.syntax import parse_object
         assert parse_object(tag("quickly", 1).tokens) is None
+
+    def test_display_of_a_missing_part_is_empty(self):
+        from syntaxspace.syntax import display
+        assert display(None) == ""
+
+    def test_classify_adverbial_of_no_tokens(self):
+        from syntaxspace.syntax import classify_adverbial
+        assert classify_adverbial([]) is None
 
     def test_classify_adverbial_window(self):
         from syntaxspace.syntax import classify_adverbial
