@@ -12,7 +12,7 @@ from .qa import (AnswerJudgment, NotAQuestion, QuestionSyntax, answer,
 from .space import (CycleDetected, Dimension, ResourceSpace, build_dimension,
                     build_space, check_normal_forms, coverage, search,
                     serialize_space, transitive_reduce)
-from .subsume import (EdgeSet, KindMismatch, SubclassEdge, SynonymTable,
+from .subsume import (EdgeSet, KindMismatch, SynonymTable,
                       at_or_below, clause_subclass, element_subclass,
                       phrase_subclass, prep_phrase_subclass, question_subclass,
                       scan_syntactic_patterns, sentence_subclass,

@@ -129,7 +129,7 @@ def cmd_build(args, config: Config) -> int:
     for line in space_stats(space):
         print(line)
     if space.uncovered:
-        print(f"warning: {len(space.uncovered)} sentences without an action: "
+        print(f"warning: {len(space.uncovered)} sentences not parsed: "
               f"{space.uncovered}", file=sys.stderr)
     print(f"space -> {args.output}")
     return 0
@@ -186,6 +186,8 @@ def cmd_dump_parse(args, config: Config) -> int:
                 print(dump_parse(part))
         except NoFiniteVerb as exc:
             print(f"# unparsed: {exc}")
+        except RecursionError:
+            print("# unparsed: nests too deeply to parse")
         print()
     return 0
 
@@ -363,7 +365,7 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return DATA_ERROR
-    except RecursionError:  # the parser recurses per coordinated item
+    except RecursionError:  # a question the parser recurses too deep on
         print("error: a sentence or question nests too deeply to parse",
               file=sys.stderr)
         return DATA_ERROR

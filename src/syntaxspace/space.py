@@ -18,8 +18,8 @@ from .corpus import TaggedSentence, gc_paused
 from .subsume import (EdgeSet, MODIFIER, SYNTACTIC, SearchIndex,
                       SynonymTable, reach, scan_syntactic_patterns)
 from .subsume import compare_elements  # noqa: F401 (callers rebind it)
-from .syntax import (NoFiniteVerb, SentenceSyntax, canonical_key, display,
-                     parse_sentence_parts)
+from .syntax import (NoFiniteVerb, SentenceSyntax, VERB, canonical_key,
+                     display, parse_sentence_parts)
 
 DIMENSIONS = ("subject", "action", "object", "adverbial")
 
@@ -58,7 +58,7 @@ class ResourceSpace:
     dimensions: dict[str, Dimension]
     sentences: dict[int, list[SentenceSyntax]]  # id -> parsed parts
     records: dict[int, SentenceRecord]
-    uncovered: list[int]  # sentence ids with no action (unparseable)
+    uncovered: list[int]  # sentence ids not parsed: no action, or too deep
     edge_set: EdgeSet
     synonyms: SynonymTable
 
@@ -111,23 +111,23 @@ def build_dimension(name: str, items: list[tuple[int, object]],
     raw_edges: list[tuple[str, str, str, int | None]] = []
 
     # 2a. inject harvested edges whose child is a node or has one below it,
-    # materializing missing endpoints; passes repeat so edge chains attach
-    kind = {"subject": "np", "object": "np", "action": "vp"}.get(name)
-    pending = dict.fromkeys(sorted((e for e in harvested if e.kind == kind),
-                                   key=lambda e: (e.child, e.parent)))
+    # materializing missing endpoints; passes repeat so edge chains attach.
+    # verb children's pairs go to action, the others' to subject and object
+    pending = {(c, p): ev for (c, p), ev in sorted(harvested.edges.items())
+               if name != "adverbial"
+               and (harvested.elements[c].kind == VERB) == (name == "action")}
     size = None
     while size != len(pending):  # one pass, until one attaches nothing
         size = len(pending)
-        for edge in list(pending):
-            if edge.child not in dim.nodes and not dim.index.anchors(
-                    harvested.elements[edge.child]):
+        for (child, parent), ev in list(pending.items()):
+            if child not in dim.nodes and not dim.index.anchors(
+                    harvested.elements[child]):
                 continue
-            for endpoint in (edge.child, edge.parent):
+            for endpoint in (child, parent):
                 if endpoint not in dim.nodes:
                     add(endpoint, harvested.elements[endpoint])
-            raw_edges.append((edge.child, edge.parent, SYNTACTIC,
-                              edge.evidence))
-            del pending[edge]
+            raw_edges.append((child, parent, SYNTACTIC, ev))
+            del pending[child, parent]
 
     # 2b. modifier-rule edges from the index, but for the pairs harvested
     harvested_pairs = {(c, p) for c, p, _, _ in raw_edges}
@@ -236,7 +236,7 @@ def build_space(tagged: list[TaggedSentence],
             raw_sentence.lemmas())
         try:
             parts = parse_sentence_parts(sentence)
-        except NoFiniteVerb:
+        except (NoFiniteVerb, RecursionError):  # no action, or too deep
             uncovered.append(sentence.sentence_id)
             continue
         parsed[sentence.sentence_id] = parts

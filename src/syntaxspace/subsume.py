@@ -22,7 +22,7 @@ asking each node, and the pairs of its modifier edges.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 from .corpus import TaggedSentence
 from .syntax import (ADJECTIVE, ADVERB, Adverbial, Clause, Element, NOUN,
@@ -41,14 +41,6 @@ SYNTACTIC = "syntactic_pattern"
 
 class KindMismatch(TypeError):
     """Compared elements have different lexical categories."""
-
-
-@dataclass(frozen=True, slots=True)
-class SubclassEdge:
-    child: str
-    parent: str
-    kind: str  # "np" | "vp"
-    evidence: int | None = None  # sentence id where detected
 
 
 class SynonymTable:
@@ -90,16 +82,17 @@ class EdgeSet:
     """Harvested subclass edges, the representative element per key, and
     their closure, all built by the constructor and never changed after.
     It takes (child, parent, sentence id) triples and keys each endpoint;
-    a triple whose endpoints share a key adds nothing.
+    a triple whose endpoints share a key adds nothing.  `edges` maps each
+    kept (child key, parent key) pair to the sentence id it was first seen
+    in, and iterating the set yields those pairs.
 
     A pair harvested in both directions (a<b and b<a), in any order and
     any number of times, keeps neither, so that antisymmetry holds
     downstream; `dropped` logs it once, in the direction seen second.
-    Otherwise a pair keeps its first edge.
     """
 
     def __init__(self, triples=()):
-        first: dict[tuple[str, str], SubclassEdge] = {}
+        first: dict[tuple[str, str], int | None] = {}
         self.elements: dict[str, Element] = {}
         self.dropped: list[tuple[str, str]] = []
         for child, parent, sid in triples:
@@ -108,28 +101,26 @@ class EdgeSet:
                 continue
             self.elements.setdefault(pair[0], child)
             self.elements.setdefault(pair[1], parent)
-            if pair not in first:
-                kind = "vp" if child.kind == VERB else "np"
-                first[pair] = SubclassEdge(*pair, kind, sid)
-                if pair[::-1] in first:
-                    self.dropped.append(pair)
-        self.edges = {pair: edge for pair, edge in first.items()
+            if pair not in first and pair[::-1] in first:
+                self.dropped.append(pair)
+            first.setdefault(pair, sid)
+        self.edges = {pair: sid for pair, sid in first.items()
                       if pair[::-1] not in first}
         self._parents: dict[str, set[str]] = {}
         self._np_children: dict[str, set[str]] = {}  # head -> child keys
-        for edge in self.edges.values():
-            self._parents.setdefault(edge.child, set()).add(edge.parent)
-            if edge.kind == "np":
-                head = self.elements[edge.child].head
-                self._np_children.setdefault(head, set()).add(edge.child)
+        for child, parent in self.edges:
+            self._parents.setdefault(child, set()).add(parent)
+            element = self.elements[child]
+            if element.kind != VERB:
+                self._np_children.setdefault(element.head, set()).add(child)
         steps = {k: self._step(e, k) for k, e in self.elements.items()}
         self._closure = {k: frozenset(reach(steps, (k,))) for k in steps}
 
     def _step(self, element: Phrase, key: str) -> set[str]:
         """Keys one harvested edge above `element` (whose key is `key`):
-        edges from the key itself, and np edges from any phrase the element
+        edges from the key itself, and from any noun-phrase child the element
         is modifier-below (`_phrase_relation` without edges).  The modifier
-        rule needs equal heads, so only np children with the element's head
+        rule needs equal heads, so only children with the element's head
         are tried."""
         out = set(self._parents.get(key, ()))
         for child in self._np_children.get(element.head, ()):
@@ -162,7 +153,7 @@ class EdgeSet:
         return len(self.edges)
 
     def __iter__(self):
-        return iter(self.edges.values())
+        return iter(self.edges)
 
 
 def reach(successors: dict, starts) -> set:

@@ -368,17 +368,26 @@ class TestErrorHandling:
 
     DEEP = " and ".join(["models"] * 2000)
 
-    def test_deeply_nested_corpus_is_data_error(self, tmp_path, capsys):
+    LONG_LIST = ", ".join(["models"] * 1199) + " and tools"
+
+    def test_deeply_nested_sentences_are_uncovered(self, tmp_path, capsys):
+        # two sentences too deep to parse leave the rest of the corpus built
         raw = tmp_path / "deep.txt"
-        raw.write_text(f"LexRank builds {self.DEEP}.\n")
-        corpus_snap = tmp_path / "deep.tsv"
+        raw.write_text(f"The team builds {self.LONG_LIST}. "
+                       f"LexRank builds {self.DEEP}. "
+                       f"LexRank builds summaries.\n")
+        corpus_snap, space_snap = tmp_path / "deep.tsv", tmp_path / "deep.snap"
         assert run(capsys, "ingest", raw, "-o", corpus_snap)[0] == 0
-        code, out, err = run(capsys, "build", corpus_snap, "-o",
-                             tmp_path / "deep.snap")
-        assert code == 2
-        assert err == ("error: a sentence or question nests too deeply "
-                       "to parse\n")
-        assert gc.isenabled()  # build_space raised RecursionError
+        code, out, err = run(capsys, "build", corpus_snap, "-o", space_snap)
+        assert code == 0
+        assert err == "warning: 2 sentences not parsed: [1, 2]\n"
+        code, out, _ = run(capsys, "query", space_snap,
+                           "What builds summaries?")
+        assert code == 0
+        assert [line.split("\t")[1] for line in out.splitlines()] == ["3"]
+        code, out, _ = run(capsys, "dump-parse", corpus_snap)
+        assert code == 0
+        assert out.count("# unparsed: nests too deeply to parse\n") == 2
 
     def test_deeply_nested_question_is_data_error(self, workspace, capsys):
         _, space_snap = build_short(workspace, capsys)

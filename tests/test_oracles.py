@@ -5,8 +5,9 @@ implementations, kept here as references.
 `np_reaches` and `vp_edge_reaches` scan every harvested edge at every step,
 as the package did before an `EdgeSet` was closed when built; `find_cycle`
 is the recursive cycle search.  They are copied unchanged except that
-`edges.of_kind(kind)` (no longer part of `EdgeSet`) reads
-`[e for e in edges if e.kind == kind]`.  `ref_break_cycles` is cycle
+they read an `EdgeSet` as its (child key, parent key) pairs: the np walk
+takes the pairs whose child is no verb, the vp walk those whose child is
+one.  `ref_break_cycles` is cycle
 breaking as it was when each drop sorted the edges again and searched the
 whole graph afresh, copied unchanged but for its name and for calling
 `find_cycle`.  The noun pool shares the head "run" with the verb pool, so
@@ -183,15 +184,15 @@ def np_reaches(child: Phrase, parent: Phrase, edges) -> bool:
         if ckey in seen:
             continue
         seen.add(ckey)
-        for edge in [e for e in edges if e.kind == "np"]:
-            edge_child = edges.elements[edge.child]
-            if not isinstance(edge_child, Phrase):
+        for c, p in edges:
+            edge_child = edges.elements[c]
+            if not isinstance(edge_child, Phrase) or edge_child.kind == VERB:
                 continue
-            if edge.child == ckey or _modifier_below(current, edge_child):
-                target = edges.elements[edge.parent]
+            if c == ckey or _modifier_below(current, edge_child):
+                target = edges.elements[p]
                 if not isinstance(target, Phrase):
                     continue
-                if edge.parent == canonical_key(parent) \
+                if p == canonical_key(parent) \
                         or _modifier_below(target, parent):
                     return True
                 frontier.append(target)
@@ -208,8 +209,8 @@ def vp_edge_reaches(child_key: str, parent_key: str, edges) -> bool:
         seen.add(key)
         if key == parent_key:
             return True
-        frontier.extend(e.parent for e in [e for e in edges if e.kind == "vp"]
-                        if e.child == key)
+        frontier.extend(p for c, p in edges
+                        if edges.elements[c].kind == VERB and c == key)
     return child_key != parent_key and parent_key in seen
 
 
@@ -1786,8 +1787,10 @@ def test_slot_walk_matches_reference(space, data):
 
 # `build_dimension` as it was when step 2a judged every node against every
 # unattached edge on every pass and step 2b every ordered pair of a bucket,
-# copied unchanged but for its name and for breaking cycles with
-# `ref_break_cycles`.
+# copied unchanged but for its name, for breaking cycles with
+# `ref_break_cycles`, and for reading the harvested edges as pairs (a verb
+# child's for the action dimension, the others' for subject and object)
+# with their evidence from `harvested.edges`.
 
 
 def ref_build_dimension(name: str, items: list[tuple[int, object]],
@@ -1808,25 +1811,25 @@ def ref_build_dimension(name: str, items: list[tuple[int, object]],
     # 2a. inject harvested edges whose child belongs to this dimension
     # (exactly, or through a more specific node), materializing missing
     # endpoints; repeated so edge chains attach
-    kind = {"subject": "np", "object": "np", "action": "vp"}.get(name)
-    if kind is not None:
-        pending = sorted((e for e in harvested if e.kind == kind),
-                         key=lambda e: (e.child, e.parent))
+    if name != "adverbial":
+        pending = sorted(pair for pair in harvested if (
+            harvested.elements[pair[0]].kind == VERB) == (name == "action"))
         seen_entries: set[tuple] = set()
         changed = True
         while changed:
             changed = False
-            for edge in pending:
-                entry = (edge.child, edge.parent, SYNTACTIC, edge.evidence)
+            for child, parent in pending:
+                entry = (child, parent, SYNTACTIC,
+                         harvested.edges[child, parent])
                 if entry in seen_entries:
                     continue
-                child_elem = harvested.elements[edge.child]
-                attaches = edge.child in dim.nodes or any(
+                child_elem = harvested.elements[child]
+                attaches = child in dim.nodes or any(
                     at_or_below(element, child_elem, harvested)
                     == SUBCLASS for element in dim.nodes.values())
                 if not attaches:
                     continue
-                for endpoint in (edge.child, edge.parent):
+                for endpoint in (child, parent):
                     if endpoint not in dim.nodes:
                         dim.nodes[endpoint] = harvested.elements[endpoint]
                         dim.postings.setdefault(endpoint, set())

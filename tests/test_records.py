@@ -1,6 +1,6 @@
 """The parse elements and per-sentence records are slotted dataclasses.
 
-The element and edge types stay frozen and hashable.  Copying, pickling and
+The element types stay frozen and hashable.  Copying, pickling and
 `dataclasses.replace` give back an equal value.  The module needs no test
 runner, so it also runs as a plain script on interpreters without pytest:
 
@@ -16,13 +16,12 @@ from syntaxspace import corpus, qa
 from syntaxspace.corpus import TaggedSentence, normalize_voice
 from syntaxspace.qa import AnswerJudgment, QuestionSyntax
 from syntaxspace.space import SentenceRecord, build_space
-from syntaxspace.subsume import SubclassEdge
 from syntaxspace.syntax import (Adverbial, Clause, ObjectGroup, Phrase,
                                 SentenceSyntax, _Parser,
                                 parse_sentence_parts)
 
 DEMO = pathlib.Path(__file__).parent.parent / "demo" / "short.txt"
-FROZEN = (Phrase, Clause, Adverbial, ObjectGroup, SubclassEdge)
+FROZEN = (Phrase, Clause, Adverbial, ObjectGroup)
 RECORDS = (SentenceSyntax, _Parser, TaggedSentence, SentenceRecord,
            QuestionSyntax, AnswerJudgment)
 
@@ -62,7 +61,6 @@ def _one_of_each() -> dict[type, object]:
     question = corpus.tag("How does unsupervised algorithm build an extract?")
     found = {type(e): e for part in parts for e in _elements(part)}
     found.update({
-        SubclassEdge: SubclassEdge("np(lexrank|)", "np(algorithm|)", "np", 2),
         SentenceSyntax: parts[0],
         _Parser: _Parser(sentences[0].tokens),
         TaggedSentence: sentences[0],

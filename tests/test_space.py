@@ -118,6 +118,21 @@ class TestBuildDimension:
         assert dim.edges.keys() == {(canonical_key(child),
                                      canonical_key(parent))}
 
+    def test_child_kind_picks_the_dimension_of_a_harvested_pair(self):
+        # a noun pair and a verb pair on one lemma; every dimension holds
+        # both "run" phrases, so each could attach either child
+        edges = build_space(tag_corpus(["A run is a test.",
+                                        "To run is to move."])).edge_set
+        noun, verb = ("np(run|)", "np(test|)"), ("vp(run|)", "vp(move|)")
+        assert edges.edges == {noun: 1, verb: 2}
+        expected = {"subject": {noun: (SYNTACTIC, 1)},
+                    "object": {noun: (SYNTACTIC, 1)},
+                    "action": {verb: (SYNTACTIC, 2)}, "adverbial": {}}
+        for name, pairs in expected.items():
+            dim = build_dimension(name, [(1, np("run")), (2, vp("run"))],
+                                  edges)
+            assert dim.edges == pairs, name
+
     def test_merge_soundness(self, short_tagged, short_space):
         # total posting cardinality equals the number of (sentence, element)
         # inputs for each dimension

@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 from syntaxspace import corpus, subsume
 from syntaxspace.corpus import tag
 from syntaxspace.subsume import (EQUAL, KindMismatch, RELATED, SUBCLASS,
-                                 SUPERCLASS, UNRELATED, SynonymTable,
+                                 SUPERCLASS, SYNTACTIC, UNRELATED,
+                                 SynonymTable,
                                  at_or_below, clause_subclass,
                                  compare_elements, element_subclass,
                                  harvest_edges, phrase_subclass,
@@ -221,10 +222,18 @@ class TestScanPatterns:
         # only the infinitive pattern yields verbs: a pronoun child stays np
         space = build_space(tag_corpus(["Researchers such as it build models.",
                                         "It builds models."]))
-        edge = space.edge_set.edges[("prn(it|)", "np(researcher|)")]
-        assert edge.kind == "np"
-        assert ("prn(it|)", "np(researcher|)") in \
-            space.dimensions["subject"].edges
+        pair = ("prn(it|)", "np(researcher|)")
+        assert space.edge_set.edges[pair] == 1
+        assert space.dimensions["subject"].edges[pair] == (SYNTACTIC, 1)
+        assert pair not in space.dimensions["action"].edges
+
+    def test_edge_set_yields_its_kept_pairs_with_first_evidence(self):
+        edges = harvest("a cat is an animal", "a dog is an animal",
+                        "a cat is an animal", "an animal is a dog")
+        cat = ("np(cat|)", "np(animal|)")
+        assert list(edges) == [cat]
+        assert edges.edges == {cat: 1}
+        assert edges.dropped == [("np(animal|)", "np(dog|)")]
 
     def test_such_as_comma_list(self):
         edges = harvest(

@@ -1,13 +1,16 @@
+from collections import Counter
+
 import pytest
 
 from syntaxspace import corpus
 from syntaxspace.corpus import tag
 from syntaxspace.syntax import (NOUN, PREPOSITIONAL, PRONOUN, VERB,
                                 Adverbial, Clause, NoFiniteVerb, ObjectGroup,
-                                Phrase, canonical_key, dump_parse,
-                                parse_sentence, parse_sentence_parts, _Parser)
+                                ParseError, Phrase, canonical_key, dump_parse,
+                                parse_sentence, parse_sentence_parts,
+                                slot_elements, _Parser)
 
-from conftest import SHORT_INPUT, tag_corpus
+from conftest import DATA, SHORT_INPUT, tag_corpus
 
 S1_EXPECTED = (
     '"subject": (clause, "lead word": "to", "subject": Empty, '
@@ -227,6 +230,36 @@ class TestConstructions:
                                            (4, 6)), None, (), (4, 6))
         assert parsed.adverbials == (
             Adverbial("condition", clause, span=(3, 6)),)
+
+
+def _slot_keys(text: str) -> str:
+    """A sentence's parse as `constructions.tsv` writes it: each part's
+    filled slots as slot=key, or the name of the parse error."""
+    try:
+        parts = parse_sentence_parts(corpus.normalize_voice(tag(text, 1)))
+    except ParseError as exc:
+        return type(exc).__name__
+    slots = ("subject", "action", "object", "indirect", "complement")
+    return " || ".join("; ".join(
+        [f"{slot}={canonical_key(e)}"
+         for slot, e in zip(slots, slot_elements(part)) if e is not None]
+        + [f"adverbial={canonical_key(a)}" for a in part.adverbials])
+        for part in parts)
+
+
+def test_construction_table():
+    """An `ok` row gets the keys it should; a row left to a ROADMAP item
+    gets what it got when recorded, so that a change that fixes or moves
+    any row fails until the row is updated."""
+    lines = (DATA / "constructions.tsv").read_text(encoding="utf-8")
+    rows = [line.split("\t") for line in lines.splitlines()
+            if not line.startswith("#")][1:]
+    statuses = Counter()
+    for name, text, keys, status, today in rows:
+        assert _slot_keys(text) == (keys if status == "ok" else today), name
+        statuses[status] += 1
+    print(f"constructions: {statuses.pop('ok')} of {len(rows)} rows ok; "
+          + ", ".join(f"{item}: {n}" for item, n in sorted(statuses.items())))
 
 
 class TestEarlyStops:
