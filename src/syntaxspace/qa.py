@@ -294,7 +294,9 @@ def candidate_search(space: ResourceSpace, q: QuestionSyntax,
         keys = dim.index.anchors(element, space.synonyms)
         if anchors is not None:
             anchors[name] = keys
-        found = set().union(*(dim.postings[key] for key in keys))
+        found = set()
+        for key in keys:
+            found |= dim.postings[key]
         ids = found if ids is None else ids & found
     if root is not None:  # the root's sentences, intersected last
         covered = space.dimensions[root].covered

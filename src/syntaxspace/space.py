@@ -73,15 +73,10 @@ class ResourceSpace:
 
 def sentence_elements(part: SentenceSyntax) -> dict[str, list]:
     """The four dimension elements carried by one parsed sentence part."""
-    out: dict[str, list] = {name: [] for name in DIMENSIONS}
-    if part.subject is not None:
-        out["subject"].append(part.subject)
-    if part.action is not None:
-        out["action"].append(part.action)
-    if part.object is not None:
-        out["object"].append(part.object.direct)
-    out["adverbial"].extend(part.adverbials)
-    return out
+    return {"subject": [] if part.subject is None else [part.subject],
+            "action": [] if part.action is None else [part.action],
+            "object": [] if part.object is None else [part.object.direct],
+            "adverbial": list(part.adverbials)}
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +243,8 @@ def build_space(tagged: list[TaggedSentence],
     for sid in sorted(parsed):
         for part in parsed[sid]:
             for name, elements in sentence_elements(part).items():
-                items[name].extend((sid, e) for e in elements)
+                for element in elements:
+                    items[name].append((sid, element))
 
     dimensions = {name: build_dimension(name, items[name], edge_set)
                   for name in DIMENSIONS}
@@ -268,8 +264,10 @@ def search(space: ResourceSpace, dimension: str, query) -> set[int]:
     dim = space.dimensions[dimension]
     if query is None:
         return set(dim.covered)
-    keys = dim.index.anchors(query, space.synonyms)
-    return set().union(*(dim.postings[key] for key in keys))
+    found = set()
+    for key in dim.index.anchors(query, space.synonyms):
+        found |= dim.postings[key]
+    return found
 
 
 # ---------------------------------------------------------------------------

@@ -456,12 +456,13 @@ class SearchIndex:
     def anchors(self, query, syn: SynonymTable | None = None,
                 among: set[str] | None = None) -> set[str]:
         """Keys of the nodes `at_or_below` the query, of those in `among`
-        alone if it is given.  A phrase takes its bucket's members (a verb's
-        synonym heads' too) posted under all its modifiers, counted if one
-        repeats, and the nodes posted under a harvested key that
-        `EdgeSet.puts_below` its side; it judges none.  A clause judges the
-        clauses of its lead posted under all of `_lemmas(query, syn=syn)`,
-        which holds every clause below it, that are in `among`."""
+        alone if it is given, in a new set the caller owns.  A phrase takes
+        its bucket's members (a verb's synonym heads' too) posted under all
+        its modifiers, counted if one repeats, and the nodes posted under a
+        harvested key that `EdgeSet.puts_below` its side; it judges none.
+        A clause judges the clauses of its lead posted under all of
+        `_lemmas(query, syn=syn)`, which holds every clause below it, that
+        are in `among`."""
         wrapper, head, side, mods = _shape(query)
         if wrapper[-2] == "clause":
             clauses = self.buckets.get((wrapper, None), {})
@@ -469,11 +470,14 @@ class SearchIndex:
             return {k for k in (found if among is None else found & among)
                     if at_or_below(self.nodes[k], query, self.edges, syn)}
         verb = side is not None and side.kind == VERB
-        heads = {head} | (syn.synonyms(head) if verb and syn else set())
-        buckets = [self.buckets.get((wrapper, h), {}) for h in heads]
-        repeated = len(set(mods)) < len(mods)
-        found = {k for bucket in buckets for k in _common(bucket, mods)
-                 if not repeated or _contains(_shape(self.nodes[k])[3], mods)}
+        buckets = [self.buckets.get((wrapper, h), {}) for h in
+                   ((head, *syn.synonyms(head)) if verb and syn else (head,))]
+        found = _common(buckets[0], mods)
+        for bucket in buckets[1:]:
+            found |= _common(bucket, mods)
+        if len(mods) > 1 and len(set(mods)) < len(mods):
+            found = {k for k in found
+                     if _contains(_shape(self.nodes[k])[3], mods)}
         reached = self.below.get((wrapper, side.head)) if side else None
         if reached:
             side_key = canonical_key(side)
@@ -503,8 +507,8 @@ class SearchIndex:
 
 
 def _common(bucket: dict, lemmas) -> set[str]:
-    """Keys the bucket posts under every lemma, shortest posting first."""
-    shortest, *rest = sorted((bucket.get(m, frozenset())
+    """Keys the bucket posts under every lemma, in a new set."""
+    shortest, *rest = sorted((bucket.get(m, set())
                               for m in {None, *lemmas}), key=len)
     return shortest.intersection(*rest)
 
@@ -604,8 +608,14 @@ def _cut_post(phrase: Phrase, *markers: str) -> Phrase:
     return phrase
 
 
+# every list pattern needs one of these lemmas
+_LIST_LEMMAS = frozenset(("such", "include", "other"))
+
+
 def _scan_list_patterns(sentence):
     tokens = sentence.tokens
+    if _LIST_LEMMAS.isdisjoint(sentence.lemmas()):
+        return []
     parser = _Parser(tokens)
     out = []
     for i, tok in enumerate(tokens):

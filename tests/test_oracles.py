@@ -68,6 +68,10 @@ every inflection left after the participle test; every pre-head item that
 is not an auxiliary.  Their tests run every marker against every content
 shape, every inflected form of a `VERBS` lemma, and every pre-head of up to
 two closed-class words.
+
+`_scan_list_patterns` is kept as it was when it ran its token loop over
+every sentence, and `scan_syntactic_patterns` is checked against it on
+sentences with and without the patterns' trigger lemmas.
 """
 
 import math
@@ -98,16 +102,19 @@ from syntaxspace.space import (DIMENSIONS, _EVIDENCE_RANK, _SNAPSHOT_HEAD,
 from syntaxspace.subsume import (EQUAL, MODIFIER, RELATED, SUBCLASS,
                                  SUPERCLASS, SYNTACTIC, UNRELATED, EdgeSet,
                                  KindMismatch, SearchIndex, SynonymTable,
-                                 _as_action_np, _inner_np, _shape,
+                                 _as_action_np, _inner_np, _np_edge,
+                                 _np_ending_before, _np_list, _scan_copula,
+                                 _scan_infinitive_pattern, _shape,
                                  at_or_below, clause_subclass,
                                  element_subclass, harvest_edges,
                                  question_subclass, reach,
-                                 sentence_subclass, verb_phrase_subclass)
+                                 scan_syntactic_patterns, sentence_subclass,
+                                 verb_phrase_subclass)
 from syntaxspace.syntax import (ADJECTIVE, ADVERB, NOUN, PREPOSITIONAL,
-                                PRONOUN, VERB, Adverbial, Clause, ObjectGroup,
-                                Phrase, SentenceSyntax, _noun_kind,
-                                canonical_key, classify_adverbial,
-                                match_marker)
+                                PRONOUN, VERB, Adverbial, Clause, NoFiniteVerb,
+                                ObjectGroup, Phrase, SentenceSyntax, _Parser,
+                                _noun_kind, canonical_key, classify_adverbial,
+                                match_marker, parse_sentence_parts)
 
 from conftest import UNICODE_SPACES, adjp, advp, np, pp, vp
 
@@ -1331,8 +1338,12 @@ _RELEVANCE = [SentenceSyntax(1, subject, action, group, advs)
                             ObjectGroup(np("model"), np("system", "neural")))
               for advs in ((), (Adverbial("place",
                                           pp("in", "model", "neural")),))]
+# a self-pair, which `SynonymTable.load` accepts, makes a head its own
+# synonym; the last table gives "run" two synonyms that are not each other's
 SYNONYMS = st.sampled_from([None, SynonymTable([("sprint", "jog")]),
-                            SynonymTable([("run", "move")])])
+                            SynonymTable([("run", "move")]),
+                            SynonymTable([("run", "run")]),
+                            SynonymTable([("run", "sprint"), ("run", "jog")])])
 
 
 def _outcome(relation, *args):
@@ -2282,3 +2293,101 @@ def _section(func, text):
 def test_corpus_section_matches_the_loop_reference(text):
     assert _section(corpus_section, text) == _section(ref_corpus_section,
                                                       text)
+
+
+# ---------------------------------------------------------------------------
+# Syntactic-pattern scan
+# ---------------------------------------------------------------------------
+#
+# `_scan_list_patterns` as it was when it ran its token loop over every
+# sentence, copied unchanged but for its name; the helpers it calls are
+# read from `subsume`.  The drawn sentences hold the three list patterns,
+# their trigger lemmas where no pattern fires ("such" without a following
+# "as", "include" under tags other than VBG, "other" after no
+# conjunction) and sentences with none of them.
+
+
+def ref_scan_list_patterns(sentence):
+    tokens = sentence.tokens
+    parser = _Parser(tokens)
+    out = []
+    for i, tok in enumerate(tokens):
+        # "NP_parent such as / including NP_child (, NP_child)*"
+        such_as = tok.lemma == "such" and i + 1 < len(tokens) \
+            and tokens[i + 1].lemma == "as"
+        if such_as or (tok.lemma == "include" and tok.pos == "VBG"):
+            parent = _np_ending_before(parser, tokens, i)
+            if parent is not None:
+                for child in _np_list(parser, tokens,
+                                      i + 2 if such_as else i + 1):
+                    out.append(_np_edge(child, parent, sentence.sentence_id))
+        # "NP_child and other NP_parent"
+        elif tok.pos == "CC" and i + 1 < len(tokens) \
+                and tokens[i + 1].lemma == "other":
+            child = _np_ending_before(parser, tokens, i)
+            parent, _ = parser.parse_np(i + 2, len(tokens))
+            if child is not None and parent is not None:
+                out.append(_np_edge(child, parent, sentence.sentence_id))
+    return out
+
+
+def _tokens(*rows):
+    return [corpus.Token(*row) for row in rows]
+
+
+# noun phrases, words and marks with no trigger lemma; each trigger piece is
+# inserted among them between two noun phrases
+_SCAN_NPS = [
+    _tokens(("tools", "tool", "NNS")),
+    _tokens(("the", "the", "DT"), ("neural", "neural", "JJ"),
+            ("models", "model", "NNS")),
+    _tokens(("LexRank", "lexrank", "NNP")),
+    _tokens(("a", "a", "DT"), ("parser", "parser", "NN")),
+]
+_SCAN_WORDS = st.sampled_from(_SCAN_NPS + [
+    _tokens(("build", "build", "VBP")),
+    _tokens(("is", "be", "VBZ")),
+    _tokens(("as", "as", "IN")),
+    _tokens(("and", "and", "CC")),
+    _tokens((",", ",", ",")),
+])
+_SCAN_TRIGGERS = st.sampled_from([
+    _tokens(("such", "such", "JJ"), ("as", "as", "IN")),
+    _tokens(("such", "such", "JJ")),
+    _tokens(("such", "such", "PDT")),
+    _tokens(("including", "include", "VBG")),
+    _tokens(("including", "include", "IN")),
+    _tokens(("include", "include", "VBP")),
+    _tokens(("includes", "include", "VBZ")),
+    _tokens(("included", "include", "VBN")),
+    _tokens(("and", "and", "CC"), ("other", "other", "JJ")),
+    _tokens(("or", "or", "CC"), ("other", "other", "JJ")),
+    _tokens(("other", "other", "JJ")),
+])
+
+
+@st.composite
+def scan_sentences(draw):
+    pieces = draw(st.lists(_SCAN_WORDS, max_size=6))
+    for trigger in draw(st.lists(_SCAN_TRIGGERS, max_size=2)):
+        pieces.insert(draw(st.integers(0, len(pieces))),
+                      draw(st.sampled_from(_SCAN_NPS)) + trigger
+                      + draw(st.sampled_from(_SCAN_NPS)))
+    return TaggedSentence(4, "d", [t for piece in pieces for t in piece]
+                          + _tokens((".", ".", ".")))
+
+
+@settings(max_examples=300, deadline=None)
+@given(scan_sentences())
+def test_scan_syntactic_patterns_matches_the_full_scan(sentence):
+    """`scan_syntactic_patterns` gives what it gave when the list patterns
+    scanned every sentence, with each parsed part and with none."""
+    try:
+        parts = parse_sentence_parts(sentence)
+    except NoFiniteVerb:
+        parts = []
+    for part in (None, *parts):
+        want = (_scan_copula(sentence, part)
+                + ref_scan_list_patterns(sentence)
+                + _scan_infinitive_pattern(part, sentence.sentence_id))
+        assert scan_syntactic_patterns(sentence, part) == want

@@ -1,3 +1,4 @@
+import copy
 import random
 
 import pytest
@@ -345,6 +346,41 @@ class TestSearchIndex:
             assert search(space, "subject", that_clause) == {1003}
             counts.append(len(calls))
         assert counts == [0, 1, 0, 1]
+
+
+    @pytest.mark.parametrize("query, kwargs, want", [
+        # a lone bucket and no modifier: every member of the bucket
+        (np("lexrank"), {}, {"np(lexrank|)"}),
+        # a modifier that no member posts
+        (np("algorithm", "slow"), {}, set()),
+        # a verb and its synonym's bucket
+        (vp("run"), {"syn": SynonymTable([("run", "sprint")])},
+         {"vp(run|)", "vp(sprint|quickly)"}),
+        # a hit through the harvested edge lexrank < algorithm
+        (np("algorithm"), {}, {"np(algorithm|)", "np(algorithm|fast)",
+                               "np(algorithm|fast fast)", "np(lexrank|)"}),
+        # a repeated modifier, counted
+        (np("algorithm", "fast", "fast"), {}, {"np(algorithm|fast fast)"}),
+        (np("algorithm"), {"among": {"np(lexrank|)", "vp(run|)"}},
+         {"np(lexrank|)"}),
+    ], ids=["lone-bucket", "unposted-modifier", "synonym-buckets",
+            "harvested-below", "repeated-modifier", "among"])
+    def test_anchors_returns_a_set_the_caller_owns(self, query, kwargs,
+                                                   want):
+        # emptying the result changes neither the index nor the next call
+        dim = build_dimension("subject", list(enumerate([
+            np("algorithm"), np("algorithm", "fast"),
+            np("algorithm", "fast", "fast"), np("lexrank"), vp("run"),
+            vp("sprint", "quickly")], 1)),
+            _harvested((np("lexrank"), np("algorithm"))))
+        index = dim.index
+        posted = copy.deepcopy((index.buckets, index.below))
+        got = index.anchors(query, **kwargs)
+        assert type(got) is set and got == want
+        got.add("np(extra|)")
+        got.clear()
+        assert (index.buckets, index.below) == posted
+        assert index.anchors(query, **kwargs) == want
 
 
 class TestCoverage:
