@@ -272,86 +272,58 @@ class _Parser:
 
     # -- noun phrases ------------------------------------------------------
 
-    def parse_np(self, i: int, end: int, attach_pps: bool = False,
-                 subject_position: bool = False):
+    def parse_np(self, i: int, end: int, subject_position: bool = False):
         """Parse a noun phrase starting at i; returns (Phrase, next_i) or
         (None, i).
 
-        Tails after the head fold into the post-head: of/about, "such as",
-        "including", "and other", coordination and "A, B, and C" items each
-        through one recursive parse of an inner noun phrase, relative
-        clauses as flat lemmas.  `attach_pps` makes every trailing
-        preposition attach as post-head (used before the verb); otherwise
-        only of/about attach and other prepositions are left for the
-        adverbial layer.  `subject_position` keeps coordination inside the
-        phrase even before a finite verb.
+        Tails after the head fold into the post-head in one loop: of/about,
+        "such as", "including", "and other", coordination and "A, B, and C"
+        items each add their connector and the item's words (`_np_words`),
+        relative clauses their lemmas.  Every item takes the phrase's
+        position.  In subject position (before the verb) any preposition
+        before a nominal attaches; otherwise only of/about do, and a finite
+        verb after the phrase hands its last plain coordination back.
         """
         tokens = self.tokens
-        start = i
-        pre: list[str] = []
-        while i < end and (tokens[i].pos in _DET_LIKE
-                           or (tokens[i].lemma == "that" and tokens[i].pos == "IN"
-                               and i + 1 < end and tokens[i + 1].pos in NOUN_TAGS)):
-            if tokens[i].lemma not in lx.ARTICLES:
-                pre.append(tokens[i].lemma)
-            i += 1
-        if i < end and tokens[i].pos == "PRP":
-            return Phrase(PRONOUN, tokens[i].lemma, (), (), (start, i + 1)), i + 1
-        run: list[Token] = []
-        while i < end and tokens[i].pos in _NP_PRE_TAGS:
-            run.append(tokens[i])
-            i += 1
-        # give trailing modifiers back to the stream, but keep a gerund that
-        # completes a compound nominal ("question answering"): a run left
-        # ends in a noun, a number or such a gerund, so it holds one of them
-        while run and run[-1].pos not in NOUN_TAGS and run[-1].pos != "CD" \
-                and not (run[-1].pos == "VBG" and len(run) > 1
-                         and run[-2].pos in NOUN_TAGS):
-            run.pop()
-            i -= 1
-        if not run:
-            return None, start
-        head = run[-1].lemma
-        pre.extend(t.lemma for t in run[:-1] if t.lemma not in lx.ARTICLES)
+        words = self._np_words(i, end)
+        if words is None:
+            return None, i
+        kind, pre, head, j = words
+        start, i = i, j
         post: list[str] = []
-        if i < end and tokens[i].pos == "(":
-            i = self._skip_parenthetical(i, end)
-        while i < end:
+        mark = None  # (conjunction, len(post)) of the last plain coordination
+        list_end = -1  # a comma list's conjunction: each comma before it continues
+        while kind == NOUN and i < end:  # a pronoun takes no tails
             tok = tokens[i]
-            # A fold parses an inner noun phrase and appends its words to the
-            # post-head: (connector lemmas kept, where the inner phrase
-            # starts, whether it parses in subject position, whether a finite
-            # verb after it ends this phrase).
+            # A fold appends its connector lemmas `keep` and the words of the
+            # item that starts at `j`.
             if tok.pos == "IN" and tok.lemma in lx.NP_ATTACH_PREPOSITIONS:
                 if i + 1 < end and tokens[i + 1].pos == "VBG":
                     _, j = self._parse_verb_clause(i + 1, end)
                     post.extend(self._flatten_lemmas(i, j))
                     i = j
                     continue
-                fold = (tok.lemma,), i + 1, False, False
-            elif attach_pps and tok.pos == "IN" and tok.lemma in lx.PREPOSITIONS \
-                    and _nominal_start(tokens, i + 1):
-                fold = (tok.lemma,), i + 1, False, False
+                keep, j = (tok.lemma,), i + 1
+            elif subject_position and tok.pos == "IN" \
+                    and tok.lemma in lx.PREPOSITIONS and _nominal_start(tokens, i + 1):
+                keep, j = (tok.lemma,), i + 1
             # hypernym-pattern tails stay inside the phrase so that the
             # sentence parse is not interrupted: "algorithms such as LexRank"
             elif tok.lemma == "such" and i + 1 < end \
                     and tokens[i + 1].lemma == "as" and _nominal_start(tokens, i + 2):
-                fold = ("such", "as"), i + 2, subject_position, False
+                keep, j = ("such", "as"), i + 2
             elif tok.lemma == "include" and tok.pos == "VBG" \
                     and _nominal_start(tokens, i + 1):
-                fold = ("include",), i + 1, False, False
-            # "and other" is a pattern tail; plain coordination is kept
-            # inside one phrase, but in object position a following finite
-            # verb means sentence-level coordination
+                keep, j = ("include",), i + 1
+            # "and other" is a pattern tail, plain coordination a list item
             elif tok.pos == "CC" and _nominal_start(tokens, i + 1):
-                plain = tokens[i + 1].lemma != "other"
-                fold = ((tok.lemma,), i + 1, subject_position and plain,
-                        plain and not subject_position)
+                keep, j = (tok.lemma,), i + 1
             # comma inside an "A, B, and C" list: consume the next item; a
             # comma splice ("..., the researcher wins") stays a boundary
-            elif tok.pos == "," and self._list_continues(i + 1, end):
+            elif tok.pos == "," and (i < list_end
+                                     or (list_end := self._list_end(i + 1, end)) > i):
                 if _nominal_start(tokens, i + 1):
-                    fold = (), i + 1, subject_position, False
+                    keep, j = (), i + 1
                 elif i + 1 < end and tokens[i + 1].pos == "CC":
                     i += 1  # ", and C": the conjunction branch takes over
                     continue
@@ -378,29 +350,69 @@ class _Parser:
                 continue
             else:
                 break
-            keep, j, inner_subject, stop_at_finite = fold
-            inner, j = self.parse_np(j, end, subject_position=inner_subject)
-            if inner is None or stop_at_finite and _finite_verb_start(tokens, j):
+            words = self._np_words(j, end)
+            if words is None:
                 break
-            post.extend(keep + inner.pre + (inner.head,) + inner.post)
-            i = j
-        return Phrase(NOUN, head, tuple(pre), tuple(post), (start, i)), i
+            item_kind, item_pre, item_head, k = words
+            # in object position a plain coordination marks where it began;
+            # a pronoun item ends where it stands, so it keeps its mark only
+            # before a finite verb
+            if tok.pos == "CC" and not subject_position and tokens[j].lemma != "other" \
+                    and (item_kind == NOUN or _finite_verb_start(tokens, k)):
+                mark = i, len(post)
+            post += (*keep, *item_pre, item_head)
+            i = k
+        if mark is not None and _finite_verb_start(tokens, i):
+            i, post = mark[0], post[:mark[1]]
+        return Phrase(kind, head, tuple(pre), tuple(post), (start, i)), i
+
+    def _np_words(self, i: int, end: int):
+        """A noun phrase at i without tails: (kind, pre, head, next_i), or
+        None; a pronoun keeps no pre-head, a noun skips a parenthetical."""
+        tokens = self.tokens
+        pre: list[str] = []
+        while i < end and (tokens[i].pos in _DET_LIKE
+                           or (tokens[i].lemma == "that" and tokens[i].pos == "IN"
+                               and i + 1 < end and tokens[i + 1].pos in NOUN_TAGS)):
+            if tokens[i].lemma not in lx.ARTICLES:
+                pre.append(tokens[i].lemma)
+            i += 1
+        if i < end and tokens[i].pos == "PRP":
+            return PRONOUN, [], tokens[i].lemma, i + 1
+        run: list[Token] = []
+        while i < end and tokens[i].pos in _NP_PRE_TAGS:
+            run.append(tokens[i])
+            i += 1
+        # give trailing modifiers back to the stream, but keep a gerund that
+        # completes a compound nominal ("question answering"): a run left
+        # ends in a noun, a number or such a gerund, so it holds one of them
+        while run and run[-1].pos not in NOUN_TAGS and run[-1].pos != "CD" \
+                and not (run[-1].pos == "VBG" and len(run) > 1
+                         and run[-2].pos in NOUN_TAGS):
+            run.pop()
+            i -= 1
+        if not run:
+            return None
+        pre.extend(t.lemma for t in run[:-1] if t.lemma not in lx.ARTICLES)
+        if i < end and tokens[i].pos == "(":
+            i = self._skip_parenthetical(i, end)
+        return NOUN, pre, run[-1].lemma, i
 
     def _flatten_lemmas(self, start: int, end: int) -> list[str]:
         return [t.lemma for t in self.tokens[start:end]
                 if t.lemma not in lx.ARTICLES and not _is_punct(t)]
 
-    def _list_continues(self, i: int, end: int) -> bool:
-        """Only nominal material and commas up to a coordinating
-        conjunction: the tail of an enumeration, not a new clause."""
+    def _list_end(self, i: int, end: int) -> int:
+        """The coordinating conjunction after only nominal material and
+        commas: the tail of an enumeration, not a new clause; else -1."""
         for j in range(i, end):
             tok = self.tokens[j]
             if tok.pos == "CC":
-                return True
+                return j
             if tok.pos in _NP_PRE_TAGS or tok.pos in _DET_LIKE or tok.pos == ",":
                 continue
-            return False
-        return False
+            return -1
+        return -1
 
     def _skip_parenthetical(self, i: int, end: int) -> int:
         depth = 0
@@ -599,7 +611,7 @@ class _Parser:
                                                 stop_before_main=True)
             if clause is not None:
                 return replace(clause, span=(i, j)), j
-        return self.parse_np(i, end, attach_pps=True, subject_position=True)
+        return self.parse_np(i, end, subject_position=True)
 
     # -- objects -----------------------------------------------------------
 

@@ -8,6 +8,11 @@ gold annotations and near-perfect recovery is the designed bar.
 
 `random_corpus` produces small random corpora and question pairs for the
 monotonicity and relevance property suites.
+
+`FOLD_GROUPS` are pretagged pieces rich in the tails a noun phrase folds
+(of/about, prepositions, "such as", "including", coordination, "other",
+commas, relative clauses, parentheses, pronouns) and in the finite verbs
+that end a phrase; `word_soup` strings them at random.
 """
 
 import random
@@ -238,6 +243,12 @@ RANDOM_PLACES = ["China", "Beijing"]
 
 def random_corpus(rng: random.Random, max_sentences: int = 30):
     """Random active-voice sentences over a bounded vocabulary."""
+    return [tag(text, sentence_id=i + 1, doc_id="random")
+            for i, text in enumerate(random_texts(rng, max_sentences))]
+
+
+def random_texts(rng: random.Random, max_sentences: int = 30) -> list[str]:
+    """The texts of `random_corpus`."""
     texts = []
     for _ in range(rng.randint(8, max_sentences)):
         subj = _random_np(rng)
@@ -252,8 +263,17 @@ def random_corpus(rng: random.Random, max_sentences: int = 30):
         if rng.random() < 0.4:
             parts.append(f"in {rng.choice(RANDOM_PLACES)}")
         texts.append(" ".join(parts) + ".")
-    return [tag(text, sentence_id=i + 1, doc_id="random")
-            for i, text in enumerate(texts)]
+    return texts
+
+
+def random_question_text(rng: random.Random) -> str:
+    """A question over the vocabulary of `random_texts`."""
+    noun, verb = _random_np(rng), rng.choice(RANDOM_VERBS)
+    return rng.choice([
+        f"What does the {noun} {verb}?",
+        f"Which {noun} {lx.third_singular(verb)} the {_random_np(rng)}?",
+        f"Does the {noun} {verb} the {_random_np(rng)} in "
+        f"{rng.choice(RANDOM_PLACES)}?"])
 
 
 def _random_np(rng, max_depth: int = 3) -> str:
@@ -388,3 +408,52 @@ def relevant_pair_from_space(rng: random.Random, space):
     q2 = build(y, _keep_mods(rng, s2.action, 0.0),
                _keep_mods(rng, s2.object.direct, 0.0))
     return q1, q2, ("subject", x, y), s1.sentence_id, s2.sentence_id
+
+
+# ---------------------------------------------------------------------------
+# Pretagged word soups rich in noun-phrase folds
+# ---------------------------------------------------------------------------
+
+def tagged_rows(text: str) -> list[tuple[str, ...]]:
+    """(surface, lemma, pos) rows of "surface/lemma/pos" words."""
+    return [tuple(word.split("/")) for word in text.split()]
+
+
+# the pieces by their place in a window: a phrase is up to two modifiers, a
+# head and maybe a parenthetical; connectors join phrases; verbs follow
+FOLD_GROUPS = {
+    "modifier": ["the/the/DT", "a/a/DT", "these/these/DT", "neural/neural/JJ",
+                 "fast/fast/JJ", "two/two/CD", "ranking/rank/VBG"],
+    "head": ["models/model/NNS", "tools/tool/NNS", "team/team/NN",
+             "LexRank/lexrank/NNP", "2020/2020/CD",
+             "question/question/NN answering/answer/VBG", "it/it/PRP",
+             "them/them/PRP"],
+    "paren": ["(/(/( 2020/2020/CD )/)/)", "(/(/(", ")/)/)"],
+    "connector": ["of/of/IN", "about/about/IN", "in/in/IN", "with/with/IN",
+                  "such/such/JJ as/as/IN", "including/include/VBG",
+                  "and/and/CC", "or/or/CC", "and/and/CC other/other/JJ",
+                  "other/other/JJ", ",/,/,", ",/,/, and/and/CC",
+                  "that/that/IN rank/rank/VBP",
+                  "that/that/WDT builds/build/VBZ", ",/,/, which/which/WDT"],
+    "verb": ["builds/build/VBZ", "build/build/VBP", "ranked/rank/VBD",
+             "can/can/MD"],
+}
+FOLD_PIECES = [piece for group in FOLD_GROUPS.values() for piece in group]
+
+
+def word_soup(rng: random.Random, max_items: int = 5) -> list[tuple]:
+    """(surface, lemma, pos) rows: a phrase, up to `max_items` connectors
+    each with a phrase, maybe a verb, then a few pieces of any group."""
+    def phrase():
+        pieces = rng.sample(FOLD_GROUPS["modifier"], rng.randint(0, 2))
+        pieces.append(rng.choice(FOLD_GROUPS["head"]))
+        if rng.random() < 0.15:
+            pieces.append(rng.choice(FOLD_GROUPS["paren"]))
+        return pieces
+    pieces = phrase()
+    for _ in range(rng.randint(0, max_items)):
+        pieces += [rng.choice(FOLD_GROUPS["connector"])] + phrase()
+    if rng.random() < 0.6:
+        pieces.append(rng.choice(FOLD_GROUPS["verb"]))
+    pieces += rng.choices(FOLD_PIECES, k=rng.randint(0, 4))
+    return tagged_rows(" ".join(pieces))

@@ -370,33 +370,50 @@ class TestErrorHandling:
 
     LONG_LIST = ", ".join(["models"] * 1199) + " and tools"
 
-    def test_deeply_nested_sentences_are_uncovered(self, tmp_path, capsys):
-        # two sentences too deep to parse leave the rest of the corpus built
+    DISTINCT_LIST = ", ".join(f"model{i}" for i in range(4999)) + " and model4999"
+
+    NESTED = "the team knows that " * 1000 + "the team wins"
+
+    def test_long_lists_parse_and_nested_clauses_are_uncovered(self, tmp_path,
+                                                                capsys):
+        # lists fold in a loop, whatever their length; clauses inside clauses
+        # still recurse, and a sentence nested too deeply is left uncovered
         raw = tmp_path / "deep.txt"
         raw.write_text(f"The team builds {self.LONG_LIST}. "
+                       f"The lab builds {self.DISTINCT_LIST}. "
                        f"LexRank builds {self.DEEP}. "
+                       f"{self.NESTED.capitalize()}. "
                        f"LexRank builds summaries.\n")
         corpus_snap, space_snap = tmp_path / "deep.tsv", tmp_path / "deep.snap"
         assert run(capsys, "ingest", raw, "-o", corpus_snap)[0] == 0
         code, out, err = run(capsys, "build", corpus_snap, "-o", space_snap)
         assert code == 0
-        assert err == "warning: 2 sentences not parsed: [1, 2]\n"
-        code, out, _ = run(capsys, "query", space_snap,
-                           "What builds summaries?")
-        assert code == 0
-        assert [line.split("\t")[1] for line in out.splitlines()] == ["3"]
+        assert err == "warning: 1 sentences not parsed: [4]\n"
+        for question, answers in (("What builds summaries?", ["5"]),
+                                  ("What does the lab build?", ["2"])):
+            code, out, _ = run(capsys, "query", space_snap, question)
+            assert code == 0
+            assert [line.split("\t")[1] for line in out.splitlines()] \
+                == answers
         code, out, _ = run(capsys, "dump-parse", corpus_snap)
         assert code == 0
-        assert out.count("# unparsed: nests too deeply to parse\n") == 2
+        assert out.count("# unparsed: nests too deeply to parse\n") == 1
 
     def test_deeply_nested_question_is_data_error(self, workspace, capsys):
         _, space_snap = build_short(workspace, capsys)
         code, out, err = run(capsys, "query", space_snap,
-                             f"How does {self.DEEP} build an extract?")
+                             f"Does {self.NESTED}?")
         assert code == 2
         assert err == ("error: a sentence or question nests too deeply "
                        "to parse\n")
         assert out == ""
+
+    def test_long_coordinated_question_is_answered(self, workspace, capsys):
+        _, space_snap = build_short(workspace, capsys)
+        code, _, err = run(capsys, "query", space_snap,
+                           f"How does {self.DEEP} build an extract?")
+        assert code == 0
+        assert err == ""
 
     def test_corpus_token_like_a_section_header_loads(self, tmp_path, capsys):
         corpus_snap = tmp_path / "odd.tsv"

@@ -72,6 +72,12 @@ two closed-class words.
 `_scan_list_patterns` is kept as it was when it ran its token loop over
 every sentence, and `scan_syntactic_patterns` is checked against it on
 sentences with and without the patterns' trigger lemmas.
+
+`_Parser.parse_np` is kept, on the subclass `_RefParser`, as it was when it
+folded each item through a recursive parse of an inner noun phrase and
+took `attach_pps`; the one loop is checked against it in both positions,
+and `_parse_one` through either parser, on windows of phrases joined by
+every connector a phrase folds and followed by finite verbs.
 """
 
 import math
@@ -81,7 +87,7 @@ from dataclasses import dataclass, replace
 from itertools import combinations, product
 from unittest import mock
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from syntaxspace import corpus, evaluation, qa
 from syntaxspace import lexicon as lx
@@ -110,13 +116,17 @@ from syntaxspace.subsume import (EQUAL, MODIFIER, RELATED, SUBCLASS,
                                  question_subclass, reach,
                                  scan_syntactic_patterns, sentence_subclass,
                                  verb_phrase_subclass)
-from syntaxspace.syntax import (ADJECTIVE, ADVERB, NOUN, PREPOSITIONAL,
-                                PRONOUN, VERB, Adverbial, Clause, NoFiniteVerb,
-                                ObjectGroup, Phrase, SentenceSyntax, _Parser,
-                                _noun_kind, canonical_key, classify_adverbial,
-                                match_marker, parse_sentence_parts)
+from syntaxspace.syntax import (_DET_LIKE, _NP_PRE_TAGS, ADJECTIVE, ADVERB,
+                                NOUN, PREPOSITIONAL, PRONOUN, VERB, Adverbial,
+                                Clause, NoFiniteVerb, ObjectGroup, Phrase,
+                                SentenceSyntax, _finite_verb_start, _is_punct,
+                                _nominal_start, _noun_kind, _parse_one,
+                                _Parser, _verb_group_start, canonical_key,
+                                classify_adverbial, match_marker,
+                                parse_sentence_parts)
 
 from conftest import UNICODE_SPACES, adjp, advp, np, pp, vp
+from generators import tagged_rows, word_soup
 
 
 # ---------------------------------------------------------------------------
@@ -2391,3 +2401,197 @@ def test_scan_syntactic_patterns_matches_the_full_scan(sentence):
                 + ref_scan_list_patterns(sentence)
                 + _scan_infinitive_pattern(part, sentence.sentence_id))
         assert scan_syntactic_patterns(sentence, part) == want
+
+
+# ---------------------------------------------------------------------------
+#
+# `_Parser.parse_np` as it was when it folded each item through a recursive
+# parse of an inner noun phrase, with `attach_pps`, copied unchanged on
+# `_RefParser` but for its name and that of its self-call, together with the
+# `_list_continues` it calls; the helpers it calls are read from `syntax`
+# and `_Parser`.  `_RefParser.parse_np` is what the other methods called:
+# the only caller that set `attach_pps`, `parse_subject_element`, also set
+# `subject_position`.  The windows are `generators.word_soup` soups over
+# `generators.FOLD_GROUPS`: phrases joined by every connector a phrase
+# folds, then the finite verbs that hand an item back, then any pieces.
+
+
+class _RefParser(_Parser):
+    def parse_np(self, i: int, end: int, subject_position: bool = False):
+        return self.ref_parse_np(i, end, attach_pps=subject_position,
+                                 subject_position=subject_position)
+
+    def ref_parse_np(self, i: int, end: int, attach_pps: bool = False,
+                     subject_position: bool = False):
+        """Parse a noun phrase starting at i; returns (Phrase, next_i) or
+        (None, i).
+
+        Tails after the head fold into the post-head: of/about, "such as",
+        "including", "and other", coordination and "A, B, and C" items each
+        through one recursive parse of an inner noun phrase, relative
+        clauses as flat lemmas.  `attach_pps` makes every trailing
+        preposition attach as post-head (used before the verb); otherwise
+        only of/about attach and other prepositions are left for the
+        adverbial layer.  `subject_position` keeps coordination inside the
+        phrase even before a finite verb.
+        """
+        tokens = self.tokens
+        start = i
+        pre: list[str] = []
+        while i < end and (tokens[i].pos in _DET_LIKE
+                           or (tokens[i].lemma == "that" and tokens[i].pos == "IN"
+                               and i + 1 < end and tokens[i + 1].pos in NOUN_TAGS)):
+            if tokens[i].lemma not in lx.ARTICLES:
+                pre.append(tokens[i].lemma)
+            i += 1
+        if i < end and tokens[i].pos == "PRP":
+            return Phrase(PRONOUN, tokens[i].lemma, (), (), (start, i + 1)), i + 1
+        run: list[Token] = []
+        while i < end and tokens[i].pos in _NP_PRE_TAGS:
+            run.append(tokens[i])
+            i += 1
+        # give trailing modifiers back to the stream, but keep a gerund that
+        # completes a compound nominal ("question answering"): a run left
+        # ends in a noun, a number or such a gerund, so it holds one of them
+        while run and run[-1].pos not in NOUN_TAGS and run[-1].pos != "CD" \
+                and not (run[-1].pos == "VBG" and len(run) > 1
+                         and run[-2].pos in NOUN_TAGS):
+            run.pop()
+            i -= 1
+        if not run:
+            return None, start
+        head = run[-1].lemma
+        pre.extend(t.lemma for t in run[:-1] if t.lemma not in lx.ARTICLES)
+        post: list[str] = []
+        if i < end and tokens[i].pos == "(":
+            i = self._skip_parenthetical(i, end)
+        while i < end:
+            tok = tokens[i]
+            # A fold parses an inner noun phrase and appends its words to the
+            # post-head: (connector lemmas kept, where the inner phrase
+            # starts, whether it parses in subject position, whether a finite
+            # verb after it ends this phrase).
+            if tok.pos == "IN" and tok.lemma in lx.NP_ATTACH_PREPOSITIONS:
+                if i + 1 < end and tokens[i + 1].pos == "VBG":
+                    _, j = self._parse_verb_clause(i + 1, end)
+                    post.extend(self._flatten_lemmas(i, j))
+                    i = j
+                    continue
+                fold = (tok.lemma,), i + 1, False, False
+            elif attach_pps and tok.pos == "IN" and tok.lemma in lx.PREPOSITIONS \
+                    and _nominal_start(tokens, i + 1):
+                fold = (tok.lemma,), i + 1, False, False
+            # hypernym-pattern tails stay inside the phrase so that the
+            # sentence parse is not interrupted: "algorithms such as LexRank"
+            elif tok.lemma == "such" and i + 1 < end \
+                    and tokens[i + 1].lemma == "as" and _nominal_start(tokens, i + 2):
+                fold = ("such", "as"), i + 2, subject_position, False
+            elif tok.lemma == "include" and tok.pos == "VBG" \
+                    and _nominal_start(tokens, i + 1):
+                fold = ("include",), i + 1, False, False
+            # "and other" is a pattern tail; plain coordination is kept
+            # inside one phrase, but in object position a following finite
+            # verb means sentence-level coordination
+            elif tok.pos == "CC" and _nominal_start(tokens, i + 1):
+                plain = tokens[i + 1].lemma != "other"
+                fold = ((tok.lemma,), i + 1, subject_position and plain,
+                        plain and not subject_position)
+            # comma inside an "A, B, and C" list: consume the next item; a
+            # comma splice ("..., the researcher wins") stays a boundary
+            elif tok.pos == "," and self._list_continues(i + 1, end):
+                if _nominal_start(tokens, i + 1):
+                    fold = (), i + 1, subject_position, False
+                elif i + 1 < end and tokens[i + 1].pos == "CC":
+                    i += 1  # ", and C": the conjunction branch takes over
+                    continue
+                else:
+                    break
+            # restrictive relative: "dogs that guard houses"
+            elif tok.lemma == "that" and i + 1 < end \
+                    and _verb_group_start(tokens, i + 1):
+                j = i + 1
+                while j < end and not _is_punct(tokens[j]) \
+                        and match_marker(tokens, j) is None:
+                    j += 1
+                post.extend(self._flatten_lemmas(i, j))
+                i = j
+                continue
+            # non-restrictive tail: ", which is relevant ..."
+            elif tok.pos == "," and i + 1 < end \
+                    and tokens[i + 1].pos in ("WDT", "WP"):
+                j = i + 1
+                while j < end and not _is_punct(tokens[j]):
+                    j += 1
+                post.extend(self._flatten_lemmas(i + 1, j))
+                i = j
+                continue
+            else:
+                break
+            keep, j, inner_subject, stop_at_finite = fold
+            inner, j = self.ref_parse_np(j, end, subject_position=inner_subject)
+            if inner is None or stop_at_finite and _finite_verb_start(tokens, j):
+                break
+            post.extend(keep + inner.pre + (inner.head,) + inner.post)
+            i = j
+        return Phrase(NOUN, head, tuple(pre), tuple(post), (start, i)), i
+
+    def _list_continues(self, i: int, end: int) -> bool:
+        """Only nominal material and commas up to a coordinating
+        conjunction: the tail of an enumeration, not a new clause."""
+        for j in range(i, end):
+            tok = self.tokens[j]
+            if tok.pos == "CC":
+                return True
+            if tok.pos in _NP_PRE_TAGS or tok.pos in _DET_LIKE or tok.pos == ",":
+                continue
+            return False
+        return False
+
+
+@st.composite
+def fold_windows(draw):
+    """A `generators.word_soup` window of tokens, and an end."""
+    rows = word_soup(draw(st.randoms(use_true_random=False)))
+    tokens = [corpus.Token(*row) for row in rows]
+    return tokens, draw(st.integers(1, len(tokens)))
+
+
+def _window(text: str):
+    """Tokens of "surface/lemma/pos" words, and their number."""
+    tokens = [corpus.Token(*row) for row in tagged_rows(text)]
+    return tokens, len(tokens)
+
+
+def _parse_one_outcome(parser_type, sentence):
+    try:
+        return _parse_one(parser_type(sentence.tokens), sentence, 0,
+                          len(sentence.tokens))
+    except NoFiniteVerb as exc:
+        return str(exc)
+
+
+@settings(max_examples=1500, deadline=None)
+@given(fold_windows())
+# the last plain coordination before a finite verb is handed back, in
+# object position only; an item skips its parenthetical; only of/about
+# attach in object position
+@example(_window("models/model/NNS and/and/CC tools/tool/NNS or/or/CC "
+                 "team/team/NN builds/build/VBZ"))
+@example(_window("models/model/NNS of/of/IN tools/tool/NNS (/(/( 2020/2020/CD "
+                 ")/)/) in/in/IN the/the/DT team/team/NN"))
+# a coordinated pronoun ends where it stands: only a finite verb right after
+# it hands it back, and it leaves the mark of an earlier coordination
+@example(_window("models/model/NNS and/and/CC it/it/PRP of/of/IN "
+                 "tools/tool/NNS builds/build/VBZ"))
+@example(_window("models/model/NNS and/and/CC team/team/NN and/and/CC "
+                 "it/it/PRP of/of/IN tools/tool/NNS builds/build/VBZ"))
+def test_parse_np_folds_as_the_recursive_reference(window):
+    """One loop gives the phrase, span and next index that the recursive
+    parse gave, in both positions, and the same sentence parts."""
+    tokens, end = window
+    for subject_position in (False, True):
+        assert _Parser(tokens).parse_np(0, end, subject_position) \
+            == _RefParser(tokens).parse_np(0, end, subject_position)
+    sentence = TaggedSentence(1, "d", tokens + [corpus.Token(".", ".", ".")])
+    assert _parse_one_outcome(_Parser, sentence) \
+        == _parse_one_outcome(_RefParser, sentence)

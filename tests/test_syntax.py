@@ -370,6 +370,23 @@ class TestParseNounPhrase:
         phrase, i = _Parser(tokens).parse_np(0, len(tokens))
         assert (phrase.head, phrase.pre, i) == ("3", (), 2)
 
+    def test_comma_list_is_scanned_once(self, monkeypatch):
+        # every comma before the conjunction reuses where the conjunction is,
+        # so a long list costs linear time, and the list folds in a loop
+        items = ", ".join(f"model{i}" for i in range(4999))
+        sentence = tag(f"The team builds {items} and tools.", 1)
+        scans = []
+        list_end = _Parser._list_end
+
+        def counted(self, i, end):
+            scans.append(i)
+            return list_end(self, i, end)
+        monkeypatch.setattr(_Parser, "_list_end", counted)
+        obj = parse_sentence(sentence).object.direct
+        assert len(scans) <= 2
+        assert (obj.head, len(obj.post), obj.post[-2:]) \
+            == ("model0", 5000, ("and", "tool"))
+
 
 class TestParseObject:
     def test_indirect_after_preposition(self):

@@ -1,6 +1,7 @@
 """In-process A/B of two versions of the package on a benchmark workload.
 
     python3 tools/ab.py time --parent HEAD --workload plain-longdoc --seed 5
+    python3 tools/ab.py diff --parent HEAD --random 100000
 
 The change is the working tree's `src/syntaxspace`, or `--change <rev>`'s.
 The parent is `--parent <rev>`'s, exported with `git archive` into a
@@ -21,6 +22,18 @@ minimum of `--repeat` runs of a stage over the whole input; in each of
 `--pairs` pairs both sides take one sample of a stage, and the side that
 goes first alternates from pair to pair.  Per stage it prints each side's
 median and quartiles in ms and the pairs in which the change was faster.
+
+`diff` compares what the two sides make of the same inputs: the workloads'
+(hearst-build and plain-longdoc unless `--workload` is given) corpora and
+questions for each of `--seeds` (0-31), and `--random` texts in corpora of
+`RANDOM_BATCH`, half from `tests/generators.random_texts` and half pretagged
+word soups (`generators.word_soup`, alone or as an object), each corpus
+asked a few questions.  For each sentence it compares the voice-normalized
+parts with their spans (or the error raised) and the harvested triples; for
+each corpus, the uncovered sentences and each dimension's edges and
+dropped edges; for each question, its parse and top-k answers.  It prints
+the items that differ, grouped by the first field that differs, and exits
+1 if any do.
 """
 
 from __future__ import annotations
@@ -31,6 +44,7 @@ import importlib
 import importlib.util
 import io
 import os
+import random
 import shutil
 import statistics
 import subprocess
@@ -44,7 +58,11 @@ from types import SimpleNamespace
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 PERFBENCH = ROOT / "perfbench"
+TESTS = ROOT / "tests"
 TOP_K = 5
+DIFF_WORKLOADS = ("hearst-build", "plain-longdoc")
+RANDOM_BATCH = 20
+SHOWN = 5  # differing items printed per group
 STAGES = ("ingest_text", "normalize_voice", "parse_sentence_parts",
           "build_space", "question_pass", "snapshot_load")
 
@@ -60,10 +78,25 @@ def parse_args(argv=None):
     timing.add_argument("--seed", type=int, default=0)
     timing.add_argument("--pairs", type=int, default=11)
     timing.add_argument("--repeat", type=int, default=3)
+    diffing = modes.add_parser("diff", help="compare the outputs of both sides")
+    diffing.add_argument("--parent", required=True, metavar="REV")
+    diffing.add_argument("--change", metavar="REV",
+                         help="a revision in place of the working tree")
+    diffing.add_argument("--workload", action="append",
+                         help=f"repeatable; default {', '.join(DIFF_WORKLOADS)}")
+    diffing.add_argument("--seeds", type=seed_range, default=range(32),
+                         metavar="A-B", help="workload seeds (default 0-31)")
+    diffing.add_argument("--random", type=int, default=0, metavar="N",
+                         help="random texts to compare (default 0)")
     args = parser.parse_args(argv)
-    if args.pairs < 1 or args.repeat < 1:
+    if args.mode == "time" and (args.pairs < 1 or args.repeat < 1):
         parser.error("--pairs and --repeat must be at least 1")
     return args
+
+
+def seed_range(text: str) -> range:
+    first, _, last = text.partition("-")
+    return range(int(first), int(last or first) + 1)
 
 
 def git(*args: str) -> bytes:
@@ -92,7 +125,7 @@ def load(name: str, directory: Path) -> SimpleNamespace:
     spec.loader.exec_module(package)
     return SimpleNamespace(**{
         module: importlib.import_module(f"{name}.{module}")
-        for module in ("cli", "corpus", "qa", "space", "syntax")})
+        for module in ("cli", "corpus", "qa", "space", "subsume", "syntax")})
 
 
 class Side:
@@ -194,6 +227,132 @@ def report(samples: dict, parent: str, change: str) -> None:
               f"{f'{wins}/{len(by_side[parent])}':>8}")
 
 
+def outcome(call, *args):
+    """What `call(*args)` returns, or the exception it raises."""
+    try:
+        return call(*args)
+    except Exception as exc:  # NoFiniteVerb, NotAQuestion, RecursionError
+        return exc
+
+
+def observe(pkg, label: str, sentences, questions) -> dict:
+    """{item: ((field, value), ...)} of one side for a corpus of tagged
+    sentences and its tagged questions, as `build_space` and `qa.answer`
+    see them."""
+    items = {}
+    for sentence in sentences:
+        normalized = pkg.corpus.normalize_voice(sentence)
+        parts = outcome(pkg.syntax.parse_sentence_parts, normalized)
+        triples = [] if isinstance(parts, Exception) else [
+            pkg.subsume.scan_syntactic_patterns(normalized, part)
+            for part in parts]
+        items[f"{label} sentence {sentence.sentence_id}"] = (
+            ("parts", repr(parts)), ("triples", repr(triples)))
+    space = pkg.space.build_space(sentences)
+    items[label] = (("uncovered", repr(space.uncovered)), *(
+        (f"{name} {what}", repr(sorted(getattr(dim, what).items())
+                                if what == "edges" else dim.dropped_edges))
+        for name, dim in space.dimensions.items()
+        for what in ("edges", "dropped_edges")))
+    for number, question in enumerate(questions, 1):
+        answers = outcome(pkg.qa.answer, space, question, TOP_K)
+        items[f"{label} question {number}"] = (
+            ("parse", repr(outcome(pkg.qa.parse_question, question))),
+            ("answers", repr(answers if isinstance(answers, Exception) else
+                             [(sid, j.score) for sid, j in answers])))
+    return items
+
+
+def diff_inputs(args, generate):
+    """(label, build) of each corpus to compare; `build(pkg)` gives that
+    side's tagged sentences and questions."""
+    for name in args.workload or DIFF_WORKLOADS:
+        for seed in args.seeds:
+            workload = generate(name, seed)
+
+            def build(pkg, workload=workload):
+                sentences = []
+                for doc_id, text in workload.documents:
+                    sentences.extend(pkg.corpus.ingest_text(
+                        text, doc_id, first_id=len(sentences) + 1))
+                return sentences, [pkg.corpus.tag(q)
+                                   for q in workload.questions]
+            yield f"{name} seed {seed}", build
+    import generators
+    rng = random.Random(0)
+    left, batch = args.random, 0
+    while left > 0:
+        size = min(left, RANDOM_BATCH)
+        if batch % 2 == 0:
+            texts = []
+            while len(texts) < size:
+                texts += generators.random_texts(rng, RANDOM_BATCH)
+            texts = texts[:size]
+            asked = [generators.random_question_text(rng) for _ in range(4)]
+
+            def build(pkg, texts=texts, asked=asked):
+                tag = pkg.corpus.tag
+                return ([tag(text, sentence_id=i, doc_id="random")
+                         for i, text in enumerate(texts, 1)],
+                        [tag(q) for q in asked])
+        else:
+            soups = [rng.choice(SENTENCE_STARTS) + generators.word_soup(rng)
+                     + [(".", ".", ".")] for _ in range(size)]
+            asked = [rng.choice(QUESTION_STARTS) + generators.word_soup(rng)
+                     + [("?", "?", ".")] for _ in range(4)]
+
+            def build(pkg, soups=soups, asked=asked):
+                corpus = pkg.corpus
+
+                def tagged(sid, rows):
+                    return corpus.TaggedSentence(
+                        sid, "soup", [corpus.Token(*row) for row in rows])
+                return ([tagged(i, rows) for i, rows in enumerate(soups, 1)],
+                        [tagged(0, rows) for rows in asked])
+        yield f"random {batch}", build
+        left -= size
+        batch += 1
+
+
+# a soup starts a sentence, or is the object of one
+SENTENCE_STARTS = [[], [("The", "the", "DT"), ("team", "team", "NN"),
+                        ("builds", "build", "VBZ")]]
+QUESTION_STARTS = [[("What", "what", "WP")], [("Who", "who", "WP")],
+                   [("Which", "which", "WDT")], [("Does", "do", "VBZ")],
+                   [("How", "how", "WRB"), ("does", "do", "VBZ")]]
+
+
+def diff(parent: SimpleNamespace, change: SimpleNamespace,
+         corpora) -> tuple[dict, int]:
+    """{first differing field: [(item, parent value, change value)]}, and
+    the number of items compared; an item only one side has differs in
+    the field "item"."""
+    groups, compared = {}, 0
+    for label, build in corpora:
+        before = observe(parent, label, *build(parent))
+        after = observe(change, label, *build(change))
+        for item in [*before, *(item for item in after if item not in before)]:
+            compared += 1
+            if item not in before or item not in after:
+                groups.setdefault("item", []).append(
+                    (item, str(item in before), str(item in after)))
+                continue
+            for (field, old), (_, new) in zip(before[item], after[item]):
+                if old != new:
+                    groups.setdefault(field, []).append((item, old, new))
+                    break
+    return groups, compared
+
+
+def report_diff(groups: dict, compared: int) -> None:
+    differing = sum(len(found) for found in groups.values())
+    print(f"items compared: {compared}; differing: {differing}")
+    for field, found in sorted(groups.items()):
+        print(f"first differing field {field!r}: {len(found)} items")
+        for item, old, new in found[:SHOWN]:
+            print(f"  {item}\n    parent: {old[:400]}\n    change: {new[:400]}")
+
+
 def pin_cpu():
     if hasattr(os, "sched_setaffinity"):
         os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
@@ -201,29 +360,41 @@ def pin_cpu():
 
 def main(argv=None) -> int:
     args = parse_args(argv)
-    sys.path[:0] = [str(SRC), str(PERFBENCH)]
+    sys.path[:0] = [str(SRC), str(PERFBENCH), str(TESTS)]
     import inputs
     import run
     workloads = run.load_workloads()
-    if args.workload not in workloads:
-        print(f"error: unknown workload {args.workload!r}; "
-              f"known: {sorted(workloads)}", file=sys.stderr)
-        return 2
-    seed = args.seed % run.RECORDED_SEEDS
-    workload = inputs.generate(workloads[args.workload]["generator"], seed)
-    pin_cpu()
+    names = [args.workload] if args.mode == "time" \
+        else args.workload or DIFF_WORKLOADS
+    for name in names:
+        if name not in workloads:
+            print(f"error: unknown workload {name!r}; "
+                  f"known: {sorted(workloads)}", file=sys.stderr)
+            return 2
     run.WORK.mkdir(exist_ok=True)
     work = Path(tempfile.mkdtemp(prefix="ab-", dir=run.WORK))
     try:
-        parent_dir = export(args.parent, work / "parent")
-        change_dir = SRC / "syntaxspace" if args.change is None \
-            else export(args.change, work / "change")
-        parent = Side("parent", load("syntaxspace_parent", parent_dir),
-                      workload, work / "parent.snap")
-        change = Side("change", load("syntaxspace_change", change_dir),
-                      workload, work / "change.snap")
-        print(f"ab time: {args.workload} seed {seed}; parent "
-              f"{args.parent}, change {args.change or 'working tree'}; "
+        parent = load("syntaxspace_parent", export(args.parent, work / "parent"))
+        change = load("syntaxspace_change", SRC / "syntaxspace"
+                      if args.change is None
+                      else export(args.change, work / "change"))
+        sides = (f"parent {args.parent}, change "
+                 f"{args.change or 'working tree'}")
+        if args.mode == "diff":
+            print(f"ab diff: {sides}; workloads {', '.join(names)} seeds "
+                  f"{args.seeds.start}-{args.seeds.stop - 1}; {args.random} "
+                  f"random texts")
+            groups, compared = diff(parent, change, diff_inputs(
+                args, lambda name, seed: inputs.generate(
+                    workloads[name]["generator"], seed)))
+            report_diff(groups, compared)
+            return 1 if groups else 0
+        seed = args.seed % run.RECORDED_SEEDS
+        workload = inputs.generate(workloads[args.workload]["generator"], seed)
+        pin_cpu()
+        parent = Side("parent", parent, workload, work / "parent.snap")
+        change = Side("change", change, workload, work / "change.snap")
+        print(f"ab time: {args.workload} seed {seed}; {sides}; "
               f"{args.pairs} pairs, each sample the minimum of "
               f"{args.repeat} runs")
         for what in ("snapshot", "answers"):
