@@ -132,7 +132,12 @@ def split_sentences(raw: str) -> list[str]:
 def _inside_abbreviation(text: str, dot: int) -> bool:
     # `text` has single spaces, so the word before the dot starts after the
     # last space; looking no further back keeps splitting linear.
-    word = text[text.rfind(" ", 0, dot) + 1:dot]
+    return _is_abbreviation(text[text.rfind(" ", 0, dot) + 1:dot])
+
+
+@lru_cache(maxsize=1 << 16)
+def _is_abbreviation(word: str) -> bool:
+    """Whether a dot after `word` ends an abbreviation, not a sentence."""
     word = word[len(word.rstrip(_WORD_CHARS)):]
     if not word:
         return False
@@ -184,17 +189,21 @@ _AUX_TAGS = {
 def tag(sentence: str, sentence_id: int = 0,
         doc_id: str = "") -> TaggedSentence:
     """Tag one raw sentence.  Never fails; unknown words get heuristic tags."""
-    words = tokenize(sentence)
-    readings = map(_tag_word, words, chain((False,), repeat(True)))
-    tokens = [_new_tuple(Token, (word, lemma, pos))
-              for word, (lemma, pos) in zip(words, readings)]
+    tokens = list(map(_tag_word, tokenize(sentence),
+                      chain((False,), repeat(True))))
     _contextual_fixups(tokens)
     return TaggedSentence(sentence_id, doc_id, tokens, ACTIVE, sentence)
 
 
 @lru_cache(maxsize=1 << 16)
-def _tag_word(word: str, inside: bool):
-    """(lemma, pos) of one word; `inside` is true after the first token."""
+def _tag_word(word: str, inside: bool) -> Token:
+    """The Token of one word, shared by every sentence that holds the word
+    with the same `inside`, which is true after the first token."""
+    return _new_tuple(Token, (word, *_reading(word, inside)))
+
+
+def _reading(word: str, inside: bool) -> tuple[str, str]:
+    """(lemma, pos) of one word."""
     if word in _PUNCT_TAGS:
         return word, _PUNCT_TAGS[word]
     lower = word.lower()
@@ -297,6 +306,12 @@ def _verb_inflection_tag(surface: str, base: str) -> str:
 _FIXUP_TAGS = frozenset(["NN", "NNS", "VB", "TO"])  # the tags a rule changes
 
 
+@lru_cache(maxsize=1 << 16)
+def _retag(tok: Token, pos: str) -> Token:
+    """The shared Token of `tok` read as `pos`."""
+    return tok._replace(pos=pos)
+
+
 def _contextual_fixups(out: list[Token]) -> None:
     """Resolve noun/verb ambiguity and finite-verb agreement in place.  Only
     NN, NNS, VB and TO tokens change, so only they are visited, in order:
@@ -312,15 +327,15 @@ def _contextual_fixups(out: list[Token]) -> None:
             if prev is None or prev.pos in ("DT", "JJ", "IN", "PRP$", "CD", "POS"):
                 continue
             if prev.pos == "TO":
-                out[i] = tok._replace(pos="VB")
+                out[i] = _retag(tok, "VB")
             elif prev.pos == "MD" or (prev.pos in ("VBP", "VBZ", "VBD") and prev.lemma in ("do", "be", "have")):
-                out[i] = tok._replace(pos="VB")
+                out[i] = _retag(tok, "VB")
             elif prev.pos in NOUN_TAGS and tok.surface.lower().endswith("s") and tok.surface.lower() != tok.lemma:
-                out[i] = tok._replace(pos="VBZ")
+                out[i] = _retag(tok, "VBZ")
             elif prev.pos in ("NNS", "NNPS", "NNP") and tok.surface.lower() == tok.lemma:
                 # plural/proper noun + base form agrees as a finite verb; a
                 # singular common noun before keeps the compound reading
-                out[i] = tok._replace(pos="VBP")
+                out[i] = _retag(tok, "VBP")
         # Base verbs in the lexicon (surface and lemma alike): a determiner,
         # adjective, possessive or true preposition before forces the noun
         # reading (subordinators like "that" do precede verbs); a plural or
@@ -330,14 +345,14 @@ def _contextual_fixups(out: list[Token]) -> None:
                 prev.pos in ("DT", "JJ", "PRP$", "POS")
                 or (prev.pos == "IN" and prev.lemma in lx.PREPOSITIONS))
             if noun_trigger:
-                out[i] = tok._replace(pos="NN")
+                out[i] = _retag(tok, "NN")
             elif prev is not None and prev.pos in ("NNS", "NNPS", "NNP") or (prev is not None and prev.pos == "PRP" and prev.lemma in ("i", "you", "we", "they")):
-                out[i] = tok._replace(pos="VBP")
+                out[i] = _retag(tok, "VBP")
         # "to" before a base verb is infinitival TO, before a nominal it is IN.
         if tok.pos == "TO":
             nxt = out[i + 1] if i + 1 < len(out) else None
             if nxt is not None and nxt.pos not in VERB_TAGS and nxt.pos != "RB":
-                out[i] = tok._replace(pos="IN")
+                out[i] = _retag(tok, "IN")
 
 
 # ---------------------------------------------------------------------------
@@ -357,6 +372,7 @@ def load_pretagged(path) -> list[TaggedSentence]:
 def parse_pretagged(text: str) -> list[TaggedSentence]:
     sentences: list[TaggedSentence] = []
     doc_id, voice, current = "", ACTIVE, []
+    tokens: dict[str, Token] = {}  # the Token of each token line read
 
     def flush():
         nonlocal current, voice
@@ -366,6 +382,9 @@ def parse_pretagged(text: str) -> list[TaggedSentence]:
         current, voice = [], ACTIVE
 
     for lineno, line in enumerate(text.splitlines(), start=1):
+        if (tok := tokens.get(line)) is not None:
+            current.append(tok)
+            continue
         lead = line.lstrip()  # `line` itself unless it starts with a space
         if not lead:
             flush()
@@ -379,7 +398,8 @@ def parse_pretagged(text: str) -> list[TaggedSentence]:
                 raise MalformedLine(lineno, f"unknown tag {pos!r}")
             if lemma.split() != [lemma]:
                 raise MalformedLine(lineno, f"bad lemma {lemma!r}")
-            current.append(_new_tuple(Token, parts))
+            tokens[line] = tok = _new_tuple(Token, parts)
+            current.append(tok)
         elif lead.startswith("#doc"):
             flush()
             doc_id = lead[4:].strip()

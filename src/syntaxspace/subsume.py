@@ -462,13 +462,15 @@ class SearchIndex:
         harvested key that `EdgeSet.puts_below` its side; it judges none.
         A clause judges the clauses of its lead posted under all of
         `_lemmas(query, syn=syn)`, which holds every clause below it, that
-        are in `among`."""
+        are in `among`, but for the query itself, which is at its own
+        level."""
         wrapper, head, side, mods = _shape(query)
         if wrapper[-2] == "clause":
             clauses = self.buckets.get((wrapper, None), {})
             found = _common(clauses, _lemmas(query, syn=syn))
             return {k for k in (found if among is None else found & among)
-                    if at_or_below(self.nodes[k], query, self.edges, syn)}
+                    if self.nodes[k] is query
+                    or at_or_below(self.nodes[k], query, self.edges, syn)}
         verb = side is not None and side.kind == VERB
         buckets = [self.buckets.get((wrapper, h), {}) for h in
                    ((head, *syn.synonyms(head)) if verb and syn else (head,))]

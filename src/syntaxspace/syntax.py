@@ -157,17 +157,21 @@ def canonical_key(element: Element | Adverbial | None) -> str:
 
 def display(element: Element | Adverbial | None) -> str:
     """Readable lemma-order rendering of an element (an adverbial shows its
-    content)."""
-    if element is None:
-        return ""
+    content): the non-empty leads and phrases of its clauses in order,
+    walked with a stack, so that no depth of nesting recurses."""
     if isinstance(element, Phrase):
         return " ".join(element.pre + (element.head,) + element.post)
-    if isinstance(element, Adverbial):
-        return display(element.content)
-    parts = [element.lead] if element.lead else []
-    parts.extend(display(x) for x in
-                 (element.subject, element.action, element.object) if x)
-    parts.extend(display(a) for a in element.adverbials)
+    parts, stack = [], [element]
+    while stack:
+        x = stack.pop()
+        if isinstance(x, Phrase):
+            parts.append(display(x))
+        elif isinstance(x, Adverbial):
+            stack.append(x.content)
+        elif x is not None:  # a clause
+            parts.append(x.lead)
+            stack.extend(reversed((x.subject, x.action, x.object,
+                                   *x.adverbials)))
     return " ".join(p for p in parts if p)
 
 

@@ -376,8 +376,9 @@ class TestErrorHandling:
 
     def test_long_lists_parse_and_nested_clauses_are_uncovered(self, tmp_path,
                                                                 capsys):
-        # lists fold in a loop, whatever their length; clauses inside clauses
-        # still recurse, and a sentence nested too deeply is left uncovered
+        # lists fold in a loop, whatever their length; the parser still
+        # recurses into clauses inside clauses, and a sentence nested too
+        # deeply is left uncovered
         raw = tmp_path / "deep.txt"
         raw.write_text(f"The team builds {self.LONG_LIST}. "
                        f"The lab builds {self.DISTINCT_LIST}. "
@@ -398,6 +399,20 @@ class TestErrorHandling:
         code, out, _ = run(capsys, "dump-parse", corpus_snap)
         assert code == 0
         assert out.count("# unparsed: nests too deeply to parse\n") == 1
+
+    def test_clauses_nested_400_deep_build_and_answer(self, tmp_path, capsys):
+        # the snapshot renders each nested clause without recursing
+        raw = tmp_path / "nested.txt"
+        raw.write_text("The team knows that " * 400
+                       + "the team wins. LexRank builds summaries.\n")
+        corpus_snap, space_snap = tmp_path / "n.tsv", tmp_path / "n.snap"
+        assert run(capsys, "ingest", raw, "-o", corpus_snap)[0] == 0
+        code, _, err = run(capsys, "build", corpus_snap, "-o", space_snap)
+        assert (code, err) == (0, "")
+        code, out, _ = run(capsys, "query", space_snap,
+                           "What builds summaries?")
+        assert code == 0
+        assert [line.split("\t")[1] for line in out.splitlines()] == ["2"]
 
     def test_deeply_nested_question_is_data_error(self, workspace, capsys):
         _, space_snap = build_short(workspace, capsys)

@@ -116,6 +116,7 @@ class TestTagger:
         monkeypatch.setattr(corpus, "_open_class_reading",
                             lambda lower: reads.append(lower) or read(lower))
         corpus._tag_word.cache_clear()
+        corpus._is_abbreviation.cache_clear()
         sentences = corpus.ingest_text(" ".join([sentence] * copies))
         assert len(sentences) == copies
         # one read per (word, first-or-later) pair: "and" and "." are
@@ -123,6 +124,18 @@ class TestTagger:
         assert sorted(reads) == ["models", "models", "quickly",
                                  "researchers", "train"]
         assert corpus._tag_word.cache_info().misses == 7
+        # every boundary's dot follows "models"
+        assert corpus._is_abbreviation.cache_info().misses == 1
+
+    def test_each_reading_is_one_token(self):
+        # a word form read alike is one shared Token, within a sentence and
+        # across sentences, and so is a token the fixups retag
+        first = tag("Researchers test models and researchers test models.")
+        second = tag("Researchers test models.")
+        assert first.tokens[2] is first.tokens[6] is second.tokens[2]
+        assert first.tokens[1].pos == "VBP"  # "test", read NN, then retagged
+        assert first.tokens[1] is first.tokens[5] is second.tokens[1]
+        assert len({id(t) for t in first.tokens}) == 6
 
     def test_threads_share_the_memo(self):
         texts = [f"Zab{i}ing models train Zab{i}ing quickly by Zab{i % 3}ed."
@@ -181,6 +194,23 @@ class TestPretagged:
         with pytest.raises(MalformedLine) as err:
             load_pretagged(path)
         assert err.value.line_number == 1
+
+    def test_each_distinct_line_is_one_token(self):
+        first, second = parse_pretagged(
+            "#doc d1\nmodels\tmodel\tNNS\nrun\trun\tVBP\n\n"
+            "models\tmodel\tNNS\nrun\trun\tVBP\nmodels\tmodel\tNNS\n")
+        assert first.tokens[0] is second.tokens[0] is second.tokens[2]
+        assert first.tokens[1] is second.tokens[1]
+        assert [tuple(t) for t in second.tokens] == [
+            ("models", "model", "NNS"), ("run", "run", "VBP"),
+            ("models", "model", "NNS")]
+
+    def test_a_repeated_bad_line_is_named_by_its_first_line(self):
+        with pytest.raises(MalformedLine) as err:
+            parse_pretagged("word\tword\tNN\nword\tword\tXX\n"
+                            "word\tword\tNN\nword\tword\tXX\n")
+        assert err.value.line_number == 2
+        assert "unknown tag 'XX'" in str(err.value)
 
     @pytest.mark.parametrize("lemma", ["", "two words", " "])
     def test_bad_lemma_rejected(self, lemma):

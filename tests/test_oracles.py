@@ -58,8 +58,9 @@ searched from the first token, copied unchanged but for its name and a
 are also checked, token for token and of the type `corpus.Token`, against
 `ref_loop_tag` and `ref_contextual_fixups`: the tagger that built each
 namedtuple token in a loop and visited every token in its fixups, copied
-unchanged but for their names and for reading the memoized `_tag_word` and
-`Token` from `corpus`.  The two fixups call `ref_verb_inflection_tag`.
+unchanged but for their names and for reading `Token`, and the lemma and
+tag of the memoized `_tag_word`'s token, from `corpus`.  The two fixups
+call `ref_verb_inflection_tag`.
 
 `classify_marker`, `_verb_inflection_tag` and `qa._strip_aux` are kept as
 they were before each became the one rule it always gave: a marker's kind
@@ -78,6 +79,11 @@ folded each item through a recursive parse of an inner noun phrase and
 took `attach_pps`; the one loop is checked against it in both positions,
 and `_parse_one` through either parser, on windows of phrases joined by
 every connector a phrase folds and followed by finite verbs.
+
+`display` is checked against `ref_display`, the rendering that recursed
+into each part of a clause, copied unchanged but for its name and that of
+its self-call, on phrases, clauses and adverbials nested in one another,
+with parts left out or empty.
 """
 
 import math
@@ -122,7 +128,7 @@ from syntaxspace.syntax import (_DET_LIKE, _NP_PRE_TAGS, ADJECTIVE, ADVERB,
                                 SentenceSyntax, _finite_verb_start, _is_punct,
                                 _nominal_start, _noun_kind, _parse_one,
                                 _Parser, _verb_group_start, canonical_key,
-                                classify_adverbial, match_marker,
+                                classify_adverbial, display, match_marker,
                                 parse_sentence_parts)
 
 from conftest import UNICODE_SPACES, adjp, advp, np, pp, vp
@@ -482,7 +488,7 @@ def ref_loop_tag(sentence: str, sentence_id: int = 0,
     """Tag one raw sentence.  Never fails; unknown words get heuristic tags."""
     tokens: list[corpus.Token] = []
     for i, word in enumerate(tokenize(sentence)):
-        lemma, pos = corpus._tag_word(word, i > 0)
+        _, lemma, pos = corpus._tag_word(word, i > 0)
         tokens.append(corpus.Token(word, lemma, pos))
     tokens = ref_contextual_fixups(tokens)
     return TaggedSentence(sentence_id, doc_id, tokens, ACTIVE, sentence)
@@ -2595,3 +2601,54 @@ def test_parse_np_folds_as_the_recursive_reference(window):
     sentence = TaggedSentence(1, "d", tokens + [corpus.Token(".", ".", ".")])
     assert _parse_one_outcome(_Parser, sentence) \
         == _parse_one_outcome(_RefParser, sentence)
+
+
+# ---------------------------------------------------------------------------
+# Display
+# ---------------------------------------------------------------------------
+
+
+def ref_display(element) -> str:
+    """Readable lemma-order rendering of an element (an adverbial shows its
+    content)."""
+    if element is None:
+        return ""
+    if isinstance(element, Phrase):
+        return " ".join(element.pre + (element.head,) + element.post)
+    if isinstance(element, Adverbial):
+        return ref_display(element.content)
+    parts = [element.lead] if element.lead else []
+    parts.extend(ref_display(x) for x in
+                 (element.subject, element.action, element.object) if x)
+    parts.extend(ref_display(a) for a in element.adverbials)
+    return " ".join(p for p in parts if p)
+
+
+_DISPLAY_WORDS = st.sampled_from(["", "model", "deep", "in"])
+_DISPLAY_PHRASES = st.builds(
+    Phrase, st.sampled_from([NOUN, VERB, PREPOSITIONAL]), _DISPLAY_WORDS,
+    st.lists(_DISPLAY_WORDS, max_size=2).map(tuple),
+    st.lists(_DISPLAY_WORDS, max_size=2).map(tuple))
+
+
+def _display_nests(inner):
+    """Clauses with `inner` parts, any of them left out, and adverbials of
+    `inner` contents."""
+    adverbials = st.builds(Adverbial, st.sampled_from(["time", "method"]),
+                           inner)
+    return st.builds(Clause, st.sampled_from([None, "", "that", "by"]),
+                     st.none() | inner, st.none() | _DISPLAY_PHRASES,
+                     st.none() | inner,
+                     st.lists(adverbials, max_size=3).map(tuple)) \
+        | adverbials
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.none() | st.recursive(_DISPLAY_PHRASES, _display_nests,
+                                max_leaves=20))
+@example(Clause("that", Clause(None, None, None, None),
+                Phrase(VERB, ""), Clause("", Phrase(NOUN, ""), None, None,
+                                         (Adverbial("time", Phrase(NOUN,
+                                                                   "")),))))
+def test_display_matches_the_recursive_reference(element):
+    assert display(element) == ref_display(element)

@@ -343,9 +343,39 @@ class TestSearchIndex:
                 == {1000, 1001, 1002}
             counts.append(len(calls))
             calls.clear()
-            assert search(space, "subject", that_clause) == {1003}
+            # an equal clause: the node itself would pass unjudged
+            assert search(space, "subject", Clause(
+                "that", None, vp("rank"), np("sentence"))) == {1003}
             counts.append(len(calls))
         assert counts == [0, 1, 0, 1]
+
+    def test_modifier_pairs_judge_no_clause_against_itself(self,
+                                                            monkeypatch):
+        # each node is among its own anchors and passes unjudged: of the
+        # judgments the modifier step makes (outermost at_or_below calls,
+        # not those a clause makes of its slots), none has the node as both
+        # sides, and the clause adverbials still pair
+        judged, real, depth = [], subsume.at_or_below, [0]
+
+        def counted(e1, e2, *args, **kwargs):
+            if not depth[0]:
+                judged.append(e1 is e2)
+            depth[0] += 1
+            try:
+                return real(e1, e2, *args, **kwargs)
+            finally:
+                depth[0] -= 1
+        monkeypatch.setattr(subsume, "at_or_below", counted)
+        space = build_space(tag_corpus([
+            "The team builds models by ranking sentences.",
+            "The team builds models by ranking salient sentences.",
+            "The lab builds tools by ranking sentences quickly.",
+            "The lab wins because the team builds models.",
+            "The lab wins because the team builds deep models."]))
+        assert judged and not any(judged)
+        assert ("adv(method|cl(by|-|vp(rank|)|np(sentence|salient)|))",
+                "adv(method|cl(by|-|vp(rank|)|np(sentence|)|))") \
+            in space.dimensions["adverbial"].edges
 
 
     @pytest.mark.parametrize("query, kwargs, want", [

@@ -568,6 +568,14 @@ class TestStandaloneOps:
         from syntaxspace.syntax import display
         assert display(None) == ""
 
+    def test_display_of_clauses_nested_at_any_depth(self):
+        from syntaxspace.syntax import display
+        element = Phrase(NOUN, "win")
+        for _ in range(5000):
+            element = Clause("that", Phrase(NOUN, "team"),
+                             Phrase(VERB, "know"), element)
+        assert display(element) == "that team know " * 5000 + "win"
+
     def test_classify_adverbial_of_no_tokens(self):
         from syntaxspace.syntax import classify_adverbial
         assert classify_adverbial([]) is None
