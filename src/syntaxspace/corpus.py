@@ -19,7 +19,7 @@ import string
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache, wraps
-from itertools import chain, repeat
+from itertools import chain
 
 from . import lexicon as lx
 
@@ -165,6 +165,10 @@ _TOKEN_RE = re.compile(
 
 
 def tokenize(sentence: str) -> list[str]:
+    """The tokens of `sentence`.  No token spans whitespace: no class of
+    `_TOKEN_RE` holds a character `str.split()` cuts at, and the pattern has
+    no anchor or lookaround, so the tokens of a text are those of its
+    whitespace-free chunks, in order."""
     return _TOKEN_RE.findall(sentence)
 
 
@@ -189,10 +193,19 @@ _AUX_TAGS = {
 def tag(sentence: str, sentence_id: int = 0,
         doc_id: str = "") -> TaggedSentence:
     """Tag one raw sentence.  Never fails; unknown words get heuristic tags."""
-    tokens = list(map(_tag_word, tokenize(sentence),
-                      chain((False,), repeat(True))))
+    tokens = list(chain.from_iterable(map(_tag_chunk, sentence.split())))
+    if tokens:
+        # a token's surface is its word, also when the first chunk has none
+        tokens[0] = _tag_word(tokens[0].surface, False)
     _contextual_fixups(tokens)
     return TaggedSentence(sentence_id, doc_id, tokens, ACTIVE, sentence)
+
+
+@lru_cache(maxsize=1 << 16)
+def _tag_chunk(chunk: str) -> tuple[Token, ...]:
+    """The Tokens of one whitespace-free chunk, each read after the first
+    token of its sentence; a text repeats few chunks, so each is read once."""
+    return tuple(_tag_word(word, True) for word in tokenize(chunk))
 
 
 @lru_cache(maxsize=1 << 16)

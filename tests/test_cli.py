@@ -77,6 +77,16 @@ class TestPipeline:
         assert code == 0
         assert "The system s model ranks sentences ." in out
 
+    def test_chunks_ingest_matches_golden_file(self, tmp_path, capsys):
+        # chunks of several tokens and of none: glued punctuation, brackets
+        # and quotes, "*", "\u2014" and "a*b" (the first chunk holds no
+        # token), Unicode digits and Unicode separators between words
+        corpus_snap = tmp_path / "c.tsv"
+        code, _, _ = run(capsys, "ingest", DATA / "chunks.txt", "-o",
+                         corpus_snap)
+        assert code == 0
+        assert corpus_snap.read_bytes() == (DATA / "chunks.tsv").read_bytes()
+
     def test_patterns_match_golden_files(self, tmp_path, capsys):
         # a harvested 3-cycle with one edge dropped, a "to X is to Y" edge,
         # a by-agent passive, a two-part sentence and a clause adverbial

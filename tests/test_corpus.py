@@ -115,15 +115,19 @@ class TestTagger:
         read = corpus._open_class_reading
         monkeypatch.setattr(corpus, "_open_class_reading",
                             lambda lower: reads.append(lower) or read(lower))
+        corpus._tag_chunk.cache_clear()
         corpus._tag_word.cache_clear()
         corpus._is_abbreviation.cache_clear()
         sentences = corpus.ingest_text(" ".join([sentence] * copies))
         assert len(sentences) == copies
+        # one read per distinct chunk: "models." holds "models" and "."
+        assert corpus._tag_chunk.cache_info().misses == 7
         # one read per (word, first-or-later) pair: "and" and "." are
-        # closed-class, "Models" is read first, "models" later
-        assert sorted(reads) == ["models", "models", "quickly",
+        # closed-class; a chunk reads "Models" as later, and the sentence's
+        # first token is read again as first
+        assert sorted(reads) == ["models", "models", "models", "quickly",
                                  "researchers", "train"]
-        assert corpus._tag_word.cache_info().misses == 7
+        assert corpus._tag_word.cache_info().misses == 8
         # every boundary's dot follows "models"
         assert corpus._is_abbreviation.cache_info().misses == 1
 
@@ -137,11 +141,37 @@ class TestTagger:
         assert first.tokens[1] is first.tokens[5] is second.tokens[1]
         assert len({id(t) for t in first.tokens}) == 6
 
+    def test_a_repeated_chunk_is_the_same_tokens(self):
+        # "(graphs)," and "rank" are tokenized and tagged once each, and
+        # both places of "(graphs)," hold the memo's four Token objects
+        corpus._tag_chunk.cache_clear()
+        tokens = tag("Models rank (graphs), and teams rank (graphs), "
+                     "too.").tokens
+        assert corpus._tag_chunk.cache_info()[:2] == (2, 6)  # hits, misses
+        chunk = corpus._tag_chunk("(graphs),")
+        assert [t.surface for t in chunk] == ["(", "graphs", ")", ","]
+        assert all(a is b is c for a, b, c in zip(chunk, tokens[2:6],
+                                                  tokens[9:13]))
+
+    @pytest.mark.parametrize("text", ["* Zorbing trains.",
+                                      "\u2014 Zorbing trains.",
+                                      "\u2028* Zorbing trains.",
+                                      "*Zorbing trains."])
+    def test_first_word_reads_as_first_after_a_token_less_chunk(self, text):
+        # a capitalised unknown word reads NNP only after the first token;
+        # here the first chunk holds no token, or "*" before the word
+        assert tag("The Zorbing trains.").tokens[1].pos == "NNP"
+        tokens = tag(text).tokens
+        assert tokens == tag("Zorbing trains.").tokens
+        assert tokens[0] == ("Zorbing", "zorbing", "VBG")
+
     def test_threads_share_the_memo(self):
         texts = [f"Zab{i}ing models train Zab{i}ing quickly by Zab{i % 3}ed."
                  for i in range(40)]
+        corpus._tag_chunk.cache_clear()
         corpus._tag_word.cache_clear()
         want = [[tuple(t) for t in tag(text).tokens] for text in texts]
+        corpus._tag_chunk.cache_clear()
         corpus._tag_word.cache_clear()
         got = [None] * len(texts)
 

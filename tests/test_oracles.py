@@ -59,8 +59,11 @@ are also checked, token for token and of the type `corpus.Token`, against
 `ref_loop_tag` and `ref_contextual_fixups`: the tagger that built each
 namedtuple token in a loop and visited every token in its fixups, copied
 unchanged but for their names and for reading `Token`, and the lemma and
-tag of the memoized `_tag_word`'s token, from `corpus`.  The two fixups
-call `ref_verb_inflection_tag`.
+tag of the memoized `_tag_word`'s token, from `corpus`.  The reference
+tokenizes the whole sentence and reads each word in place, where `tag`
+reads each whitespace-free chunk through a memo, so the texts glue pieces
+into chunks of several tokens and of none.  The two fixups call
+`ref_verb_inflection_tag`.
 
 `classify_marker`, `_verb_inflection_tag` and `qa._strip_aux` are kept as
 they were before each became the one rule it always gave: a marker's kind
@@ -902,20 +905,26 @@ def test_tag_and_normalize_voice_match_reference(pieces):
 
 
 # Tagger words, marks and passive windows next to abbreviations, quotes and
-# apostrophes (a curly one leaves a lone "s"), joined by Unicode whitespace.
+# apostrophes (a curly one leaves a lone "s"), chunks of several tokens and
+# of none, joined by Unicode whitespace or glued into one chunk.
 _FRONT_END_PIECES = st.one_of(
     _TAGGER_WORD,
     st.sampled_from(sorted(_PUNCT_TAGS) + ["\u2019s", "'s", "s", "*"]),
     _PASSIVE,
     _PIECES.map("".join),
+    st.sampled_from(["models,data", "(LexRank).", "3.5x", "a*b", "\u2014",
+                     "*", "na\u00efve", "\u0663.\u0665", "e.g.,the"]),
 )
 
 
 @st.composite
 def front_end_texts(draw):
-    parts = [draw(st.text(alphabet=UNICODE_SPACES, max_size=2))]
+    # often led by a chunk with no token, so the first token is in a later one
+    parts = [draw(st.text(alphabet=UNICODE_SPACES, max_size=2)),
+             draw(st.sampled_from(["", "*", "\u2014", "* *"])),
+             draw(_SPACES)]
     for piece in draw(st.lists(_FRONT_END_PIECES, max_size=20)):
-        parts += [piece, draw(_SPACES)]
+        parts += [piece, draw(st.one_of(_SPACES, st.just("")))]
     return "".join(parts)
 
 

@@ -28,12 +28,13 @@ median and quartiles in ms and the pairs in which the change was faster.
 questions for each of `--seeds` (0-31), and `--random` texts in corpora of
 `RANDOM_BATCH`, half from `tests/generators.random_texts` and half pretagged
 word soups (`generators.word_soup`, alone or as an object), each corpus
-asked a few questions.  For each sentence it compares the voice-normalized
-parts with their spans (or the error raised) and the harvested triples; for
-each corpus, the uncovered sentences and each dimension's edges and
-dropped edges; for each question, its parse and top-k answers.  It prints
-the items that differ, grouped by the first field that differs, and exits
-1 if any do.
+asked a few questions.  For each sentence it compares the tagger's output
+(each token's surface, lemma and tag, the voice and the raw text), the
+voice-normalized parts with their spans (or the error raised) and the
+harvested triples; for each corpus, the uncovered sentences and each
+dimension's edges and dropped edges; for each question, the tagger's
+output, its parse and top-k answers.  It prints the items that differ,
+grouped by the first field that differs, and exits 1 if any do.
 """
 
 from __future__ import annotations
@@ -235,6 +236,12 @@ def outcome(call, *args):
         return exc
 
 
+def tagging(sentence) -> tuple[str, str]:
+    """The field of what the tagger made of a sentence or question."""
+    return ("tokens", repr(([tuple(t) for t in sentence.tokens],
+                            sentence.voice, sentence.raw)))
+
+
 def observe(pkg, label: str, sentences, questions) -> dict:
     """{item: ((field, value), ...)} of one side for a corpus of tagged
     sentences and its tagged questions, as `build_space` and `qa.answer`
@@ -247,7 +254,8 @@ def observe(pkg, label: str, sentences, questions) -> dict:
             pkg.subsume.scan_syntactic_patterns(normalized, part)
             for part in parts]
         items[f"{label} sentence {sentence.sentence_id}"] = (
-            ("parts", repr(parts)), ("triples", repr(triples)))
+            tagging(sentence), ("parts", repr(parts)),
+            ("triples", repr(triples)))
     space = pkg.space.build_space(sentences)
     items[label] = (("uncovered", repr(space.uncovered)), *(
         (f"{name} {what}", repr(sorted(getattr(dim, what).items())
@@ -257,6 +265,7 @@ def observe(pkg, label: str, sentences, questions) -> dict:
     for number, question in enumerate(questions, 1):
         answers = outcome(pkg.qa.answer, space, question, TOP_K)
         items[f"{label} question {number}"] = (
+            tagging(question),
             ("parse", repr(outcome(pkg.qa.parse_question, question))),
             ("answers", repr(answers if isinstance(answers, Exception) else
                              [(sid, j.score) for sid, j in answers])))
